@@ -492,7 +492,7 @@ def attack_emulated_gpu(backend: str = "hix") -> AttackResult:
         fake.connect_dma(machine.dma)
         service = GpuEnclaveService(machine.kernel, machine.sgx,
                                     machine.root_complex, fake,
-                                    machine.expected_bios_hash)
+                                    machine.expected_bios_hash_for(machine.gpu))
         try:
             service.boot()
             hix = SUCCEEDS

@@ -12,14 +12,26 @@ exercise the detection path.
 from __future__ import annotations
 
 import hashlib
+from typing import Dict, Tuple
 
 from repro.gpu.regs import ROM_SIZE
 
 _ROM_SIGNATURE = b"\x55\xAA"  # PCI expansion ROM header magic
 
+#: Images built so far, by ``(device_id, version)``.  Sharing them across
+#: machines is safe because an image is immutable ``bytes``: flashing a
+#: device replaces its image rather than writing into it.
+_IMAGES: Dict[Tuple[int, str], bytes] = {}
+
 
 def build_bios_image(device_id: int, version: str = "70.00.21.00") -> bytes:
-    """Deterministically generate a VBIOS image for *device_id*."""
+    """Deterministically generate a VBIOS image for *device_id*.
+
+    Each ``(device_id, version)`` image is built once per process.
+    """
+    key = (device_id, version)
+    if key in _IMAGES:
+        return _IMAGES[key]
     header = bytearray(64)
     header[0:2] = _ROM_SIGNATURE
     header[2] = ROM_SIZE // 512  # size in 512-byte units
@@ -32,7 +44,8 @@ def build_bios_image(device_id: int, version: str = "70.00.21.00") -> bytes:
     while len(body) < ROM_SIZE - 64:
         seed = hashlib.sha256(seed).digest()
         body += seed
-    return bytes(header) + bytes(body[:ROM_SIZE - 64])
+    image = _IMAGES[key] = bytes(header) + bytes(body[:ROM_SIZE - 64])
+    return image
 
 
 def bios_hash(image: bytes) -> bytes:

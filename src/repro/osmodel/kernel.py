@@ -25,9 +25,17 @@ _DEFAULT_FLAGS = PageFlags.PRESENT | PageFlags.WRITABLE | PageFlags.USER
 
 
 class FrameAllocator:
-    """Bump-with-free-list allocator over DRAM frames, EPC excluded."""
+    """Bump-with-free-list allocator over DRAM frames, EPC excluded.
+
+    Reserved ranges must be page-aligned and non-empty; a contiguous run
+    is then tested against them as intervals, so its cost grows with the
+    number of ranges rather than the run's length.
+    """
 
     def __init__(self, dram_size: int, reserved: List[Tuple[int, int]]) -> None:
+        if any(base % PAGE_SIZE or size % PAGE_SIZE or size <= 0
+               for base, size in reserved):
+            raise ValueError("reserved ranges must be page-aligned and non-empty")
         self._dram_size = dram_size
         self._reserved = sorted(reserved)
         self._cursor = PAGE_SIZE  # frame 0 stays unused (null-page trap)
@@ -60,7 +68,8 @@ class FrameAllocator:
             skip_to = self._reserved_overlap(base)
             if skip_to is None:
                 end = base + npages * PAGE_SIZE
-                if any(self._reserved_overlap(p) for p in range(base, end, PAGE_SIZE)):
+                if any(start < end and base < start + size
+                       for start, size in self._reserved):
                     self._cursor = end
                     continue
                 if end > self._dram_size:

@@ -34,7 +34,7 @@ class PageType(enum.Enum):
     VA = "va"            # version array (unused, kept for fidelity)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpcmEntry:
     """One EPCM slot: the hardware's record of an EPC page's binding."""
 
@@ -45,8 +45,20 @@ class EpcmEntry:
     writable: bool = True
 
 
+#: The entry of every page that is not allocated (entries are immutable,
+#: so one object serves them all).
+_INVALID = EpcmEntry()
+
+
 class Epc:
-    """Fixed-size EPC carved out of physical DRAM at a known base."""
+    """Fixed-size EPC carved out of physical DRAM at a known base.
+
+    Only valid EPCM entries are stored, so set-up and memory cost follow
+    the pages in use, not the EPC's capacity.  Pages never used yet are
+    handed out in ascending order from a cursor; released pages are
+    reused first, most recently released first.  That is the order a
+    dense free stack seeded with every page would produce.
+    """
 
     def __init__(self, base: int, size: int) -> None:
         if base % PAGE_SIZE or size % PAGE_SIZE or size <= 0:
@@ -54,8 +66,9 @@ class Epc:
         self.base = base
         self.size = size
         self._num_pages = size // PAGE_SIZE
-        self._epcm: List[EpcmEntry] = [EpcmEntry() for _ in range(self._num_pages)]
-        self._free: List[int] = list(range(self._num_pages - 1, -1, -1))
+        self._epcm: Dict[int, EpcmEntry] = {}   # page index -> valid entry
+        self._unused = 0                         # first never-used page
+        self._released: List[int] = []
 
     @property
     def limit(self) -> int:
@@ -63,7 +76,7 @@ class Epc:
 
     @property
     def free_pages(self) -> int:
-        return len(self._free)
+        return self._num_pages - self._unused + len(self._released)
 
     def contains(self, paddr: int, length: int = 1) -> bool:
         return self.base <= paddr and paddr + length <= self.limit
@@ -74,14 +87,18 @@ class Epc:
         return (paddr - self.base) // PAGE_SIZE
 
     def entry_for(self, paddr: int) -> EpcmEntry:
-        return self._epcm[self.page_index(paddr)]
+        return self._epcm.get(self.page_index(paddr), _INVALID)
 
     def allocate(self, enclave_id: Optional[int], vaddr: Optional[int],
                  page_type: PageType, writable: bool = True) -> int:
         """Claim a free EPC page; returns its physical address."""
-        if not self._free:
+        if self._released:
+            index = self._released.pop()
+        elif self._unused < self._num_pages:
+            index = self._unused
+            self._unused += 1
+        else:
             raise EpcError("EPC exhausted")
-        index = self._free.pop()
         self._epcm[index] = EpcmEntry(valid=True, enclave_id=enclave_id,
                                       vaddr=vaddr, page_type=page_type,
                                       writable=writable)
@@ -90,25 +107,23 @@ class Epc:
     def release(self, paddr: int) -> None:
         """EREMOVE: invalidate and free one page."""
         index = self.page_index(paddr)
-        if not self._epcm[index].valid:
+        if self._epcm.pop(index, None) is None:
             raise EpcError(f"EREMOVE of invalid EPC page {paddr:#x}")
-        self._epcm[index] = EpcmEntry()
-        self._free.append(index)
+        self._released.append(index)
+
+    def _indices_of(self, enclave_id: int) -> List[int]:
+        return sorted(index for index, entry in self._epcm.items()
+                      if entry.enclave_id == enclave_id)
 
     def release_enclave(self, enclave_id: int) -> int:
         """Free every page belonging to *enclave_id*; returns the count."""
-        released = 0
-        for index, entry in enumerate(self._epcm):
-            if entry.valid and entry.enclave_id == enclave_id:
-                self._epcm[index] = EpcmEntry()
-                self._free.append(index)
-                released += 1
-        return released
+        indices = self._indices_of(enclave_id)
+        for index in indices:
+            del self._epcm[index]
+        self._released.extend(indices)
+        return len(indices)
 
     def pages_of(self, enclave_id: int) -> Dict[int, EpcmEntry]:
         """paddr -> EPCM entry for every valid page of an enclave."""
-        return {
-            self.base + index * PAGE_SIZE: entry
-            for index, entry in enumerate(self._epcm)
-            if entry.valid and entry.enclave_id == enclave_id
-        }
+        return {self.base + index * PAGE_SIZE: self._epcm[index]
+                for index in self._indices_of(enclave_id)}

@@ -26,7 +26,7 @@ from repro.core.runtime import HixApi
 from repro.gdev.api import GdevApi
 from repro.gdev.driver import GdevDriver
 from repro.gpu.bios import bios_hash, build_bios_image
-from repro.gpu.device import DEVICE_GTX580, SimGpu
+from repro.gpu.device import SimGpu
 from repro.hw.address_map import AddressMap
 from repro.hw.dma import DmaEngine
 from repro.hw.iommu import Iommu
@@ -166,11 +166,6 @@ class Machine:
         register_fastpath_gauges(self)
 
     # -- trusted reference values (what a vendor would publish) ----------------
-
-    @property
-    def expected_bios_hash(self) -> bytes:
-        """Vendor-published hash of the pristine GTX-580 VBIOS."""
-        return bios_hash(build_bios_image(DEVICE_GTX580))
 
     @staticmethod
     def expected_bios_hash_for(device: SimGpu) -> bytes:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import AttestationError, DriverError, GpuUnavailable
+from repro.gpu.bios import bios_hash
 from repro.gpu.regs import ROM_SIZE
 from repro.system import Machine, MachineConfig
 
@@ -22,7 +23,8 @@ class TestGpuEnclaveBoot:
         expected_pages = (regs.BAR0_SIZE + regs.BAR1_SIZE + ROM_SIZE) // 4096
         assert len(machine.sgx.hix.tgmr_entries) == expected_pages
         # BIOS measured and the device reset.
-        assert service.bios_measurement == machine.expected_bios_hash
+        assert service.bios_measurement == (
+            machine.expected_bios_hash_for(machine.gpu))
         assert machine.gpu.reset_count == reset_before + 1
 
     def test_boot_publishes_expected_identity(self):
@@ -35,6 +37,26 @@ class TestGpuEnclaveBoot:
         machine.adversary().flash_gpu_bios(machine.gpu)
         with pytest.raises(AttestationError):
             machine.boot_hix()
+
+    @pytest.mark.parametrize("backend", ["hix", "gpucc"])
+    def test_flashed_bios_does_not_leak_into_next_machine(self, backend):
+        """VBIOS images are built once per process and shared; flashing
+        one machine's GPU must not reach the next machine's ROM or the
+        vendor reference it is checked against."""
+        def boot_and_attest(machine):
+            service = machine.boot_secure()
+            machine.secure_session(service).cuCtxCreate()
+
+        flashed = Machine(MachineConfig(backend=backend))
+        pristine = bytes(flashed.gpu.bios_image)
+        flashed.adversary().flash_gpu_bios(flashed.gpu)
+        with pytest.raises(AttestationError):
+            boot_and_attest(flashed)
+
+        fresh = Machine(MachineConfig(backend=backend))
+        assert fresh.gpu.bios_image == pristine
+        assert fresh.expected_bios_hash_for(fresh.gpu) == bios_hash(pristine)
+        boot_and_attest(fresh)
 
     def test_second_boot_rejected_while_owned(self):
         machine = Machine(MachineConfig())

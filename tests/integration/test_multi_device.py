@@ -102,7 +102,8 @@ class TestAccelerator:
         assert service.bios_measurement == (
             multi_machine.expected_bios_hash_for(accel))
         # And it differs from the GPU's firmware identity.
-        assert service.bios_measurement != multi_machine.expected_bios_hash
+        assert service.bios_measurement != (
+            multi_machine.expected_bios_hash_for(multi_machine.gpu))
 
     def test_tampered_accelerator_firmware_detected(self):
         machine = Machine(MachineConfig(num_accelerators=1))

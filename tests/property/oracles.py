@@ -1,4 +1,4 @@
-"""Retired timing-engine implementations, kept as differential oracles.
+"""Retired implementations, kept as differential oracles.
 
 Before the unified discrete-event kernel (:mod:`repro.sim.engine`), the
 repo carried two independent event loops: the analytic multi-user model
@@ -17,8 +17,20 @@ the kernel against them forever:
   pre-reserved the engine at pop).  It remains the reference for
   non-FIFO schedulers, whose semantics the kernel preserves.
 
-These functions are test fixtures, not public API — do not import them
-from production code.
+Machine set-up was made proportional to use; the capacity-sized
+originals moved here the same way:
+
+* :class:`OracleDenseEpc` — the EPC with one EPCM entry per page and a
+  free stack seeded with every page.  :class:`repro.sgx.epc.Epc` must
+  return the same pages, entries and errors for every operation
+  sequence.
+* :class:`OracleScanFrameAllocator` — the frame allocator that tested a
+  contiguous run page by page against the reserved ranges.
+  :class:`repro.osmodel.kernel.FrameAllocator` must hand out the same
+  frames and raise the same errors.
+
+These are test fixtures, not public API — do not import them from
+production code.
 """
 
 from __future__ import annotations
@@ -30,6 +42,9 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.multiuser import Segment, UserTimeline
+from repro.errors import EpcError, ReproError
+from repro.hw.phys_mem import PAGE_SIZE
+from repro.sgx.epc import EpcmEntry, PageType
 from repro.sim.engine import TenantLane, Visit
 from repro.sim.trace import TraceEvent
 
@@ -237,3 +252,122 @@ def oracle_multiplex(lanes: Sequence[TenantLane], scheduler,
         makespan=makespan, timelines=timelines, context_switches=switches,
         served=served, timed_out=timed_out, stall_seconds=stall,
         events=lane_events)
+
+
+class OracleDenseEpc:
+    """The retired dense ``Epc``, verbatim apart from naming."""
+
+    def __init__(self, base: int, size: int) -> None:
+        if base % PAGE_SIZE or size % PAGE_SIZE or size <= 0:
+            raise ValueError("EPC base/size must be page-aligned and positive")
+        self.base = base
+        self.size = size
+        self._num_pages = size // PAGE_SIZE
+        self._epcm: List[EpcmEntry] = [EpcmEntry() for _ in range(self._num_pages)]
+        self._free: List[int] = list(range(self._num_pages - 1, -1, -1))
+
+    @property
+    def limit(self) -> int:
+        return self.base + self.size
+
+    @property
+    def free_pages(self) -> int:
+        return len(self._free)
+
+    def contains(self, paddr: int, length: int = 1) -> bool:
+        return self.base <= paddr and paddr + length <= self.limit
+
+    def page_index(self, paddr: int) -> int:
+        if not self.contains(paddr):
+            raise EpcError(f"{paddr:#x} is not an EPC address")
+        return (paddr - self.base) // PAGE_SIZE
+
+    def entry_for(self, paddr: int) -> EpcmEntry:
+        return self._epcm[self.page_index(paddr)]
+
+    def allocate(self, enclave_id: Optional[int], vaddr: Optional[int],
+                 page_type: PageType, writable: bool = True) -> int:
+        """Claim a free EPC page; returns its physical address."""
+        if not self._free:
+            raise EpcError("EPC exhausted")
+        index = self._free.pop()
+        self._epcm[index] = EpcmEntry(valid=True, enclave_id=enclave_id,
+                                      vaddr=vaddr, page_type=page_type,
+                                      writable=writable)
+        return self.base + index * PAGE_SIZE
+
+    def release(self, paddr: int) -> None:
+        """EREMOVE: invalidate and free one page."""
+        index = self.page_index(paddr)
+        if not self._epcm[index].valid:
+            raise EpcError(f"EREMOVE of invalid EPC page {paddr:#x}")
+        self._epcm[index] = EpcmEntry()
+        self._free.append(index)
+
+    def release_enclave(self, enclave_id: int) -> int:
+        """Free every page belonging to *enclave_id*; returns the count."""
+        released = 0
+        for index, entry in enumerate(self._epcm):
+            if entry.valid and entry.enclave_id == enclave_id:
+                self._epcm[index] = EpcmEntry()
+                self._free.append(index)
+                released += 1
+        return released
+
+    def pages_of(self, enclave_id: int) -> Dict[int, EpcmEntry]:
+        """paddr -> EPCM entry for every valid page of an enclave."""
+        return {
+            self.base + index * PAGE_SIZE: entry
+            for index, entry in enumerate(self._epcm)
+            if entry.valid and entry.enclave_id == enclave_id
+        }
+
+
+class OracleScanFrameAllocator:
+    """The retired per-page-scan ``FrameAllocator``, verbatim apart from
+    naming."""
+
+    def __init__(self, dram_size: int, reserved: List[Tuple[int, int]]) -> None:
+        self._dram_size = dram_size
+        self._reserved = sorted(reserved)
+        self._cursor = PAGE_SIZE  # frame 0 stays unused (null-page trap)
+        self._free: List[int] = []
+
+    def _reserved_overlap(self, paddr: int) -> Optional[int]:
+        for base, size in self._reserved:
+            if base <= paddr < base + size:
+                return base + size
+        return None
+
+    def alloc(self) -> int:
+        if self._free:
+            return self._free.pop()
+        while True:
+            skip_to = self._reserved_overlap(self._cursor)
+            if skip_to is None:
+                break
+            self._cursor = skip_to
+        if self._cursor + PAGE_SIZE > self._dram_size:
+            raise ReproError("out of physical frames")
+        frame = self._cursor
+        self._cursor += PAGE_SIZE
+        return frame
+
+    def alloc_contiguous(self, npages: int) -> int:
+        """Allocate physically-contiguous frames (DMA buffers need this)."""
+        while True:
+            base = self._cursor
+            skip_to = self._reserved_overlap(base)
+            if skip_to is None:
+                end = base + npages * PAGE_SIZE
+                if any(self._reserved_overlap(p) for p in range(base, end, PAGE_SIZE)):
+                    self._cursor = end
+                    continue
+                if end > self._dram_size:
+                    raise ReproError("out of contiguous physical frames")
+                self._cursor = end
+                return base
+            self._cursor = skip_to
+
+    def free(self, paddr: int) -> None:
+        self._free.append(paddr)

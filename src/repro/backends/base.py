@@ -13,21 +13,28 @@ space.  It owns four things:
 3. **Sealed-path framing** — how bulk data crosses the untrusted host
    (HIX: OCB-DMA windows + in-GPU crypto kernels; GPU-CC: bounce-buffer
    DMA + the on-die AEAD engine).
-4. **Per-op cost contributions and cleanse/reset semantics** — which
-   :class:`~repro.sim.costs.CostModel` fields each op charges, and what
-   guarantees deallocation/reset give.
+4. **Cost terms and cleanse/reset semantics** — the
+   :class:`~repro.sim.costs.CostModel` values each sealed operation
+   charges (the methods below), and what guarantees
+   deallocation/reset give.
 
-The interface is deliberately thin: backends produce a *service* (the
-machine-side stack) and per-tenant *api* objects that expose the same
-``cu*`` facade, so everything above — :class:`~repro.serve.ServeEngine`,
-the fleet router, evalkit — is backend-agnostic.
+Everything else is shared.  Every backend's user runtime is a thin
+subclass of :class:`~repro.core.runtime.SealedClient` (names plus the
+attested handshake) and every service a thin subclass of
+:class:`~repro.core.service.SealedService` (boot, hello and the four
+bulk-memcpy handlers), so everything above — the serving layer, the
+fleet router, evalkit — is backend-agnostic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 DEFAULT_REGION_SIZE = 4 * (1 << 20)
+
+#: A copy pipeline: (stage bandwidths, stage setup latencies), in
+#: data-flow order.
+Stages = Tuple[Sequence[float], Sequence[float]]
 
 
 class TeeBackend:
@@ -57,17 +64,42 @@ class TeeBackend:
         """Attest and key-exchange one tenant session; return its api."""
         raise NotImplementedError
 
-    # -- cost contributions --------------------------------------------
+    # -- cost terms -----------------------------------------------------
+    # The one place a backend's simulated seconds come from: the shared
+    # client charges them per operation and the evalkit harness's
+    # analytic model reads the same terms.  Each takes the CostModel.
+
+    def session_costs(self, costs) -> Tuple[float, float]:
+        """(task init, session setup) seconds charged at cuCtxCreate."""
+        raise NotImplementedError
+
+    def rpc_round_trip(self, costs) -> float:
+        """One sealed request/reply round trip over the channel."""
+        raise NotImplementedError
+
+    def request_overhead(self, costs) -> float:
+        """Per-transfer overhead of the sealed memcpy request."""
+        raise NotImplementedError
+
+    def launch_cost(self, costs) -> float:
+        """Client-side cost of one kernel launch request."""
+        raise NotImplementedError
+
+    def h2d_stages(self, costs) -> Stages:
+        """The sealed upload pipeline (Section 5.2)."""
+        raise NotImplementedError
+
+    def d2h_stages(self, costs) -> Stages:
+        """The sealed download pipeline."""
+        raise NotImplementedError
+
+    def device_crypto(self, costs) -> Tuple[float, float]:
+        """(per-pass latency, bandwidth) of the device-side AEAD."""
+        raise NotImplementedError
 
     def multiuser_efficiency(self, costs) -> float:
         """Derate of the backend's GPU-side crypto stage under sharing."""
         return costs.aead_multiuser_efficiency(self.name)
-
-    def launch_overhead(self, costs) -> float:
-        return costs.launch_overhead(self.name)
-
-    def rpc_round_trip(self, costs) -> float:
-        raise NotImplementedError
 
     # -- identity -------------------------------------------------------
 

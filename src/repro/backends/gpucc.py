@@ -22,6 +22,12 @@ trust boundary onto the die:
   No crypto kernels occupy the SMs and no trusted MMIO aperture exists:
   the CC firewall disables BAR1 outright.
 
+The user runtime and the driver's request loop are the ones every
+backend shares (:class:`~repro.core.runtime.SealedClient`,
+:class:`~repro.core.service.SealedService`); this module adds the
+handshake, the bounce-buffer memcpy handlers, boot into CC mode, the
+engine and the cost terms.
+
 Simulation conventions: MAC-as-signature — ``hmac(k, body)`` stands in
 for a public-key signature by ``k``'s owner, and carrying the "public"
 verification key inside a vendor-signed certificate models an ECDSA
@@ -32,21 +38,12 @@ extraction, so holding key bytes in Python objects models on-die SRAM.
 
 from __future__ import annotations
 
-import itertools
 import logging
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.backends.base import DEFAULT_REGION_SIZE, TeeBackend, register
 from repro.core import protocol
-from repro.core.channel import (
-    BULK_OFFSET,
-    ChannelEnd,
-    MessageQueue,
-    REPLY_OFFSET,
-    REQUEST_OFFSET,
-    SharedMemoryRegion,
-)
+from repro.core.channel import ChannelEnd
 from repro.core.key_exchange import (
     DiffieHellman,
     SessionCrypto,
@@ -55,7 +52,8 @@ from repro.core.key_exchange import (
     dh_bytes_to_int,
     int_to_dh_bytes,
 )
-from repro.core.runtime import HixModuleHandle, HostBuffer, _as_buffer
+from repro.core.runtime import SealedClient
+from repro.core.service import SealedService, ServiceSession
 from repro.crypto.blob import (
     HEADER_LEN,
     open_blob,
@@ -65,29 +63,17 @@ from repro.crypto.blob import (
     sealed_size,
 )
 from repro.crypto.kdf import hkdf_sha256, hmac_sha256
-from repro.errors import (
-    AttestationError,
-    CertChainError,
-    DriverError,
-    GpuUnavailable,
-    ProtocolError,
-    RequestRejected,
-)
-from repro.gdev.driver import GdevDriver, GdevContextHandle, GdevModule
+from repro.errors import AttestationError, CertChainError, ProtocolError
 from repro.gpu.bios import bios_hash
 from repro.gpu.commands import CommandOpcode, encode_command
 from repro.gpu.device import SimGpu
-from repro.gpu.module import CubinImage, DevPtr, ParamValue
 from repro.gpu.regs import REG_RESET, RESET_MAGIC
-from repro.obs import audit as obs_audit
-from repro.obs.tracer import STATE as _OBS
 from repro.osmodel.driver_stub import map_gpu_mmio
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.process import Process
 from repro.pcie.root_complex import RootComplex
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
-from repro.sim.pipeline import pipelined_time, pipelined_times
 
 logger = logging.getLogger(__name__)
 
@@ -225,7 +211,13 @@ class CcEngine:
         self._crypto[ctx_id] = build_session_crypto(ctx.session_key,
                                                     self._suite_name)
 
-    def _session(self, ctx_id: int) -> SessionCrypto:
+    def session_crypto(self, ctx_id: int) -> SessionCrypto:
+        """The session state the engine holds for *ctx_id*.
+
+        The service's request loop pins it before dispatch, so the
+        engine still seals the acknowledgment of a request that tears
+        the session down (ctx destroy, shutdown).
+        """
         crypto = self._crypto.get(ctx_id)
         if crypto is None:
             raise ProtocolError(
@@ -235,16 +227,6 @@ class CcEngine:
     def forget(self, ctx_id: int) -> None:
         self._crypto.pop(ctx_id, None)
 
-    def session_crypto(self, ctx_id: int) -> SessionCrypto:
-        """Pin the session state for an in-flight exchange.
-
-        The engine finishes sealing the reply of the request it is
-        currently serving even if that request tears the session down
-        (ctx destroy, shutdown) — callers grab the handle before
-        dispatch and pass it back to :meth:`seal_reply`.
-        """
-        return self._session(ctx_id)
-
     def reset(self) -> None:
         self._crypto.clear()
 
@@ -252,26 +234,12 @@ class CcEngine:
     def _bulk_aad(ctx_id: int) -> bytes:
         return b"gpucc-bulk-ctx-%d" % ctx_id
 
-    # -- control channel ------------------------------------------------
-
-    def open_request(self, ctx_id: int, sealed: bytes) -> bytes:
-        crypto = self._session(ctx_id)
-        return open_blob(crypto.request_suite, sealed,
-                         associated_data=protocol.REQUEST_AAD,
-                         replay_guard=crypto.request_guard)
-
-    def seal_reply(self, ctx_id: int, payload: bytes,
-                   crypto: Optional[SessionCrypto] = None) -> bytes:
-        crypto = crypto if crypto is not None else self._session(ctx_id)
-        return seal_blob(crypto.reply_suite, crypto.reply_nonces, payload,
-                         associated_data=protocol.REPLY_AAD)
-
     # -- bulk path ------------------------------------------------------
 
     def open_into(self, ctx_id: int, src_va: int, blob_len: int,
                   dst_va: int) -> int:
         """Open a sealed blob staged in VRAM; plaintext lands at *dst_va*."""
-        crypto = self._session(ctx_id)
+        crypto = self.session_crypto(ctx_id)
         ctx = self._ctx(ctx_id)
         sealed = self._device.read_ctx(ctx, src_va, blob_len)
         plaintext = open_blob(crypto.bulk_suite, sealed,
@@ -283,7 +251,7 @@ class CcEngine:
     def seal_from(self, ctx_id: int, src_va: int, nbytes: int,
                   dst_va: int) -> int:
         """Seal *nbytes* of VRAM; the blob lands at *dst_va* (staging)."""
-        crypto = self._session(ctx_id)
+        crypto = self.session_crypto(ctx_id)
         ctx = self._ctx(ctx_id)
         plaintext = self._device.read_ctx(ctx, src_va, nbytes)
         blob = seal_blob(crypto.bulk_suite, crypto.bulk_d2h_nonces,
@@ -294,7 +262,7 @@ class CcEngine:
     def open_scatter(self, ctx_id: int, src_va: int, blob_len: int,
                      gpu_vas: Sequence[int], lengths: Sequence[int]) -> int:
         """Open one fused frame and scatter its chunks to their targets."""
-        crypto = self._session(ctx_id)
+        crypto = self.session_crypto(ctx_id)
         ctx = self._ctx(ctx_id)
         sealed = self._device.read_ctx(ctx, src_va, blob_len)
         chunks = open_blob_chunks(crypto.bulk_suite, sealed, list(lengths),
@@ -309,7 +277,7 @@ class CcEngine:
     def seal_gather(self, ctx_id: int, gpu_vas: Sequence[int],
                     lengths: Sequence[int], dst_va: int) -> int:
         """Gather chunks from VRAM and seal them as one fused frame."""
-        crypto = self._session(ctx_id)
+        crypto = self.session_crypto(ctx_id)
         ctx = self._ctx(ctx_id)
         chunks = [self._device.read_ctx(ctx, gpu_va, nbytes)
                   for gpu_va, nbytes in zip(gpu_vas, lengths)]
@@ -324,48 +292,24 @@ class CcEngine:
 # The untrusted kernel-mode driver (service side)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CcSession:
-    """Driver-side bookkeeping for one connected user (no key material)."""
-
-    session_id: int
-    ctx: GdevContextHandle
-    end: ChannelEnd
-    modules: Dict[int, GdevModule] = field(default_factory=dict)
-    module_ids: "itertools.count" = field(
-        default_factory=lambda: itertools.count(1))
-    closed: bool = False
-
-
-class GpuCcService:
+class GpuCcService(SealedService):
     """The plain (untrusted) GPU driver process serving CC sessions.
 
-    Structurally the same request loop as the HIX GPU enclave — so the
-    serving layer is backend-agnostic — but with the trust inverted:
-    this process relays ciphertext it cannot open, and every security
-    property is enforced by the device (CC firewall, on-die engine,
-    certified attestation).
+    The same request loop as the HIX GPU enclave — so the serving layer
+    is backend-agnostic — but with the trust inverted: this process
+    relays ciphertext it cannot open.  The loop's open and seal steps
+    use keys held by the on-die engine, and every security property is
+    enforced by the device (CC firewall, on-die engine, certified
+    attestation).
     """
+
+    label = "GPU-CC driver"
 
     def __init__(self, kernel: Kernel, root_complex: RootComplex,
                  gpu: SimGpu, suite_name: str = "fast-auth",
                  region_size: int = DEFAULT_REGION_SIZE) -> None:
-        self._kernel = kernel
-        self._root_complex = root_complex
-        self._gpu = gpu
-        self._suite_name = suite_name
-        self._region_size = region_size
-
-        self.process: Optional[Process] = None
-        self.driver: Optional[GdevDriver] = None
+        super().__init__(kernel, root_complex, gpu, suite_name, region_size)
         self.engine: Optional[CcEngine] = None
-        self.sessions: Dict[int, CcSession] = {}
-        self.alive = False
-        self._regions = None
-
-    @property
-    def device(self) -> SimGpu:
-        return self._gpu
 
     # ------------------------------------------------------------------ boot
 
@@ -377,40 +321,16 @@ class GpuCcService:
         # The on-die firewall engages before any tenant data exists; from
         # here on the BAR1 VRAM aperture refuses all host accesses.
         self._gpu.enable_cc()
-        self.driver = GdevDriver(self._kernel, self._root_complex, self._gpu,
-                                 process=self.process, regions=self._regions,
-                                 costs=None)
+        self.driver = self._new_driver()
         # Reset to scrub pre-existing state (the device scrubs VRAM and
         # drops contexts; CC mode is sticky across reset by design).
         self.driver.channel.reg_write(REG_RESET, RESET_MAGIC)
-        self.driver = GdevDriver(self._kernel, self._root_complex, self._gpu,
-                                 process=self.process, regions=self._regions,
-                                 costs=None)
+        self.driver = self._new_driver()
         self.engine = CcEngine(self._gpu, self._suite_name)
         self.alive = True
         logger.info("GPU-CC driver up: device=%s cc_mode=%s",
                     self._gpu.bdf, self._gpu.cc_mode)
         return self
-
-    # ------------------------------------------------------- channel plumbing
-
-    def open_channel(self, user_process: Process,
-                     queue_depth: Optional[int] = None) -> ChannelEnd:
-        region = SharedMemoryRegion(self._kernel, self._region_size)
-        region.attach(user_process)
-        region.attach(self.process)
-        return ChannelEnd(
-            region=region,
-            to_service=MessageQueue(f"to-service:{user_process.pid}",
-                                    capacity=queue_depth),
-            to_user=MessageQueue(f"to-user:{user_process.pid}",
-                                 capacity=queue_depth),
-            user_process=user_process,
-        )
-
-    def _check_alive(self) -> None:
-        if not self.alive:
-            raise GpuUnavailable("GPU-CC driver is not running")
 
     # --------------------------------------------------- session establishment
 
@@ -422,11 +342,7 @@ class GpuCcService:
         anyway — it never holds a key.
         """
         self._check_alive()
-        note = end.to_service.recv()
-        if note.kind != "hello":
-            raise ProtocolError(f"expected hello, got {note.kind!r}")
-        raw = end.region.read(self.process, note.offset, note.length)
-        hello = protocol.decode_message(raw)
+        hello = protocol.decode_message(self._receive(end, "hello"))
         a_bytes = bytes.fromhex(hello["dh_a"])
         a_value = dh_bytes_to_int(a_bytes)
 
@@ -450,191 +366,80 @@ class GpuCcService:
         report = device_attestation_report(self._gpu, ctx.ctx_id,
                                            c_bytes, a_bytes)
 
-        session = CcSession(session_id=end.user_process.pid,
-                            ctx=ctx, end=end)
-        self.sessions[session.session_id] = session
-        end.session_id = session.session_id
+        session = ServiceSession(session_id=end.user_process.pid,
+                                 ctx=ctx, end=end)
+        self._admit(session)
         logger.info("CC session %d established: ctx %d",
                     session.session_id, ctx.ctx_id)
-
-        reply = protocol.encode_message({
+        self._send(end, "hello-ack", protocol.encode_message({
             "cert": cert,
             "report": report,
             "dh_c": c_bytes.hex(),
             "ctx_id": ctx.ctx_id,
-        })
-        end.region.write(self.process, REPLY_OFFSET, reply)
-        end.to_user.send("hello-ack", REPLY_OFFSET, len(reply))
+        }))
 
-    # ----------------------------------------------------------- request loop
-
-    def poll(self, end: ChannelEnd) -> None:
-        """Serve one pending request notification on *end*."""
-        self._check_alive()
-        session = self.sessions.get(end.session_id)
-        if session is None or session.closed:
-            raise GpuUnavailable("no live session on this channel")
-        note = end.to_service.recv()
-        if note.kind != "request":
-            raise ProtocolError(f"expected request, got {note.kind!r}")
-        sealed = end.region.read(self.process, note.offset, note.length)
-        # The engine opens the request on-die; a forged or replayed
-        # request raises (IntegrityError/ReplayError) past this driver —
-        # tampering is an attack on the channel, not a request to serve.
-        raw = self.engine.open_request(session.ctx.ctx_id, sealed)
-        request = protocol.decode_message(raw)
-        # Pin the engine session up front: a ctx-destroy/shutdown request
-        # drops the engine state, but its own ack must still seal.
-        crypto = self.engine.session_crypto(session.ctx.ctx_id)
-        try:
-            op = protocol.check_request(request)
-            result = self._dispatch(session, op, request)
-        except DriverError as exc:
-            result = protocol.error_reply(exc)
-        reply = self.engine.seal_reply(session.ctx.ctx_id,
-                                       protocol.encode_message(result),
-                                       crypto=crypto)
-        end.region.write(self.process, REPLY_OFFSET, reply)
-        end.to_user.send("reply", REPLY_OFFSET, len(reply))
-
-    def _dispatch(self, session: CcSession, op: str, request: dict) -> dict:
-        if op == protocol.OP_MALLOC:
-            gpu_va = self.driver.malloc(session.ctx, int(request["nbytes"]))
-            return {"ok": True, "gpu_va": gpu_va}
-        if op == protocol.OP_FREE:
-            # The device scrubs freed ranges before reuse, as under HIX.
-            self.driver.free(session.ctx, int(request["gpu_va"]), cleanse=True)
-            return {"ok": True}
-        if op == protocol.OP_MEMCPY_HTOD:
-            return self._memcpy_htod(session, int(request["gpu_va"]),
-                                     int(request["blob_len"]))
-        if op == protocol.OP_MEMCPY_DTOH:
-            return self._memcpy_dtoh(session, int(request["gpu_va"]),
-                                     int(request["nbytes"]))
-        if op == protocol.OP_MEMCPY_HTOD_BATCH:
-            return self._memcpy_htod_batch(
-                session, [int(va) for va in request["gpu_vas"]],
-                [int(n) for n in request["lengths"]],
-                int(request["blob_len"]))
-        if op == protocol.OP_MEMCPY_DTOH_BATCH:
-            return self._memcpy_dtoh_batch(
-                session, [int(va) for va in request["gpu_vas"]],
-                [int(n) for n in request["lengths"]])
-        if op == protocol.OP_MODULE_LOAD:
-            module = self.driver.load_module(
-                session.ctx, CubinImage([str(n) for n in request["kernels"]]))
-            module_id = next(session.module_ids)
-            session.modules[module_id] = module
-            return {"ok": True, "module_id": module_id}
-        if op == protocol.OP_LAUNCH:
-            module = session.modules.get(int(request["module_id"]))
-            if module is None:
-                raise ProtocolError("launch references unknown module")
-            self.driver.launch(
-                session.ctx, module, str(request["kernel"]),
-                protocol.decode_params(request["params"]),
-                compute_seconds=float(request.get("compute_seconds", 0.0)))
-            return {"ok": True}
-        if op == protocol.OP_LAUNCH_BATCH:
-            return self._launch_batch(session, request["launches"])
-        if op == protocol.OP_CTX_DESTROY:
-            self._close_session(session)
-            return {"ok": True}
-        if op == protocol.OP_SHUTDOWN:
-            self.graceful_shutdown()
-            return {"ok": True}
-        raise ProtocolError(f"unhandled op {op!r}")  # pragma: no cover
+    def _session_crypto(self, session: ServiceSession) -> SessionCrypto:
+        return self.engine.session_crypto(session.ctx.ctx_id)
 
     # ------------------------------------------- bounce-buffer secure memcpy
 
-    def _memcpy_htod(self, session: CcSession, gpu_va: int,
+    def _memcpy_htod(self, session: ServiceSession, gpu_va: int,
                      blob_len: int) -> dict:
         """Bounce region -> VRAM staging (ciphertext), then on-die open."""
         staging_va = self.driver.malloc(session.ctx, blob_len)
-        self.driver.channel.submit([encode_command(
-            CommandOpcode.MEMCPY_H2D, session.ctx.ctx_id,
-            (session.end.region.paddr + BULK_OFFSET, staging_va, blob_len))])
+        self._dma_from_region(session, staging_va, blob_len)
         self.engine.open_into(session.ctx.ctx_id, staging_va, blob_len,
                               gpu_va)
         self.driver.free(session.ctx, staging_va)
         return {"ok": True, "plaintext_len": blob_len - HEADER_LEN}
 
-    def _memcpy_dtoh(self, session: CcSession, gpu_va: int,
+    def _memcpy_dtoh(self, session: ServiceSession, gpu_va: int,
                      nbytes: int) -> dict:
         """On-die seal into VRAM staging, then staging -> bounce region."""
         blob_len = sealed_size(nbytes)
         staging_va = self.driver.malloc(session.ctx, blob_len)
         self.engine.seal_from(session.ctx.ctx_id, gpu_va, nbytes, staging_va)
-        self.driver.channel.submit([encode_command(
-            CommandOpcode.MEMCPY_D2H, session.ctx.ctx_id,
-            (staging_va, session.end.region.paddr + BULK_OFFSET, blob_len))])
+        self._dma_to_region(session, staging_va, blob_len)
         self.driver.free(session.ctx, staging_va, cleanse=True)
         return {"ok": True, "blob_len": blob_len}
 
-    def _memcpy_htod_batch(self, session: CcSession, gpu_vas: list,
+    def _memcpy_htod_batch(self, session: ServiceSession, gpu_vas: list,
                            lengths: list, blob_len: int) -> dict:
-        if len(gpu_vas) != len(lengths) or not gpu_vas:
-            raise ProtocolError("batch gpu_vas/lengths tables do not match")
         staging_va = self.driver.malloc(session.ctx, blob_len)
-        self.driver.channel.submit([encode_command(
-            CommandOpcode.MEMCPY_H2D, session.ctx.ctx_id,
-            (session.end.region.paddr + BULK_OFFSET, staging_va, blob_len))])
+        self._dma_from_region(session, staging_va, blob_len)
         self.engine.open_scatter(session.ctx.ctx_id, staging_va, blob_len,
                                  gpu_vas, lengths)
         self.driver.free(session.ctx, staging_va)
         return {"ok": True, "plaintext_len": sum(lengths)}
 
-    def _memcpy_dtoh_batch(self, session: CcSession, gpu_vas: list,
+    def _memcpy_dtoh_batch(self, session: ServiceSession, gpu_vas: list,
                            lengths: list) -> dict:
-        if len(gpu_vas) != len(lengths) or not gpu_vas:
-            raise ProtocolError("batch gpu_vas/lengths tables do not match")
         blob_len = sealed_size(sum(lengths))
         staging_va = self.driver.malloc(session.ctx, blob_len)
         self.engine.seal_gather(session.ctx.ctx_id, gpu_vas, lengths,
                                 staging_va)
-        self.driver.channel.submit([encode_command(
-            CommandOpcode.MEMCPY_D2H, session.ctx.ctx_id,
-            (staging_va, session.end.region.paddr + BULK_OFFSET, blob_len))])
+        self._dma_to_region(session, staging_va, blob_len)
         self.driver.free(session.ctx, staging_va, cleanse=True)
         return {"ok": True, "blob_len": blob_len}
 
-    def _launch_batch(self, session: CcSession, launches: list) -> dict:
-        if not isinstance(launches, list) or not launches:
-            raise ProtocolError("launch batch must be a non-empty list")
-        for item in launches:
-            module = session.modules.get(int(item["module_id"]))
-            if module is None:
-                raise ProtocolError("launch references unknown module")
-            self.driver.launch(
-                session.ctx, module, str(item["kernel"]),
-                protocol.decode_params(item["params"]),
-                compute_seconds=float(item.get("compute_seconds", 0.0)))
-        return {"ok": True}
-
     # ------------------------------------------------------------- termination
 
-    def _close_session(self, session: CcSession) -> None:
-        self.driver.destroy_context(session.ctx, cleanse=True)
+    def _close_session(self, session: ServiceSession) -> None:
+        super()._close_session(session)
         self.engine.forget(session.ctx.ctx_id)
-        session.closed = True
-        self.sessions.pop(session.session_id, None)
 
     def graceful_shutdown(self) -> None:
         """Tear down sessions, scrub the device, drop engine state."""
-        for session in list(self.sessions.values()):
-            self._close_session(session)
-            session.end.to_user.send("gpu-untrusted", 0, 0)
-        self.driver.channel.reg_write(REG_RESET, RESET_MAGIC)
+        super().graceful_shutdown()
         self.engine.reset()
-        self.alive = False
 
 
 # ---------------------------------------------------------------------------
 # The user-side runtime
 # ---------------------------------------------------------------------------
 
-class GpuCcApi:
-    """The user runtime for GPU-CC: the same ``cu*`` facade as HixApi.
+class GpuCcApi(SealedClient):
+    """The user runtime for GPU-CC: the shared sealed client.
 
     The user side is modeled as running inside a CPU TEE (a CVM in the
     H100 deployment); its session keys live in Python objects under the
@@ -643,7 +448,10 @@ class GpuCcApi:
     from the certificate chain and the signed firmware measurement.
     """
 
-    secure = True
+    name = "gpucc"
+    attestation_detail = "device cert chain and attestation report verified"
+    key_exchange_detail = ("session key derived (device DH transcript "
+                           "bound to report)")
 
     def __init__(self, kernel: Kernel, process: Process,
                  service: GpuCcService, clock: Optional[SimClock] = None,
@@ -651,105 +459,16 @@ class GpuCcApi:
                  expected_fw_hash: Optional[bytes] = None,
                  suite_name: str = "fast-auth",
                  channel_queue_depth: Optional[int] = None) -> None:
-        self._kernel = kernel
-        self._process = process
-        self._service = service
-        self._clock = clock
-        self._costs = costs
-        self._suite_name = suite_name
-        self._channel_queue_depth = channel_queue_depth
+        super().__init__(kernel, process, service, clock=clock, costs=costs,
+                         suite_name=suite_name,
+                         channel_queue_depth=channel_queue_depth)
         self._expected_fw_hash = expected_fw_hash
-        self._end: Optional[ChannelEnd] = None
-        self._crypto: Optional[SessionCrypto] = None
-        self._ctx_id: Optional[int] = None
-        self._bulk_ad: Optional[bytes] = None
-        self.user_enclave = getattr(process, "enclave", None)
 
-    # -- timing helpers -------------------------------------------------
-
-    def _charge(self, seconds: float, category: str) -> None:
-        if self._clock is not None and seconds > 0.0:
-            self._clock.advance(seconds, category)
-
-    def _rpc_overhead(self) -> None:
-        if self._costs is None:
-            return
-        self._charge(self._costs.rpc_round_trip_gpucc(), "ipc")
-
-    # -- lifecycle ------------------------------------------------------
-
-    def __enter__(self) -> "GpuCcApi":
-        if self._end is None:
-            self.cuCtxCreate()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        try:
-            self.cuCtxDestroy()
-        except DriverError:
-            pass
-
-    def cuInit(self) -> "GpuCcApi":
-        return self
-
-    def cuCtxCreate(self) -> "GpuCcApi":
+    def _handshake(self, end: ChannelEnd) -> Tuple[bytes, int]:
         """Certified device attestation + 2-party key exchange."""
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._audited_ctx_create()
-        with tracer.span("gpucc.cuCtxCreate", "gpucc",
-                         pid=self._process.pid):
-            return self._audited_ctx_create()
-
-    def _audited_ctx_create(self) -> "GpuCcApi":
-        """Session setup with its security evidence on the audit log:
-        the attestation verdict — including which stage failed, the
-        cert chain or the SPDM report — and the key exchange."""
-        log = obs_audit.audit_log()
-        subject = self._process.name
-        now = self._clock.now if self._clock is not None else 0.0
-        try:
-            result = self._cuCtxCreate()
-        except CertChainError as exc:
-            log.record("gpucc.attestation", subject, time=now, ok=False,
-                       detail=str(exc), cause="cert_chain",
-                       backend="gpucc")
-            raise
-        except AttestationError as exc:
-            log.record("gpucc.attestation", subject, time=now, ok=False,
-                       detail=str(exc), cause="report", backend="gpucc")
-            raise
-        now = self._clock.now if self._clock is not None else now
-        log.record("gpucc.attestation", subject, time=now,
-                   detail="device cert chain and attestation report "
-                          "verified", backend="gpucc")
-        log.record("gpucc.key_exchange", subject, time=now,
-                   detail="session key derived (device DH transcript "
-                          "bound to report)", backend="gpucc",
-                   ctx_id=self._ctx_id)
-        return result
-
-    def _cuCtxCreate(self) -> "GpuCcApi":
-        if self._end is not None:
-            raise DriverError("context already created")
-        if self._costs is not None:
-            self._charge(self._costs.gpucc_task_init, "task_init")
-            self._charge(self._costs.gpucc_session_setup, "session_setup")
-        end = self._service.open_channel(
-            self._process, queue_depth=self._channel_queue_depth)
-
         dh_u = DiffieHellman(seed=b"cc-user-%d" % self._process.pid)
         a_bytes = int_to_dh_bytes(dh_u.public_value)
-        hello = protocol.encode_message({"dh_a": a_bytes.hex()})
-        end.region.write(self._process, REQUEST_OFFSET, hello)
-        end.to_service.send("hello", REQUEST_OFFSET, len(hello))
-        self._service.handle_hello(end)
-
-        note = end.to_user.recv()
-        if note.kind != "hello-ack":
-            raise ProtocolError(f"expected hello-ack, got {note.kind!r}")
-        raw = end.region.read(self._process, note.offset, note.length)
-        ack = protocol.decode_message(raw)
+        ack = self._hello(end, {"dh_a": a_bytes.hex()})
         # Chain first: an emulated GPU fails here (CertChainError), a
         # genuine one proceeds to the transcript + firmware checks.
         k_att = verify_device_cert(ack["cert"])
@@ -763,419 +482,7 @@ class GpuCcApi:
                 "GPU firmware measurement does not match the "
                 "vendor-published hash (device BIOS was modified)")
         session_key = derive_key(dh_u.raise_value(dh_bytes_to_int(c_bytes)))
-        self._crypto = build_session_crypto(session_key, self._suite_name)
-        self._ctx_id = ctx_id
-        self._bulk_ad = CcEngine._bulk_aad(ctx_id)
-        self._end = end
-        return self
-
-    def cuCtxDestroy(self) -> None:
-        if self._end is None:
-            return
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._cuCtxDestroy()
-        with tracer.span("gpucc.cuCtxDestroy", "gpucc", ctx_id=self._ctx_id):
-            return self._cuCtxDestroy()
-
-    def _cuCtxDestroy(self) -> None:
-        self._request({"op": protocol.OP_CTX_DESTROY})
-        self._end = None
-        self._crypto = None
-        self._ctx_id = None
-        self._bulk_ad = None
-
-    @property
-    def ctx_id(self) -> int:
-        if self._ctx_id is None:
-            raise DriverError("no current context (call cuCtxCreate)")
-        return self._ctx_id
-
-    # -- sealed request/reply -------------------------------------------
-
-    def _request(self, payload: dict) -> dict:
-        if self._end is None or self._crypto is None:
-            raise DriverError("no current context (call cuCtxCreate)")
-        self._rpc_overhead()
-        sealed = seal_blob(self._crypto.request_suite,
-                           self._crypto.request_nonces,
-                           protocol.encode_message(payload),
-                           associated_data=protocol.REQUEST_AAD)
-        self._end.region.write(self._process, REQUEST_OFFSET, sealed)
-        self._end.to_service.send("request", REQUEST_OFFSET, len(sealed))
-        self._service.poll(self._end)
-        note = self._end.to_user.recv()
-        if note.kind == "gpu-untrusted":
-            raise DriverError(
-                "GPU-CC driver terminated; GPU no longer trusted")
-        raw = self._end.region.read(self._process, note.offset, note.length)
-        reply = protocol.decode_message(open_blob(
-            self._crypto.reply_suite, raw,
-            associated_data=protocol.REPLY_AAD,
-            replay_guard=self._crypto.reply_guard))
-        if not reply.get("ok"):
-            raise RequestRejected(
-                f"GPU-CC driver rejected request: {reply!r}",
-                code=str(reply.get("code", protocol.ERR_DRIVER)))
-        return reply
-
-    # -- memory ---------------------------------------------------------
-
-    def cuMemAlloc(self, nbytes: int) -> DevPtr:
-        reply = self._request({"op": protocol.OP_MALLOC, "nbytes": nbytes})
-        return DevPtr(int(reply["gpu_va"]))
-
-    def cuMemFree(self, dptr: DevPtr) -> None:
-        self._request({"op": protocol.OP_FREE, "gpu_va": dptr.addr})
-
-    def _bulk_chunk_limit(self) -> int:
-        return self._end.region.bulk_capacity - HEADER_LEN
-
-    def cuMemcpyHtoD(self, dptr: DevPtr, data: HostBuffer) -> None:
-        """Sealed upload through the bounce buffer + on-die open.
-
-        Per chunk: seal in the CPU TEE, place ciphertext in the bounce
-        region, the driver DMAs it into VRAM staging, the on-die engine
-        opens it in place.  Time is charged as a three-stage pipeline
-        (CPU seal || bounce staging copy || PCIe DMA) plus the engine
-        pass — the engine is fixed-function, so no kernel dispatch.
-        """
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._cuMemcpyHtoD(dptr, data)
-        with tracer.span("gpucc.cuMemcpyHtoD", "gpucc", ctx_id=self._ctx_id,
-                         bytes=_as_buffer(data).nbytes):
-            return self._cuMemcpyHtoD(dptr, data)
-
-    def _cuMemcpyHtoD(self, dptr: DevPtr, data: HostBuffer) -> None:
-        raw = _as_buffer(data)
-        total = raw.nbytes
-        limit = self._bulk_chunk_limit()
-        offset = 0
-        while offset < total or (not total and offset == 0):
-            chunk = raw[offset:offset + limit]
-            sealed = seal_blob(self._crypto.bulk_suite,
-                               self._crypto.bulk_h2d_nonces,
-                               bytes(chunk), associated_data=self._bulk_ad)
-            self._end.region.write(self._process, BULK_OFFSET, sealed)
-            self._request({"op": protocol.OP_MEMCPY_HTOD,
-                           "gpu_va": dptr.addr + offset,
-                           "blob_len": len(sealed)})
-            offset += len(chunk)
-            if not total:
-                break
-        if self._costs is not None:
-            costs = self._costs
-            modeled = costs.scaled(len(raw))
-            self._charge(costs.memcpy_request_overhead_gpucc, "ipc")
-            self._charge(pipelined_time(
-                modeled,
-                [costs.cpu_aead_bandwidth, costs.gpucc_bounce_bandwidth,
-                 costs.pcie_h2d_bandwidth],
-                costs.pipeline_chunk_bytes,
-                stage_latencies=[costs.cpu_aead_setup_latency,
-                                 costs.dma_setup_latency,
-                                 costs.dma_setup_latency]), "copy_h2d")
-            self._charge(costs.gpucc_engine_time(len(raw)), "crypto_gpu")
-
-    def cuMemcpyDtoH(self, dptr: DevPtr, nbytes: int) -> bytes:
-        """Sealed download: on-die seal, bounce buffer, open in CPU TEE."""
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._cuMemcpyDtoH(dptr, nbytes)
-        with tracer.span("gpucc.cuMemcpyDtoH", "gpucc", ctx_id=self._ctx_id,
-                         bytes=nbytes):
-            return self._cuMemcpyDtoH(dptr, nbytes)
-
-    def _cuMemcpyDtoH(self, dptr: DevPtr, nbytes: int) -> bytes:
-        limit = self._bulk_chunk_limit()
-        out = bytearray(nbytes)
-        view = memoryview(out)
-        offset = 0
-        while offset < nbytes:
-            chunk = min(nbytes - offset, limit)
-            reply = self._request({"op": protocol.OP_MEMCPY_DTOH,
-                                   "gpu_va": dptr.addr + offset,
-                                   "nbytes": chunk})
-            blob_len = int(reply["blob_len"])
-            if blob_len != sealed_size(chunk):
-                raise ProtocolError("unexpected sealed blob size")
-            sealed = self._end.region.read(self._process, BULK_OFFSET,
-                                           blob_len)
-            view[offset:offset + chunk] = open_blob(
-                self._crypto.bulk_suite, sealed,
-                associated_data=self._bulk_ad,
-                replay_guard=self._crypto.bulk_d2h_guard)
-            offset += chunk
-        if self._costs is not None:
-            costs = self._costs
-            modeled = costs.scaled(nbytes)
-            self._charge(costs.memcpy_request_overhead_gpucc, "ipc")
-            self._charge(costs.gpucc_engine_time(nbytes), "crypto_gpu")
-            self._charge(pipelined_time(
-                modeled,
-                [costs.pcie_d2h_bandwidth, costs.gpucc_bounce_bandwidth,
-                 costs.cpu_aead_bandwidth],
-                costs.pipeline_chunk_bytes,
-                stage_latencies=[costs.dma_setup_latency,
-                                 costs.dma_setup_latency,
-                                 costs.cpu_aead_setup_latency]), "copy_d2h")
-        return bytes(out)
-
-    # -- batched transfers ----------------------------------------------
-
-    def cuMemcpyHtoDBatch(self, items: Sequence) -> None:
-        """Batched uploads; framing mirrors :meth:`HixApi.cuMemcpyHtoDBatch`.
-
-        Consecutive items fuse into one sealed frame per bounce-region
-        fill; the engine authenticates each frame once and scatters the
-        chunks.  Simulated time is charged per item, exactly as the
-        scalar sequence would charge it.
-        """
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._cuMemcpyHtoDBatch(items)
-        with tracer.span("gpucc.cuMemcpyHtoDBatch", "gpucc",
-                         ctx_id=self._ctx_id, items=len(items)):
-            return self._cuMemcpyHtoDBatch(items)
-
-    def _cuMemcpyHtoDBatch(self, items: Sequence) -> None:
-        limit = self._bulk_chunk_limit()
-        sizes: list = []
-
-        frame_chunks: list = []
-        frame_vas: list = []
-        frame_lens: list = []
-        frame_bytes = 0
-        frames = 0
-
-        def flush_frame() -> None:
-            nonlocal frame_bytes, frames
-            if not frame_chunks:
-                return
-            sealed = seal_blob_chunks(
-                self._crypto.bulk_suite, self._crypto.bulk_h2d_nonces,
-                [bytes(chunk) for chunk in frame_chunks],
-                associated_data=self._bulk_ad)
-            self._end.region.write(self._process, BULK_OFFSET, sealed)
-            self._request({"op": protocol.OP_MEMCPY_HTOD_BATCH,
-                           "gpu_vas": frame_vas, "lengths": frame_lens,
-                           "blob_len": len(sealed)})
-            frame_chunks.clear()
-            frame_vas.clear()
-            frame_lens.clear()
-            frame_bytes = 0
-            frames += 1
-
-        for dptr, data in items:
-            raw = _as_buffer(data)
-            sizes.append(raw.nbytes)
-            if raw.nbytes > limit:
-                flush_frame()
-                self._scalar_htod_bytes(dptr, raw)
-                frames += 1
-                continue
-            if frame_bytes + raw.nbytes > limit:
-                flush_frame()
-            frame_chunks.append(raw)
-            frame_vas.append(dptr.addr)
-            frame_lens.append(raw.nbytes)
-            frame_bytes += raw.nbytes
-        flush_frame()
-
-        if self._costs is not None and sizes:
-            costs = self._costs
-            copy = pipelined_times(
-                [costs.scaled(n) for n in sizes],
-                [costs.cpu_aead_bandwidth, costs.gpucc_bounce_bandwidth,
-                 costs.pcie_h2d_bandwidth],
-                costs.pipeline_chunk_bytes,
-                stage_latencies=[costs.cpu_aead_setup_latency,
-                                 costs.dma_setup_latency,
-                                 costs.dma_setup_latency])
-            for _ in range(len(sizes) - frames):
-                self._charge(costs.rpc_round_trip_gpucc(), "ipc")
-            for nbytes, seconds in zip(sizes, copy):
-                self._charge(costs.memcpy_request_overhead_gpucc, "ipc")
-                self._charge(float(seconds), "copy_h2d")
-                self._charge(costs.gpucc_engine_time(nbytes), "crypto_gpu")
-
-    def _scalar_htod_bytes(self, dptr: DevPtr, raw: memoryview) -> None:
-        """Uncharged scalar upload used by the batch fallback path."""
-        limit = self._bulk_chunk_limit()
-        offset = 0
-        while offset < raw.nbytes or (not raw.nbytes and offset == 0):
-            chunk = raw[offset:offset + limit]
-            sealed = seal_blob(self._crypto.bulk_suite,
-                               self._crypto.bulk_h2d_nonces,
-                               bytes(chunk), associated_data=self._bulk_ad)
-            self._end.region.write(self._process, BULK_OFFSET, sealed)
-            self._request({"op": protocol.OP_MEMCPY_HTOD,
-                           "gpu_va": dptr.addr + offset,
-                           "blob_len": len(sealed)})
-            offset += len(chunk)
-            if not raw.nbytes:
-                break
-
-    def cuMemcpyDtoHBatch(self, items: Sequence) -> list:
-        """Batched downloads; one engine gather-seal per fused frame."""
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._cuMemcpyDtoHBatch(items)
-        with tracer.span("gpucc.cuMemcpyDtoHBatch", "gpucc",
-                         ctx_id=self._ctx_id, items=len(items)):
-            return self._cuMemcpyDtoHBatch(items)
-
-    def _cuMemcpyDtoHBatch(self, items: Sequence) -> list:
-        limit = self._bulk_chunk_limit()
-        results: list = [None] * len(items)
-        sizes = [int(nbytes) for _, nbytes in items]
-
-        frame: list = []       # (result_index, gpu_va, nbytes)
-        frame_bytes = 0
-        frames = 0
-
-        def flush_frame() -> None:
-            nonlocal frame_bytes, frames
-            if not frame:
-                return
-            gpu_vas = [va for _, va, _ in frame]
-            lengths = [n for _, _, n in frame]
-            reply = self._request({"op": protocol.OP_MEMCPY_DTOH_BATCH,
-                                   "gpu_vas": gpu_vas, "lengths": lengths})
-            blob_len = int(reply["blob_len"])
-            if blob_len != sealed_size(sum(lengths)):
-                raise ProtocolError("unexpected sealed batch blob size")
-            sealed = self._end.region.read(self._process, BULK_OFFSET,
-                                           blob_len)
-            chunks = open_blob_chunks(
-                self._crypto.bulk_suite, sealed, lengths,
-                associated_data=self._bulk_ad,
-                replay_guard=self._crypto.bulk_d2h_guard)
-            for (index, _, _), chunk in zip(frame, chunks):
-                results[index] = chunk
-            frame.clear()
-            frame_bytes = 0
-            frames += 1
-
-        for index, (dptr, nbytes) in enumerate(items):
-            nbytes = int(nbytes)
-            if nbytes > limit:
-                flush_frame()
-                results[index] = self._cuMemcpyDtoH_uncharged(dptr, nbytes)
-                frames += 1
-                continue
-            if frame_bytes + nbytes > limit:
-                flush_frame()
-            frame.append((index, dptr.addr, nbytes))
-            frame_bytes += nbytes
-        flush_frame()
-
-        if self._costs is not None and sizes:
-            costs = self._costs
-            copy = pipelined_times(
-                [costs.scaled(n) for n in sizes],
-                [costs.pcie_d2h_bandwidth, costs.gpucc_bounce_bandwidth,
-                 costs.cpu_aead_bandwidth],
-                costs.pipeline_chunk_bytes,
-                stage_latencies=[costs.dma_setup_latency,
-                                 costs.dma_setup_latency,
-                                 costs.cpu_aead_setup_latency])
-            for _ in range(len(sizes) - frames):
-                self._charge(costs.rpc_round_trip_gpucc(), "ipc")
-            for nbytes, seconds in zip(sizes, copy):
-                self._charge(costs.memcpy_request_overhead_gpucc, "ipc")
-                self._charge(costs.gpucc_engine_time(nbytes), "crypto_gpu")
-                self._charge(float(seconds), "copy_d2h")
-        return results
-
-    def _cuMemcpyDtoH_uncharged(self, dptr: DevPtr, nbytes: int) -> bytes:
-        """Scalar chunked download without analytic charges."""
-        limit = self._bulk_chunk_limit()
-        out = bytearray(nbytes)
-        view = memoryview(out)
-        offset = 0
-        while offset < nbytes:
-            chunk = min(nbytes - offset, limit)
-            reply = self._request({"op": protocol.OP_MEMCPY_DTOH,
-                                   "gpu_va": dptr.addr + offset,
-                                   "nbytes": chunk})
-            blob_len = int(reply["blob_len"])
-            if blob_len != sealed_size(chunk):
-                raise ProtocolError("unexpected sealed blob size")
-            sealed = self._end.region.read(self._process, BULK_OFFSET,
-                                           blob_len)
-            view[offset:offset + chunk] = open_blob(
-                self._crypto.bulk_suite, sealed,
-                associated_data=self._bulk_ad,
-                replay_guard=self._crypto.bulk_d2h_guard)
-            offset += chunk
-        return bytes(out)
-
-    # -- modules / kernels ----------------------------------------------
-
-    def cuModuleLoad(self, kernel_names: Sequence[str]) -> HixModuleHandle:
-        reply = self._request({"op": protocol.OP_MODULE_LOAD,
-                               "kernels": list(kernel_names)})
-        return HixModuleHandle(int(reply["module_id"]), kernel_names)
-
-    def cuLaunchKernel(self, module: HixModuleHandle, kernel_name: str,
-                       params: Sequence[ParamValue],
-                       compute_seconds: float = 0.0) -> None:
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._cuLaunchKernel(module, kernel_name, params,
-                                        compute_seconds)
-        with tracer.span("gpucc.cuLaunchKernel", "gpucc",
-                         ctx_id=self._ctx_id, kernel=kernel_name):
-            return self._cuLaunchKernel(module, kernel_name, params,
-                                        compute_seconds)
-
-    def _cuLaunchKernel(self, module: HixModuleHandle, kernel_name: str,
-                        params: Sequence[ParamValue],
-                        compute_seconds: float = 0.0) -> None:
-        if self._costs is not None:
-            self._charge(self._costs.kernel_launch_gpucc, "launch")
-        self._request({"op": protocol.OP_LAUNCH,
-                       "module_id": module.module_id,
-                       "kernel": kernel_name,
-                       "params": protocol.encode_params(list(params)),
-                       "compute_seconds": compute_seconds})
-
-    def cuLaunchKernelBatch(self, module: HixModuleHandle,
-                            launches: Sequence) -> None:
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._cuLaunchKernelBatch(module, launches)
-        with tracer.span("gpucc.cuLaunchKernelBatch", "gpucc",
-                         ctx_id=self._ctx_id, items=len(launches)):
-            return self._cuLaunchKernelBatch(module, launches)
-
-    def _cuLaunchKernelBatch(self, module: HixModuleHandle,
-                             launches: Sequence) -> None:
-        if not launches:
-            return
-        if self._costs is not None:
-            for _ in range(len(launches) - 1):
-                self._charge(self._costs.rpc_round_trip_gpucc(), "ipc")
-            for _ in launches:
-                self._charge(self._costs.kernel_launch_gpucc, "launch")
-        self._request({"op": protocol.OP_LAUNCH_BATCH, "launches": [
-            {"module_id": module.module_id,
-             "kernel": str(kernel_name),
-             "params": protocol.encode_params(list(params)),
-             "compute_seconds": float(compute_seconds)}
-            for kernel_name, params, compute_seconds in launches]})
-
-    # -- shutdown -------------------------------------------------------
-
-    def request_shutdown(self) -> None:
-        """Ask the driver to stop serving (device scrubs on reset)."""
-        try:
-            self._request({"op": protocol.OP_SHUTDOWN})
-        except DriverError as exc:
-            if "no longer trusted" not in str(exc):
-                raise
+        return session_key, ctx_id
 
 
 # ---------------------------------------------------------------------------
@@ -1203,8 +510,34 @@ class GpuCcBackend(TeeBackend):
                                      check_identity=check_identity,
                                      channel_queue_depth=channel_queue_depth)
 
+    def session_costs(self, costs):
+        return costs.gpucc_task_init, costs.gpucc_session_setup
+
     def rpc_round_trip(self, costs) -> float:
         return costs.rpc_round_trip_gpucc()
+
+    def request_overhead(self, costs) -> float:
+        return costs.memcpy_request_overhead_gpucc
+
+    def launch_cost(self, costs) -> float:
+        return costs.kernel_launch_gpucc
+
+    def h2d_stages(self, costs):
+        # Seal in the CPU TEE || bounce-region staging copy || PCIe DMA.
+        return ((costs.cpu_aead_bandwidth, costs.gpucc_bounce_bandwidth,
+                 costs.pcie_h2d_bandwidth),
+                (costs.cpu_aead_setup_latency, costs.dma_setup_latency,
+                 costs.dma_setup_latency))
+
+    def d2h_stages(self, costs):
+        return ((costs.pcie_d2h_bandwidth, costs.gpucc_bounce_bandwidth,
+                 costs.cpu_aead_bandwidth),
+                (costs.dma_setup_latency, costs.dma_setup_latency,
+                 costs.cpu_aead_setup_latency))
+
+    def device_crypto(self, costs):
+        # The fixed-function on-die engine: no kernel dispatch.
+        return costs.gpucc_engine_latency, costs.gpucc_engine_bandwidth
 
 
 BACKEND = register(GpuCcBackend())

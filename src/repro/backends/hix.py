@@ -1,9 +1,8 @@
 """The HIX-SGX backend: the paper's design, behind the backend contract.
 
-This is a pure selector over the existing HIX stack — the GPU-enclave
-service (:mod:`repro.core.gpu_enclave`), the user runtime
-(:mod:`repro.core.runtime`) and the machine plumbing in
-:mod:`repro.system` are untouched, so a machine configured with
+The stack itself is the GPU-enclave service (:mod:`repro.core.gpu_enclave`)
+and the user runtime (:mod:`repro.core.runtime`); this module selects
+it and states its cost terms, so a machine configured with
 ``backend="hix"`` is bit-identical in simulated time to the
 pre-refactor code path.
 """
@@ -34,8 +33,30 @@ class HixBackend(TeeBackend):
                                    check_identity=check_identity,
                                    channel_queue_depth=channel_queue_depth)
 
+    def session_costs(self, costs):
+        return costs.hix_task_init, costs.session_setup
+
     def rpc_round_trip(self, costs) -> float:
         return costs.rpc_round_trip()
+
+    def request_overhead(self, costs) -> float:
+        return costs.memcpy_request_overhead_hix
+
+    def launch_cost(self, costs) -> float:
+        return costs.kernel_launch_hix
+
+    def h2d_stages(self, costs):
+        # Seal in the user enclave || DMA the ciphertext to the GPU.
+        return ((costs.cpu_aead_bandwidth, costs.pcie_h2d_bandwidth),
+                (costs.cpu_aead_setup_latency, costs.dma_setup_latency))
+
+    def d2h_stages(self, costs):
+        return ((costs.pcie_d2h_bandwidth, costs.cpu_aead_bandwidth),
+                (costs.dma_setup_latency, costs.cpu_aead_setup_latency))
+
+    def device_crypto(self, costs):
+        # In-GPU AEAD kernels on the SMs.
+        return costs.gpu_aead_kernel_latency, costs.gpu_aead_bandwidth
 
 
 BACKEND = register(HixBackend())

@@ -5,12 +5,15 @@
   media) connecting user enclaves to the GPU enclave (Section 4.4.1).
 * :mod:`repro.core.key_exchange` — local attestation + three-party
   Diffie-Hellman session setup (user enclave, GPU enclave, GPU).
+* :mod:`repro.core.service` — the request loop every TEE backend's
+  service shares: channel setup, sealed request/reply, dispatch.
 * :mod:`repro.core.gpu_enclave` — the GPU enclave service: the relocated
   driver, GPU initialization/measurement, request serving, per-user
   contexts (Sections 4.2, 4.4, 4.5).
 * :mod:`repro.core.runtime` — the trusted user runtime library with its
   CUDA-like API (Section 4.4), including the single-copy pipelined
-  secure memcpy (Section 4.4.2/5.2).
+  secure memcpy (Section 4.4.2/5.2); every TEE backend's client is a
+  subclass of its :class:`~repro.core.runtime.SealedClient`.
 * :mod:`repro.core.multiuser` — the concurrent multi-user execution
   model behind Figures 8 and 9.
 """

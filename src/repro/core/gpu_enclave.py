@@ -15,24 +15,19 @@ After boot it is the *sole* software able to touch the GPU, and serves
 user enclaves over the untrusted channel: attested key-exchange hellos,
 then sealed requests (malloc/free/memcpy/module-load/launch/teardown),
 maintaining one GPU context and one session key per user (Section 4.5).
+The request loop is the one every backend shares
+(:class:`~repro.core.service.SealedService`); this module adds boot,
+the attested hello and the crypto-kernel memcpy handlers.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.core import protocol
-from repro.core.channel import (
-    BULK_OFFSET,
-    ChannelEnd,
-    MessageQueue,
-    REPLY_OFFSET,
-    REQUEST_OFFSET,
-    SharedMemoryRegion,
-)
+from repro.core.channel import ChannelEnd
 from repro.core.key_exchange import (
     DiffieHellman,
     SessionCrypto,
@@ -43,23 +38,18 @@ from repro.core.key_exchange import (
     dh_bytes_to_int,
     int_to_dh_bytes,
 )
-from repro.crypto.blob import open_blob, seal_blob, sealed_size
-from repro.errors import (
-    AttestationError,
-    DriverError,
-    GpuUnavailable,
-    ProtocolError,
-)
-from repro.gdev.driver import GdevDriver, GdevContextHandle, GdevModule
+from repro.core.service import SealedService, ServiceSession
+from repro.crypto.blob import HEADER_LEN, sealed_size
+from repro.errors import AttestationError, ProtocolError
+from repro.gdev.driver import GdevModule
 from repro.gpu.bios import bios_hash, is_valid_rom
 from repro.gpu.commands import CommandOpcode, encode_command
 from repro.gpu.device import SimGpu
-from repro.gpu.module import CubinImage
+from repro.gpu.module import CubinImage, DevPtr
 from repro.gpu.regs import REG_RESET, RESET_MAGIC, ROM_SIZE
 from repro.hw.phys_mem import PAGE_SIZE
 from repro.osmodel.driver_stub import map_gpu_mmio
 from repro.osmodel.kernel import Kernel
-from repro.osmodel.process import Process
 from repro.pcie.root_complex import RootComplex
 from repro.sgx.attestation import verify_local_report
 from repro.sgx.enclave import EnclaveImage
@@ -82,43 +72,32 @@ def gpu_enclave_image() -> EnclaveImage:
 
 
 @dataclass
-class Session:
-    """Service-side state for one connected user enclave."""
+class Session(ServiceSession):
+    """A user enclave's session: the GPU enclave holds its keys and its
+    in-GPU crypto module."""
 
-    session_id: int
     user_measurement: bytes
     crypto: SessionCrypto
-    ctx: GdevContextHandle
-    end: ChannelEnd
     crypto_module: GdevModule
-    modules: Dict[int, GdevModule] = field(default_factory=dict)
-    module_ids: "itertools.count" = field(default_factory=lambda: itertools.count(1))
-    closed: bool = False
 
 
-class GpuEnclaveService:
+class GpuEnclaveService(SealedService):
     """The GPU enclave process and its request-serving loop."""
+
+    label = "GPU enclave"
+    enclave_mode = True
+    via_mmio = True
 
     def __init__(self, kernel: Kernel, sgx: SgxUnit,
                  root_complex: RootComplex, gpu: SimGpu,
                  expected_bios_hash: bytes,
                  suite_name: str = "fast-auth",
                  region_size: int = 4 << 20) -> None:
-        self._kernel = kernel
+        super().__init__(kernel, root_complex, gpu, suite_name, region_size)
         self._sgx = sgx
-        self._root_complex = root_complex
-        self._gpu = gpu
         self._expected_bios_hash = expected_bios_hash
-        self._suite_name = suite_name
-        self._region_size = region_size
-
-        self.process: Optional[Process] = None
         self.enclave = None
-        self.driver: Optional[GdevDriver] = None
-        self.sessions: Dict[int, Session] = {}
-        self.alive = False
         self.bios_measurement: Optional[bytes] = None
-        self._regions = None
 
     # ------------------------------------------------------------------ boot
 
@@ -137,9 +116,7 @@ class GpuEnclaveService:
             self._sgx.egadd(self.enclave.enclave_id, region.vaddr,
                             region.paddr, npages=region.size // PAGE_SIZE)
         # Measure the GPU BIOS through the (now exclusive) MMIO path.
-        self.driver = GdevDriver(self._kernel, self._root_complex, self._gpu,
-                                 process=self.process, enclave_mode=True,
-                                 regions=self._regions, costs=None)
+        self.driver = self._new_driver()
         rom = self.driver.channel.read_expansion_rom(ROM_SIZE)
         if not is_valid_rom(rom):
             raise AttestationError("GPU expansion ROM is structurally invalid")
@@ -151,9 +128,7 @@ class GpuEnclaveService:
         # Reset the GPU to purge any pre-existing (potentially malicious)
         # state, then rebuild driver bookkeeping over the clean device.
         self.driver.channel.reg_write(REG_RESET, RESET_MAGIC)
-        self.driver = GdevDriver(self._kernel, self._root_complex, self._gpu,
-                                 process=self.process, enclave_mode=True,
-                                 regions=self._regions, costs=None)
+        self.driver = self._new_driver()
         self.alive = True
         logger.info(
             "GPU enclave up: device=%s enclave=%d tgmr_pages=%d lockdown=%s",
@@ -166,43 +141,12 @@ class GpuEnclaveService:
     def measurement(self) -> bytes:
         return self.enclave.measurement
 
-    # ------------------------------------------------------- channel plumbing
-
-    def open_channel(self, user_process: Process,
-                     queue_depth: Optional[int] = None) -> ChannelEnd:
-        """Provision the untrusted media for one user enclave.
-
-        *queue_depth* bounds both notification queues; a full queue
-        raises :class:`~repro.errors.QueueFullError` on send, which the
-        serving layer surfaces as backpressure.
-        """
-        region = SharedMemoryRegion(self._kernel, self._region_size)
-        region.attach(user_process)
-        region.attach(self.process)
-        return ChannelEnd(
-            region=region,
-            to_service=MessageQueue(f"to-service:{user_process.pid}",
-                                    capacity=queue_depth),
-            to_user=MessageQueue(f"to-user:{user_process.pid}",
-                                 capacity=queue_depth),
-            user_process=user_process,
-        )
-
-    def _check_alive(self) -> None:
-        if not self.alive:
-            raise GpuUnavailable("GPU enclave is not running")
-
     # --------------------------------------------------- session establishment
 
     def handle_hello(self, end: ChannelEnd) -> None:
         """Process a hello: verify the user's report, run the 3-party DH."""
         self._check_alive()
-        note = end.to_service.recv()
-        if note.kind != "hello":
-            raise ProtocolError(f"expected hello, got {note.kind!r}")
-        raw = end.region.read(self.process, note.offset, note.length,
-                              enclave_mode=True)
-        hello = protocol.decode_message(raw)
+        hello = protocol.decode_message(self._receive(end, "hello"))
         report = _report_from_wire(hello["report"])
         # Local attestation: only a genuine enclave on this platform can
         # produce a report MACed for *our* measurement.
@@ -230,12 +174,10 @@ class GpuEnclaveService:
         crypto = build_session_crypto(session_key, self._suite_name)
         crypto_module = self.driver.load_module(
             ctx, CubinImage(list(CRYPTO_KERNELS)), via_mmio=True)
-        session = Session(session_id=end.user_process.pid,
+        session = Session(session_id=end.user_process.pid, ctx=ctx, end=end,
                           user_measurement=report.measurement,
-                          crypto=crypto, ctx=ctx, end=end,
-                          crypto_module=crypto_module)
-        self.sessions[session.session_id] = session
-        end.session_id = session.session_id
+                          crypto=crypto, crypto_module=crypto_module)
+        self._admit(session)
         logger.info("session %d established: user measurement %s..., ctx %d",
                     session.session_id, report.measurement.hex()[:16],
                     ctx.ctx_id)
@@ -244,97 +186,14 @@ class GpuEnclaveService:
         reply_report = self._sgx.ereport(
             self.enclave.enclave_id, report.measurement,
             bind_report_data(e_bytes, a_bytes))
-        reply = protocol.encode_message({
+        self._send(end, "hello-ack", protocol.encode_message({
             "report": _report_to_wire(reply_report),
             "dh_e": e_bytes.hex(),
             "ctx_id": ctx.ctx_id,
-        })
-        end.region.write(self.process, REPLY_OFFSET, reply, enclave_mode=True)
-        end.to_user.send("hello-ack", REPLY_OFFSET, len(reply))
+        }))
 
-    # ----------------------------------------------------------- request loop
-
-    def poll(self, end: ChannelEnd) -> None:
-        """Serve one pending request notification on *end*."""
-        self._check_alive()
-        session = self.sessions.get(end.session_id)
-        if session is None or session.closed:
-            raise GpuUnavailable("no live session on this channel")
-        note = end.to_service.recv()
-        if note.kind != "request":
-            raise ProtocolError(f"expected request, got {note.kind!r}")
-        sealed = end.region.read(self.process, note.offset, note.length,
-                                 enclave_mode=True)
-        raw = open_blob(session.crypto.request_suite, sealed,
-                        associated_data=protocol.REQUEST_AAD,
-                        replay_guard=session.crypto.request_guard)
-        request = protocol.decode_message(raw)
-        try:
-            op = protocol.check_request(request)
-            result = self._dispatch(session, op, request)
-        except DriverError as exc:
-            # Request-level failures — unknown ops, allocation, bad
-            # pointers, device faults — are reported back to the user
-            # enclave as structured sealed error replies (the session
-            # stays live); authentication failures above still raise —
-            # those are attacks, not requests.
-            result = protocol.error_reply(exc)
-        reply = seal_blob(session.crypto.reply_suite,
-                          session.crypto.reply_nonces,
-                          protocol.encode_message(result),
-                          associated_data=protocol.REPLY_AAD)
-        end.region.write(self.process, REPLY_OFFSET, reply, enclave_mode=True)
-        end.to_user.send("reply", REPLY_OFFSET, len(reply))
-
-    def _dispatch(self, session: Session, op: str, request: dict) -> dict:
-        if op == protocol.OP_MALLOC:
-            gpu_va = self.driver.malloc(session.ctx, int(request["nbytes"]))
-            return {"ok": True, "gpu_va": gpu_va}
-        if op == protocol.OP_FREE:
-            # HIX cleanses deallocated device memory (Section 4.5).
-            self.driver.free(session.ctx, int(request["gpu_va"]), cleanse=True)
-            return {"ok": True}
-        if op == protocol.OP_MEMCPY_HTOD:
-            return self._memcpy_htod(session, int(request["gpu_va"]),
-                                     int(request["blob_len"]))
-        if op == protocol.OP_MEMCPY_DTOH:
-            return self._memcpy_dtoh(session, int(request["gpu_va"]),
-                                     int(request["nbytes"]))
-        if op == protocol.OP_MEMCPY_HTOD_BATCH:
-            return self._memcpy_htod_batch(
-                session, [int(va) for va in request["gpu_vas"]],
-                [int(n) for n in request["lengths"]],
-                int(request["blob_len"]))
-        if op == protocol.OP_MEMCPY_DTOH_BATCH:
-            return self._memcpy_dtoh_batch(
-                session, [int(va) for va in request["gpu_vas"]],
-                [int(n) for n in request["lengths"]])
-        if op == protocol.OP_MODULE_LOAD:
-            module = self.driver.load_module(
-                session.ctx, CubinImage([str(n) for n in request["kernels"]]),
-                via_mmio=True)
-            module_id = next(session.module_ids)
-            session.modules[module_id] = module
-            return {"ok": True, "module_id": module_id}
-        if op == protocol.OP_LAUNCH:
-            module = session.modules.get(int(request["module_id"]))
-            if module is None:
-                raise ProtocolError("launch references unknown module")
-            self.driver.launch(
-                session.ctx, module, str(request["kernel"]),
-                protocol.decode_params(request["params"]),
-                compute_seconds=float(request.get("compute_seconds", 0.0)),
-                via_mmio=True)
-            return {"ok": True}
-        if op == protocol.OP_LAUNCH_BATCH:
-            return self._launch_batch(session, request["launches"])
-        if op == protocol.OP_CTX_DESTROY:
-            self._close_session(session)
-            return {"ok": True}
-        if op == protocol.OP_SHUTDOWN:
-            self.graceful_shutdown()
-            return {"ok": True}
-        raise ProtocolError(f"unhandled op {op!r}")  # pragma: no cover
+    def _session_crypto(self, session: Session) -> SessionCrypto:
+        return session.crypto
 
     # ----------------------------------------------- single-copy secure memcpy
 
@@ -342,14 +201,12 @@ class GpuEnclaveService:
                      blob_len: int) -> dict:
         """Shared memory -> GPU (ciphertext), then in-GPU decrypt (§4.4.2)."""
         staging_va = self.driver.malloc(session.ctx, blob_len)
-        self.driver.channel.submit([encode_command(
-            CommandOpcode.MEMCPY_H2D, session.ctx.ctx_id,
-            (session.end.region.paddr + BULK_OFFSET, staging_va, blob_len))])
+        self._dma_from_region(session, staging_va, blob_len)
         self.driver.launch(
             session.ctx, session.crypto_module, "hix.aead_decrypt",
-            [_ptr(staging_va), blob_len, _ptr(gpu_va)], via_mmio=True)
+            [DevPtr(staging_va), blob_len, DevPtr(gpu_va)], via_mmio=True)
         self.driver.free(session.ctx, staging_va)
-        return {"ok": True, "plaintext_len": blob_len - _blob_header_len()}
+        return {"ok": True, "plaintext_len": blob_len - HEADER_LEN}
 
     def _memcpy_dtoh(self, session: Session, gpu_va: int,
                      nbytes: int) -> dict:
@@ -358,11 +215,8 @@ class GpuEnclaveService:
         staging_va = self.driver.malloc(session.ctx, 8 + blob_len)
         self.driver.launch(
             session.ctx, session.crypto_module, "hix.aead_encrypt",
-            [_ptr(gpu_va), nbytes, _ptr(staging_va)], via_mmio=True)
-        self.driver.channel.submit([encode_command(
-            CommandOpcode.MEMCPY_D2H, session.ctx.ctx_id,
-            (staging_va + 8, session.end.region.paddr + BULK_OFFSET,
-             blob_len))])
+            [DevPtr(gpu_va), nbytes, DevPtr(staging_va)], via_mmio=True)
+        self._dma_to_region(session, staging_va + 8, blob_len)
         self.driver.free(session.ctx, staging_va, cleanse=True)
         return {"ok": True, "blob_len": blob_len}
 
@@ -377,15 +231,11 @@ class GpuEnclaveService:
         authenticates it once and distributes the plaintext chunks to
         their per-item destinations.
         """
-        if len(gpu_vas) != len(lengths) or not gpu_vas:
-            raise ProtocolError("batch gpu_vas/lengths tables do not match")
         staging_va = self.driver.malloc(session.ctx, blob_len)
-        self.driver.channel.submit([encode_command(
-            CommandOpcode.MEMCPY_H2D, session.ctx.ctx_id,
-            (session.end.region.paddr + BULK_OFFSET, staging_va, blob_len))])
-        params = [_ptr(staging_va), blob_len, len(gpu_vas)]
+        self._dma_from_region(session, staging_va, blob_len)
+        params = [DevPtr(staging_va), blob_len, len(gpu_vas)]
         for gpu_va, length in zip(gpu_vas, lengths):
-            params.append(_ptr(gpu_va))
+            params.append(DevPtr(gpu_va))
             params.append(length)
         self.driver.launch(
             session.ctx, session.crypto_module, "hix.aead_decrypt_scatter",
@@ -396,64 +246,25 @@ class GpuEnclaveService:
     def _memcpy_dtoh_batch(self, session: Session, gpu_vas: list,
                            lengths: list) -> dict:
         """One in-GPU gather-and-seal + one DMA for a batch of downloads."""
-        if len(gpu_vas) != len(lengths) or not gpu_vas:
-            raise ProtocolError("batch gpu_vas/lengths tables do not match")
         blob_len = sealed_size(sum(lengths))
         staging_va = self.driver.malloc(session.ctx, 8 + blob_len)
-        params = [_ptr(staging_va), len(gpu_vas)]
+        params = [DevPtr(staging_va), len(gpu_vas)]
         for gpu_va, length in zip(gpu_vas, lengths):
-            params.append(_ptr(gpu_va))
+            params.append(DevPtr(gpu_va))
             params.append(length)
         self.driver.launch(
             session.ctx, session.crypto_module, "hix.aead_encrypt_gather",
             params, via_mmio=True)
-        self.driver.channel.submit([encode_command(
-            CommandOpcode.MEMCPY_D2H, session.ctx.ctx_id,
-            (staging_va + 8, session.end.region.paddr + BULK_OFFSET,
-             blob_len))])
+        self._dma_to_region(session, staging_va + 8, blob_len)
         self.driver.free(session.ctx, staging_va, cleanse=True)
         return {"ok": True, "blob_len": blob_len}
 
-    def _launch_batch(self, session: Session, launches: list) -> dict:
-        """Run several launches announced by one sealed request."""
-        if not isinstance(launches, list) or not launches:
-            raise ProtocolError("launch batch must be a non-empty list")
-        for item in launches:
-            module = session.modules.get(int(item["module_id"]))
-            if module is None:
-                raise ProtocolError("launch references unknown module")
-            self.driver.launch(
-                session.ctx, module, str(item["kernel"]),
-                protocol.decode_params(item["params"]),
-                compute_seconds=float(item.get("compute_seconds", 0.0)),
-                via_mmio=True)
-        return {"ok": True}
-
     # ------------------------------------------------------------- termination
-
-    def _close_session(self, session: Session) -> None:
-        self.driver.destroy_context(session.ctx, cleanse=True)
-        session.closed = True
-        self.sessions.pop(session.session_id, None)
 
     def graceful_shutdown(self) -> None:
         """Abort work, cleanse the GPU, return it to the OS (Section 4.2.3)."""
-        for session in list(self.sessions.values()):
-            self._close_session(session)
-            session.end.to_user.send("gpu-untrusted", 0, 0)
-        self.driver.channel.reg_write(REG_RESET, RESET_MAGIC)
+        super().graceful_shutdown()
         self._sgx.egdestroy(self.enclave.enclave_id)
-        self.alive = False
-
-
-def _ptr(gpu_va: int):
-    from repro.gpu.module import DevPtr
-    return DevPtr(gpu_va)
-
-
-def _blob_header_len() -> int:
-    from repro.crypto.blob import HEADER_LEN
-    return HEADER_LEN
 
 
 # -- report (de)serialization over the untrusted channel ----------------------

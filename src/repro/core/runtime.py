@@ -6,18 +6,22 @@ such as memory copy or GPU kernel launch operation, the security module
 containing key initialization and user data encryption, and the
 communication module for data transfers."
 
-:class:`HixApi` exposes the same CUDA-driver-API facade as the baseline
+:class:`SealedClient` is that runtime for every TEE backend.  It exposes
+the same CUDA-driver-API facade as the baseline
 :class:`~repro.gdev.api.GdevApi`, so application code runs unchanged on
-either stack.  Internally every operation crosses the untrusted channel
-as a sealed request, bulk data takes the single-copy pipelined path of
-Section 4.4.2, and simulated time is charged analytically from the cost
-model (pipelined encrypt-transfer overlap, in-GPU crypto kernels,
-message-queue hops), matching the prototype's measurement decomposition.
+any stack.  Internally every operation crosses the untrusted channel as
+a sealed request, bulk data takes the single-copy pipelined path of
+Section 4.4.2, and simulated time is charged analytically from the
+backend's cost terms (:class:`~repro.backends.base.TeeBackend`:
+pipelined encrypt-transfer overlap, device-side crypto, message-queue
+hops), matching the prototype's measurement decomposition.  A backend's
+client adds only its names and its attested handshake: :class:`HixApi`
+here, :class:`~repro.backends.gpucc.GpuCcApi` for GPU-CC.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,20 +47,22 @@ from repro.crypto.blob import (
     open_blob,
     open_blob_chunks,
     seal_blob,
-    seal_blob_into,
-    seal_chunks_into,
+    seal_blob_chunks,
     sealed_size,
 )
 from repro.errors import (
     AttestationError,
+    CertChainError,
     DriverError,
     ProtocolError,
     RequestRejected,
 )
 from repro.gpu.module import DevPtr, ParamValue
+from repro.obs.audit import audit_log
 from repro.obs.tracer import STATE as _OBS
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.process import Process
+from repro.sgx.attestation import verify_local_report
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
 from repro.sim.pipeline import pipelined_time, pipelined_times
@@ -88,46 +94,52 @@ class HixModuleHandle:
         self.kernel_names = list(kernel_names)
 
 
-class HixApi:
-    """The trusted user runtime: CUDA-like API over the secure channel."""
+class SealedClient:
+    """The trusted user runtime: CUDA-like API over the sealed channel.
+
+    A backend's subclass sets :attr:`name` (its cost terms, span and
+    audit prefix, and bulk AAD label), :attr:`enclave_mode` and the
+    audit details, and implements :meth:`_handshake`.
+    """
 
     secure = True
+    #: the backend this runtime belongs to (:mod:`repro.backends`)
+    name = "?"
+    #: does the runtime access the shared region from enclave mode?
+    enclave_mode = False
+    #: audit-log details recorded for a verified session
+    attestation_detail = "?"
+    key_exchange_detail = "?"
 
-    def __init__(self, kernel: Kernel, process: Process,
-                 service: GpuEnclaveService, clock: Optional[SimClock] = None,
+    def __init__(self, kernel: Kernel, process: Process, service,
+                 clock: Optional[SimClock] = None,
                  costs: Optional[CostModel] = None,
-                 expected_gpu_enclave_measurement: Optional[bytes] = None,
                  suite_name: str = "fast-auth",
                  channel_queue_depth: Optional[int] = None) -> None:
+        # Deferred: importing the backends package imports this module.
+        from repro.backends import get_backend
+
         self._kernel = kernel
         self._process = process
         self._service = service
         self._clock = clock
         self._costs = costs
+        self._backend = get_backend(self.name)
         self._suite_name = suite_name
         self._channel_queue_depth = channel_queue_depth
-        self._expected_measurement = expected_gpu_enclave_measurement
         self._end: Optional[ChannelEnd] = None
         self._crypto: Optional[SessionCrypto] = None
         self._ctx_id: Optional[int] = None
-        self._seal_buf: Optional[bytearray] = None  # reused per bulk chunk
         self._bulk_ad: Optional[bytes] = None  # built once per session
-        self.user_enclave = process.enclave
-
-    # -- timing helpers ----------------------------------------------------------
+        self.user_enclave = getattr(process, "enclave", None)
 
     def _charge(self, seconds: float, category: str) -> None:
         if self._clock is not None and seconds > 0.0:
             self._clock.advance(seconds, category)
 
-    def _rpc_overhead(self) -> None:
-        if self._costs is None:
-            return
-        self._charge(self._costs.rpc_round_trip(), "ipc")
-
     # -- lifecycle ------------------------------------------------------------------
 
-    def __enter__(self) -> "HixApi":
+    def __enter__(self) -> "SealedClient":
         """Context-manager form: attested session in, teardown on exit."""
         if self._end is None:
             self.cuCtxCreate()
@@ -140,90 +152,79 @@ class HixApi:
             # The service may already be gone (e.g. graceful shutdown).
             pass
 
-    def cuInit(self) -> "HixApi":
+    def cuInit(self) -> "SealedClient":
         return self
 
-    def cuCtxCreate(self) -> "HixApi":
-        """Attested session setup + 3-party key exchange (Section 4.4.1)."""
+    def cuCtxCreate(self) -> "SealedClient":
+        """Attested session setup and key exchange (Section 4.4.1)."""
         tracer = _OBS.tracer
         if tracer is None:
             return self._audited_ctx_create()
-        with tracer.span("hix.cuCtxCreate", "hix", pid=self._process.pid):
+        with tracer.span(f"{self.name}.cuCtxCreate", self.name,
+                         pid=self._process.pid):
             return self._audited_ctx_create()
 
-    def _audited_ctx_create(self) -> "HixApi":
+    def _audited_ctx_create(self) -> "SealedClient":
         """Session setup with its security evidence on the audit log:
-        the mutual local-attestation verdict and the key exchange."""
-        from repro.obs.audit import audit_log
+        the attestation verdict — including which stage failed, a
+        device cert chain or the peer's report — and the key exchange."""
         log = audit_log()
         subject = self._process.name
         now = self._clock.now if self._clock is not None else 0.0
         try:
             result = self._cuCtxCreate()
         except AttestationError as exc:
-            log.record("hix.attestation", subject, time=now, ok=False,
-                       detail=str(exc), cause="report", backend="hix")
+            cause = ("cert_chain" if isinstance(exc, CertChainError)
+                     else "report")
+            log.record(f"{self.name}.attestation", subject, time=now,
+                       ok=False, detail=str(exc), cause=cause,
+                       backend=self.name)
             raise
         now = self._clock.now if self._clock is not None else now
-        log.record("hix.attestation", subject, time=now,
-                   detail="GPU enclave report and identity verified "
-                          "(mutual local attestation)", backend="hix")
-        log.record("hix.key_exchange", subject, time=now,
-                   detail="3-party DH session key derived", backend="hix",
+        log.record(f"{self.name}.attestation", subject, time=now,
+                   detail=self.attestation_detail, backend=self.name)
+        log.record(f"{self.name}.key_exchange", subject, time=now,
+                   detail=self.key_exchange_detail, backend=self.name,
                    ctx_id=self._ctx_id)
         return result
 
-    def _cuCtxCreate(self) -> "HixApi":
+    def _cuCtxCreate(self) -> "SealedClient":
         if self._end is not None:
             raise DriverError("context already created")
         if self._costs is not None:
-            self._charge(self._costs.hix_task_init, "task_init")
-            self._charge(self._costs.session_setup, "session_setup")
+            task_init, session_setup = self._backend.session_costs(
+                self._costs)
+            self._charge(task_init, "task_init")
+            self._charge(session_setup, "session_setup")
         end = self._service.open_channel(
             self._process, queue_depth=self._channel_queue_depth)
-        user_eid = self._process.enclave.enclave_id
-        sgx = self._kernel.sgx
+        session_key, ctx_id = self._handshake(end)
+        self._crypto = build_session_crypto(session_key, self._suite_name)
+        self._ctx_id = ctx_id
+        self._bulk_ad = b"%s-bulk-ctx-%d" % (self.name.encode(), ctx_id)
+        self._end = end
+        return self
 
-        dh_u = DiffieHellman(seed=b"user-%d" % self._process.pid)
-        a_bytes = int_to_dh_bytes(dh_u.public_value)
-        report = sgx.ereport(user_eid, self._service.measurement,
-                             bind_report_data(a_bytes))
-        hello = protocol.encode_message({
-            "report": _report_to_wire(report),
-            "dh_a": a_bytes.hex(),
-        })
+    def _handshake(self, end: ChannelEnd) -> Tuple[bytes, int]:
+        """Attest the service over *end* and agree a key.
+
+        Returns ``(session key, GPU context id)``.
+        """
+        raise NotImplementedError
+
+    def _hello(self, end: ChannelEnd, message: dict) -> dict:
+        """Send the plaintext hello; return the service's decoded ack."""
+        hello = protocol.encode_message(message)
         end.region.write(self._process, REQUEST_OFFSET, hello,
-                         enclave_mode=True)
+                         enclave_mode=self.enclave_mode)
         end.to_service.send("hello", REQUEST_OFFSET, len(hello))
         self._service.handle_hello(end)
-
         note = end.to_user.recv()
         if note.kind != "hello-ack":
             raise ProtocolError(f"expected hello-ack, got {note.kind!r}")
-        raw = end.region.read(self._process, note.offset, note.length,
-                              enclave_mode=True)
-        ack = protocol.decode_message(raw)
-        reply_report = _report_from_wire(ack["report"])
-        # Mutual local attestation: verify the GPU enclave's report, its
-        # identity, and that it really is a GPU enclave whose PCIe routing
-        # was measured at EGCREATE (Sections 4.4.1, 5.5).
-        from repro.sgx.attestation import verify_local_report
-        verify_local_report(sgx, user_eid, reply_report)
-        if not reply_report.is_gpu_enclave:
-            raise AttestationError("peer is not a GPU enclave")
-        if (self._expected_measurement is not None
-                and reply_report.measurement != self._expected_measurement):
-            raise AttestationError(
-                "GPU enclave measurement does not match the expected "
-                "(vendor-published) identity")
-        e_bytes = bytes.fromhex(ack["dh_e"])
-        check_binding(reply_report.report_data, e_bytes, a_bytes)
-        session_key = derive_key(dh_u.raise_value(dh_bytes_to_int(e_bytes)))
-        self._crypto = build_session_crypto(session_key, self._suite_name)
-        self._ctx_id = int(ack["ctx_id"])
-        self._bulk_ad = _bulk_aad(self._ctx_id)
-        self._end = end
-        return self
+        return protocol.decode_message(end.region.read(
+            self._process, note.offset, note.length,
+            enclave_mode=self.enclave_mode))
 
     def cuCtxDestroy(self) -> None:
         if self._end is None:
@@ -231,7 +232,8 @@ class HixApi:
         tracer = _OBS.tracer
         if tracer is None:
             return self._cuCtxDestroy()
-        with tracer.span("hix.cuCtxDestroy", "hix", ctx_id=self._ctx_id):
+        with tracer.span(f"{self.name}.cuCtxDestroy", self.name,
+                         ctx_id=self._ctx_id):
             return self._cuCtxDestroy()
 
     def _cuCtxDestroy(self) -> None:
@@ -239,7 +241,6 @@ class HixApi:
         self._end = None
         self._crypto = None
         self._ctx_id = None
-        self._seal_buf = None
         self._bulk_ad = None
 
     @property
@@ -253,27 +254,29 @@ class HixApi:
     def _request(self, payload: dict) -> dict:
         if self._end is None or self._crypto is None:
             raise DriverError("no current context (call cuCtxCreate)")
-        self._rpc_overhead()
+        if self._costs is not None:
+            self._charge(self._backend.rpc_round_trip(self._costs), "ipc")
         sealed = seal_blob(self._crypto.request_suite,
                            self._crypto.request_nonces,
                            protocol.encode_message(payload),
                            associated_data=protocol.REQUEST_AAD)
         self._end.region.write(self._process, REQUEST_OFFSET, sealed,
-                               enclave_mode=True)
+                               enclave_mode=self.enclave_mode)
         self._end.to_service.send("request", REQUEST_OFFSET, len(sealed))
         self._service.poll(self._end)
         note = self._end.to_user.recv()
         if note.kind == "gpu-untrusted":
-            raise DriverError("GPU enclave terminated; GPU no longer trusted")
+            raise DriverError(
+                f"{self._service.label} terminated; GPU no longer trusted")
         raw = self._end.region.read(self._process, note.offset, note.length,
-                                    enclave_mode=True)
+                                    enclave_mode=self.enclave_mode)
         reply = protocol.decode_message(open_blob(
             self._crypto.reply_suite, raw,
             associated_data=protocol.REPLY_AAD,
             replay_guard=self._crypto.reply_guard))
         if not reply.get("ok"):
             raise RequestRejected(
-                f"GPU enclave rejected request: {reply!r}",
+                f"{self._service.label} rejected request: {reply!r}",
                 code=str(reply.get("code", protocol.ERR_DRIVER)))
         return reply
 
@@ -289,106 +292,132 @@ class HixApi:
     def _bulk_chunk_limit(self) -> int:
         return self._end.region.bulk_capacity - HEADER_LEN
 
-    def _chunk_seal_buf(self) -> bytearray:
-        """Per-session scratch frame reused by every bulk chunk."""
-        capacity = self._end.region.bulk_capacity
-        if self._seal_buf is None or len(self._seal_buf) < capacity:
-            self._seal_buf = bytearray(capacity)
-        return self._seal_buf
+    def _put_bulk(self, sealed: bytes) -> None:
+        self._end.region.write(self._process, BULK_OFFSET, sealed,
+                               enclave_mode=self.enclave_mode)
+
+    def _get_bulk(self, reply: dict, nbytes: int, what: str) -> bytes:
+        """The sealed blob the service left for *nbytes* of plaintext."""
+        blob_len = int(reply["blob_len"])
+        if blob_len != sealed_size(nbytes):
+            raise ProtocolError(f"unexpected sealed {what} size")
+        return self._end.region.read(self._process, BULK_OFFSET, blob_len,
+                                     enclave_mode=self.enclave_mode)
+
+    def _upload(self, gpu_va: int, raw: memoryview) -> None:
+        """Seal *raw* chunk by chunk straight from the caller's buffer
+        and have the service land it at *gpu_va* (one request per
+        chunk; an empty buffer still sends one empty chunk)."""
+        limit = self._bulk_chunk_limit()
+        offset = 0
+        while True:
+            chunk = raw[offset:offset + limit]
+            sealed = seal_blob(self._crypto.bulk_suite,
+                               self._crypto.bulk_h2d_nonces, chunk,
+                               associated_data=self._bulk_ad)
+            self._put_bulk(sealed)
+            self._request({"op": protocol.OP_MEMCPY_HTOD,
+                           "gpu_va": gpu_va + offset,
+                           "blob_len": len(sealed)})
+            offset += len(chunk)
+            if offset >= raw.nbytes:
+                return
+
+    def _download(self, gpu_va: int, nbytes: int) -> bytes:
+        """Fetch and open *nbytes* from *gpu_va*, chunk by chunk."""
+        limit = self._bulk_chunk_limit()
+        parts = []
+        offset = 0
+        while offset < nbytes:
+            chunk = min(nbytes - offset, limit)
+            reply = self._request({"op": protocol.OP_MEMCPY_DTOH,
+                                   "gpu_va": gpu_va + offset,
+                                   "nbytes": chunk})
+            parts.append(open_blob(
+                self._crypto.bulk_suite, self._get_bulk(reply, chunk, "blob"),
+                associated_data=self._bulk_ad,
+                replay_guard=self._crypto.bulk_d2h_guard))
+            offset += chunk
+        # A single chunk's plaintext is returned as is (no copy).
+        return b"".join(parts)
+
+    def _charge_copies(self, sizes: Sequence[int], frames: int,
+                       upload: bool) -> None:
+        """Analytic time of sealed transfers of *sizes* bytes each.
+
+        Charged per item, exactly as the equivalent sequence of scalar
+        calls charges it: the backend's copy pipeline (Section 5.2:
+        encrypt overlapping transfer), its request overhead and its
+        device-side crypto pass.  *frames* requests already paid an
+        RPC in :meth:`_request`; the remaining items are topped up to
+        one RPC each.
+        """
+        costs, backend = self._costs, self._backend
+        if costs is None or not sizes:
+            return
+        category = "copy_h2d" if upload else "copy_d2h"
+        bandwidths, latencies = (backend.h2d_stages(costs) if upload
+                                 else backend.d2h_stages(costs))
+        modeled = [costs.scaled(n) for n in sizes]
+        if len(modeled) == 1:
+            copies = [pipelined_time(modeled[0], bandwidths,
+                                     costs.pipeline_chunk_bytes,
+                                     stage_latencies=latencies)]
+        else:
+            copies = pipelined_times(modeled, bandwidths,
+                                     costs.pipeline_chunk_bytes,
+                                     stage_latencies=latencies)
+        for _ in range(len(sizes) - frames):
+            self._charge(backend.rpc_round_trip(costs), "ipc")
+        overhead = backend.request_overhead(costs)
+        crypto_latency, crypto_bandwidth = backend.device_crypto(costs)
+        for scaled, seconds in zip(modeled, copies):
+            crypto = crypto_latency + scaled / crypto_bandwidth
+            self._charge(overhead, "ipc")
+            # The device opens an upload after the copy and seals a
+            # download before it.
+            if upload:
+                self._charge(float(seconds), category)
+                self._charge(crypto, "crypto_gpu")
+            else:
+                self._charge(crypto, "crypto_gpu")
+                self._charge(float(seconds), category)
 
     def cuMemcpyHtoD(self, dptr: DevPtr, data: HostBuffer) -> None:
         """Single-copy secure host-to-device transfer (Section 4.4.2/4.4.3).
 
-        Per chunk: seal inside the user enclave, place ciphertext in the
-        inter-enclave shared memory, ask the GPU enclave to DMA it
-        straight into device memory, where the in-GPU kernel decrypts it.
-        Time is charged as the chunked pipeline of Section 5.2 (encrypt
-        overlapping transfer) plus the in-GPU decryption kernel.
-
-        Fast path: the source is chunked through memoryviews (no slice
-        copies) and every chunk is sealed into one reused per-session
-        frame buffer instead of a fresh blob allocation.
+        Per chunk: seal inside the user's TEE, place the ciphertext in
+        the shared region, and have the service move it into device
+        memory, where the device-side AEAD opens it.  The source is
+        chunked through memoryviews and sealed in place (no slice
+        copies).
         """
         tracer = _OBS.tracer
         if tracer is None:
             return self._cuMemcpyHtoD(dptr, data)
-        with tracer.span("hix.cuMemcpyHtoD", "hix", ctx_id=self._ctx_id,
+        with tracer.span(f"{self.name}.cuMemcpyHtoD", self.name,
+                         ctx_id=self._ctx_id,
                          bytes=_as_buffer(data).nbytes):
             return self._cuMemcpyHtoD(dptr, data)
 
     def _cuMemcpyHtoD(self, dptr: DevPtr, data: HostBuffer) -> None:
         raw = _as_buffer(data)
-        total = raw.nbytes
-        limit = self._bulk_chunk_limit()
-        seal_buf = self._chunk_seal_buf()
-        offset = 0
-        while offset < total or (not total and offset == 0):
-            chunk = raw[offset:offset + limit]
-            sealed_len = seal_blob_into(
-                self._crypto.bulk_suite, self._crypto.bulk_h2d_nonces,
-                chunk, seal_buf, associated_data=self._bulk_ad)
-            self._end.region.write(
-                self._process, BULK_OFFSET,
-                memoryview(seal_buf)[:sealed_len], enclave_mode=True)
-            self._request({"op": protocol.OP_MEMCPY_HTOD,
-                           "gpu_va": dptr.addr + offset,
-                           "blob_len": sealed_len})
-            offset += len(chunk)
-            if not total:
-                break
-        if self._costs is not None:
-            costs = self._costs
-            modeled = costs.scaled(len(raw))
-            self._charge(costs.memcpy_request_overhead_hix, "ipc")
-            self._charge(pipelined_time(
-                modeled,
-                [costs.cpu_aead_bandwidth, costs.pcie_h2d_bandwidth],
-                costs.pipeline_chunk_bytes,
-                stage_latencies=[costs.cpu_aead_setup_latency,
-                                 costs.dma_setup_latency]), "copy_h2d")
-            self._charge(costs.gpu_aead_time(len(raw)), "crypto_gpu")
+        self._upload(dptr.addr, raw)
+        self._charge_copies([raw.nbytes], frames=1, upload=True)
 
     def cuMemcpyDtoH(self, dptr: DevPtr, nbytes: int) -> bytes:
         """Single-copy secure device-to-host transfer."""
         tracer = _OBS.tracer
         if tracer is None:
             return self._cuMemcpyDtoH(dptr, nbytes)
-        with tracer.span("hix.cuMemcpyDtoH", "hix", ctx_id=self._ctx_id,
-                         bytes=nbytes):
+        with tracer.span(f"{self.name}.cuMemcpyDtoH", self.name,
+                         ctx_id=self._ctx_id, bytes=nbytes):
             return self._cuMemcpyDtoH(dptr, nbytes)
 
     def _cuMemcpyDtoH(self, dptr: DevPtr, nbytes: int) -> bytes:
-        limit = self._bulk_chunk_limit()
-        out = bytearray(nbytes)
-        view = memoryview(out)
-        offset = 0
-        while offset < nbytes:
-            chunk = min(nbytes - offset, limit)
-            reply = self._request({"op": protocol.OP_MEMCPY_DTOH,
-                                   "gpu_va": dptr.addr + offset,
-                                   "nbytes": chunk})
-            blob_len = int(reply["blob_len"])
-            if blob_len != sealed_size(chunk):
-                raise ProtocolError("unexpected sealed blob size")
-            sealed = self._end.region.read(self._process, BULK_OFFSET,
-                                           blob_len, enclave_mode=True)
-            view[offset:offset + chunk] = open_blob(
-                self._crypto.bulk_suite, sealed,
-                associated_data=self._bulk_ad,
-                replay_guard=self._crypto.bulk_d2h_guard)
-            offset += chunk
-        if self._costs is not None:
-            costs = self._costs
-            modeled = costs.scaled(nbytes)
-            self._charge(costs.memcpy_request_overhead_hix, "ipc")
-            self._charge(costs.gpu_aead_time(nbytes), "crypto_gpu")
-            self._charge(pipelined_time(
-                modeled,
-                [costs.pcie_d2h_bandwidth, costs.cpu_aead_bandwidth],
-                costs.pipeline_chunk_bytes,
-                stage_latencies=[costs.dma_setup_latency,
-                                 costs.cpu_aead_setup_latency]), "copy_d2h")
-        return bytes(out)
+        out = self._download(dptr.addr, nbytes)
+        self._charge_copies([nbytes], frames=1, upload=False)
+        return out
 
     # -- batched transfers --------------------------------------------------------------------
 
@@ -398,28 +427,25 @@ class HixApi:
         Consecutive items are greedily packed into fused frames bounded
         by the shared region's bulk capacity; each frame is sealed with
         ONE AEAD call and crosses the channel as ONE sealed request, and
-        the in-GPU scatter kernel authenticates it once before
-        distributing the chunks.  Simulated time is still charged *per
-        item*, exactly as the equivalent sequence of
-        :meth:`cuMemcpyHtoD` calls would charge it — batching changes
-        the real execution, never the virtual timeline.  Items larger
-        than one frame fall back to the scalar chunked path.
+        the device authenticates it once before scattering the chunks.
+        Simulated time is still charged *per item*, exactly as the
+        equivalent sequence of :meth:`cuMemcpyHtoD` calls would charge
+        it — batching changes the real execution, never the virtual
+        timeline.  Items larger than one frame take the scalar chunked
+        path.
         """
         tracer = _OBS.tracer
         if tracer is None:
             return self._cuMemcpyHtoDBatch(items)
-        with tracer.span("hix.cuMemcpyHtoDBatch", "hix",
+        with tracer.span(f"{self.name}.cuMemcpyHtoDBatch", self.name,
                          ctx_id=self._ctx_id, items=len(items)):
             return self._cuMemcpyHtoDBatch(items)
 
     def _cuMemcpyHtoDBatch(self, items: Sequence) -> None:
         limit = self._bulk_chunk_limit()
-        seal_buf = self._chunk_seal_buf()
         sizes: list = []
-
         frame_chunks: list = []
         frame_vas: list = []
-        frame_lens: list = []
         frame_bytes = 0
         frames = 0
 
@@ -427,18 +453,16 @@ class HixApi:
             nonlocal frame_bytes, frames
             if not frame_chunks:
                 return
-            sealed_len = seal_chunks_into(
+            sealed = seal_blob_chunks(
                 self._crypto.bulk_suite, self._crypto.bulk_h2d_nonces,
-                frame_chunks, seal_buf, associated_data=self._bulk_ad)
-            self._end.region.write(
-                self._process, BULK_OFFSET,
-                memoryview(seal_buf)[:sealed_len], enclave_mode=True)
+                frame_chunks, associated_data=self._bulk_ad)
+            self._put_bulk(sealed)
             self._request({"op": protocol.OP_MEMCPY_HTOD_BATCH,
-                           "gpu_vas": frame_vas, "lengths": frame_lens,
-                           "blob_len": sealed_len})
+                           "gpu_vas": frame_vas,
+                           "lengths": [c.nbytes for c in frame_chunks],
+                           "blob_len": len(sealed)})
             frame_chunks.clear()
             frame_vas.clear()
-            frame_lens.clear()
             frame_bytes = 0
             frames += 1
 
@@ -448,60 +472,23 @@ class HixApi:
             if raw.nbytes > limit:
                 # Oversized item: can't share a frame — scalar path.
                 flush_frame()
-                self._scalar_htod_bytes(dptr, raw)
+                self._upload(dptr.addr, raw)
                 frames += 1
                 continue
             if frame_bytes + raw.nbytes > limit:
                 flush_frame()
             frame_chunks.append(raw)
             frame_vas.append(dptr.addr)
-            frame_lens.append(raw.nbytes)
             frame_bytes += raw.nbytes
         flush_frame()
-
-        if self._costs is not None and sizes:
-            costs = self._costs
-            copy = pipelined_times(
-                [costs.scaled(n) for n in sizes],
-                [costs.cpu_aead_bandwidth, costs.pcie_h2d_bandwidth],
-                costs.pipeline_chunk_bytes,
-                stage_latencies=[costs.cpu_aead_setup_latency,
-                                 costs.dma_setup_latency])
-            # _request already charged one RPC per frame; top up to the
-            # one-RPC-per-item cost the scalar sequence would have paid.
-            for _ in range(len(sizes) - frames):
-                self._charge(costs.rpc_round_trip(), "ipc")
-            for nbytes, seconds in zip(sizes, copy):
-                self._charge(costs.memcpy_request_overhead_hix, "ipc")
-                self._charge(float(seconds), "copy_h2d")
-                self._charge(costs.gpu_aead_time(nbytes), "crypto_gpu")
-
-    def _scalar_htod_bytes(self, dptr: DevPtr, raw: memoryview) -> None:
-        """Uncharged scalar upload used by the batch fallback path."""
-        limit = self._bulk_chunk_limit()
-        seal_buf = self._chunk_seal_buf()
-        offset = 0
-        while offset < raw.nbytes or (not raw.nbytes and offset == 0):
-            chunk = raw[offset:offset + limit]
-            sealed_len = seal_blob_into(
-                self._crypto.bulk_suite, self._crypto.bulk_h2d_nonces,
-                chunk, seal_buf, associated_data=self._bulk_ad)
-            self._end.region.write(
-                self._process, BULK_OFFSET,
-                memoryview(seal_buf)[:sealed_len], enclave_mode=True)
-            self._request({"op": protocol.OP_MEMCPY_HTOD,
-                           "gpu_va": dptr.addr + offset,
-                           "blob_len": sealed_len})
-            offset += len(chunk)
-            if not raw.nbytes:
-                break
+        self._charge_copies(sizes, frames, upload=True)
 
     def cuMemcpyDtoHBatch(self, items: Sequence) -> list:
         """Batched downloads: ``items`` is ``[(DevPtr, nbytes), ...]``.
 
-        Mirrors :meth:`cuMemcpyHtoDBatch`: the gather kernel seals each
-        fused frame once on-device, one sealed request per frame crosses
-        the channel, and the runtime opens each frame with one AEAD call
+        Mirrors :meth:`cuMemcpyHtoDBatch`: the device gathers and seals
+        each fused frame once, one sealed request per frame crosses the
+        channel, and the runtime opens each frame with one AEAD call
         before splitting it back into per-item results (returned in
         submission order).  Per-item virtual time matches the equivalent
         scalar :meth:`cuMemcpyDtoH` sequence.
@@ -509,7 +496,7 @@ class HixApi:
         tracer = _OBS.tracer
         if tracer is None:
             return self._cuMemcpyDtoHBatch(items)
-        with tracer.span("hix.cuMemcpyDtoHBatch", "hix",
+        with tracer.span(f"{self.name}.cuMemcpyDtoHBatch", self.name,
                          ctx_id=self._ctx_id, items=len(items)):
             return self._cuMemcpyDtoHBatch(items)
 
@@ -517,7 +504,6 @@ class HixApi:
         limit = self._bulk_chunk_limit()
         results: list = [None] * len(items)
         sizes = [int(nbytes) for _, nbytes in items]
-
         frame: list = []       # (result_index, gpu_va, nbytes)
         frame_bytes = 0
         frames = 0
@@ -526,17 +512,13 @@ class HixApi:
             nonlocal frame_bytes, frames
             if not frame:
                 return
-            gpu_vas = [va for _, va, _ in frame]
             lengths = [n for _, _, n in frame]
             reply = self._request({"op": protocol.OP_MEMCPY_DTOH_BATCH,
-                                   "gpu_vas": gpu_vas, "lengths": lengths})
-            blob_len = int(reply["blob_len"])
-            if blob_len != sealed_size(sum(lengths)):
-                raise ProtocolError("unexpected sealed batch blob size")
-            sealed = self._end.region.read(self._process, BULK_OFFSET,
-                                           blob_len, enclave_mode=True)
+                                   "gpu_vas": [va for _, va, _ in frame],
+                                   "lengths": lengths})
             chunks = open_blob_chunks(
-                self._crypto.bulk_suite, sealed, lengths,
+                self._crypto.bulk_suite,
+                self._get_bulk(reply, sum(lengths), "batch blob"), lengths,
                 associated_data=self._bulk_ad,
                 replay_guard=self._crypto.bulk_d2h_guard)
             for (index, _, _), chunk in zip(frame, chunks):
@@ -545,11 +527,10 @@ class HixApi:
             frame_bytes = 0
             frames += 1
 
-        for index, (dptr, nbytes) in enumerate(items):
-            nbytes = int(nbytes)
+        for index, ((dptr, _), nbytes) in enumerate(zip(items, sizes)):
             if nbytes > limit:
                 flush_frame()
-                results[index] = self._cuMemcpyDtoH_uncharged(dptr, nbytes)
+                results[index] = self._download(dptr.addr, nbytes)
                 frames += 1
                 continue
             if frame_bytes + nbytes > limit:
@@ -557,76 +538,8 @@ class HixApi:
             frame.append((index, dptr.addr, nbytes))
             frame_bytes += nbytes
         flush_frame()
-
-        if self._costs is not None and sizes:
-            costs = self._costs
-            copy = pipelined_times(
-                [costs.scaled(n) for n in sizes],
-                [costs.pcie_d2h_bandwidth, costs.cpu_aead_bandwidth],
-                costs.pipeline_chunk_bytes,
-                stage_latencies=[costs.dma_setup_latency,
-                                 costs.cpu_aead_setup_latency])
-            for _ in range(len(sizes) - frames):
-                self._charge(costs.rpc_round_trip(), "ipc")
-            for nbytes, seconds in zip(sizes, copy):
-                self._charge(costs.memcpy_request_overhead_hix, "ipc")
-                self._charge(costs.gpu_aead_time(nbytes), "crypto_gpu")
-                self._charge(float(seconds), "copy_d2h")
+        self._charge_copies(sizes, frames, upload=False)
         return results
-
-    def _cuMemcpyDtoH_uncharged(self, dptr: DevPtr, nbytes: int) -> bytes:
-        """Scalar chunked download without analytic charges (batch fallback)."""
-        limit = self._bulk_chunk_limit()
-        out = bytearray(nbytes)
-        view = memoryview(out)
-        offset = 0
-        while offset < nbytes:
-            chunk = min(nbytes - offset, limit)
-            reply = self._request({"op": protocol.OP_MEMCPY_DTOH,
-                                   "gpu_va": dptr.addr + offset,
-                                   "nbytes": chunk})
-            blob_len = int(reply["blob_len"])
-            if blob_len != sealed_size(chunk):
-                raise ProtocolError("unexpected sealed blob size")
-            sealed = self._end.region.read(self._process, BULK_OFFSET,
-                                           blob_len, enclave_mode=True)
-            view[offset:offset + chunk] = open_blob(
-                self._crypto.bulk_suite, sealed,
-                associated_data=self._bulk_ad,
-                replay_guard=self._crypto.bulk_d2h_guard)
-            offset += chunk
-        return bytes(out)
-
-    def cuLaunchKernelBatch(self, module: "HixModuleHandle",
-                            launches: Sequence) -> None:
-        """Batched launches: ``launches`` is ``[(kernel, params, secs), ...]``.
-
-        The whole group crosses the channel as ONE sealed request (one
-        seal + one open instead of one per launch); the service runs the
-        launches in order.  Launch overhead is still charged per launch.
-        """
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._cuLaunchKernelBatch(module, launches)
-        with tracer.span("hix.cuLaunchKernelBatch", "hix",
-                         ctx_id=self._ctx_id, items=len(launches)):
-            return self._cuLaunchKernelBatch(module, launches)
-
-    def _cuLaunchKernelBatch(self, module: "HixModuleHandle",
-                             launches: Sequence) -> None:
-        if not launches:
-            return
-        if self._costs is not None:
-            for _ in range(len(launches) - 1):
-                self._charge(self._costs.rpc_round_trip(), "ipc")
-            for _ in launches:
-                self._charge(self._costs.kernel_launch_hix, "launch")
-        self._request({"op": protocol.OP_LAUNCH_BATCH, "launches": [
-            {"module_id": module.module_id,
-             "kernel": str(kernel_name),
-             "params": protocol.encode_params(list(params)),
-             "compute_seconds": float(compute_seconds)}
-            for kernel_name, params, compute_seconds in launches]})
 
     # -- modules / kernels ---------------------------------------------------------------------
 
@@ -642,8 +555,8 @@ class HixApi:
         if tracer is None:
             return self._cuLaunchKernel(module, kernel_name, params,
                                         compute_seconds)
-        with tracer.span("hix.cuLaunchKernel", "hix", ctx_id=self._ctx_id,
-                         kernel=kernel_name):
+        with tracer.span(f"{self.name}.cuLaunchKernel", self.name,
+                         ctx_id=self._ctx_id, kernel=kernel_name):
             return self._cuLaunchKernel(module, kernel_name, params,
                                         compute_seconds)
 
@@ -651,21 +564,53 @@ class HixApi:
                         params: Sequence[ParamValue],
                         compute_seconds: float = 0.0) -> None:
         if self._costs is not None:
-            self._charge(self._costs.kernel_launch_hix, "launch")
+            self._charge(self._backend.launch_cost(self._costs), "launch")
         self._request({"op": protocol.OP_LAUNCH,
                        "module_id": module.module_id,
                        "kernel": kernel_name,
                        "params": protocol.encode_params(list(params)),
                        "compute_seconds": compute_seconds})
 
+    def cuLaunchKernelBatch(self, module: HixModuleHandle,
+                            launches: Sequence) -> None:
+        """Batched launches: ``launches`` is ``[(kernel, params, secs), ...]``.
+
+        The whole group crosses the channel as ONE sealed request (one
+        seal + one open instead of one per launch); the service runs the
+        launches in order.  Launch overhead is still charged per launch.
+        """
+        tracer = _OBS.tracer
+        if tracer is None:
+            return self._cuLaunchKernelBatch(module, launches)
+        with tracer.span(f"{self.name}.cuLaunchKernelBatch", self.name,
+                         ctx_id=self._ctx_id, items=len(launches)):
+            return self._cuLaunchKernelBatch(module, launches)
+
+    def _cuLaunchKernelBatch(self, module: HixModuleHandle,
+                             launches: Sequence) -> None:
+        if not launches:
+            return
+        costs = self._costs
+        if costs is not None:
+            for _ in range(len(launches) - 1):
+                self._charge(self._backend.rpc_round_trip(costs), "ipc")
+            for _ in launches:
+                self._charge(self._backend.launch_cost(costs), "launch")
+        self._request({"op": protocol.OP_LAUNCH_BATCH, "launches": [
+            {"module_id": module.module_id,
+             "kernel": str(kernel_name),
+             "params": protocol.encode_params(list(params)),
+             "compute_seconds": float(compute_seconds)}
+            for kernel_name, params, compute_seconds in launches]})
+
     # -- shutdown ----------------------------------------------------------------------------------
 
     def request_shutdown(self) -> None:
-        """Ask the GPU enclave for a graceful termination (Section 4.2.3).
+        """Ask the service for a graceful termination (Section 4.2.3).
 
         The service notifies every session (including ours) that the GPU
-        is no longer trusted before acknowledging, so the "GPU enclave
-        terminated" signal *is* the success path here.
+        is no longer trusted before acknowledging, so the "GPU no longer
+        trusted" signal *is* the success path here.
         """
         try:
             self._request({"op": protocol.OP_SHUTDOWN})
@@ -674,5 +619,49 @@ class HixApi:
                 raise
 
 
-def _bulk_aad(ctx_id: int) -> bytes:
-    return b"hix-bulk-ctx-%d" % ctx_id
+class HixApi(SealedClient):
+    """The HIX user runtime inside the user's SGX enclave."""
+
+    name = "hix"
+    enclave_mode = True
+    attestation_detail = ("GPU enclave report and identity verified "
+                          "(mutual local attestation)")
+    key_exchange_detail = "3-party DH session key derived"
+
+    def __init__(self, kernel: Kernel, process: Process,
+                 service: GpuEnclaveService, clock: Optional[SimClock] = None,
+                 costs: Optional[CostModel] = None,
+                 expected_gpu_enclave_measurement: Optional[bytes] = None,
+                 suite_name: str = "fast-auth",
+                 channel_queue_depth: Optional[int] = None) -> None:
+        super().__init__(kernel, process, service, clock=clock, costs=costs,
+                         suite_name=suite_name,
+                         channel_queue_depth=channel_queue_depth)
+        self._expected_measurement = expected_gpu_enclave_measurement
+
+    def _handshake(self, end: ChannelEnd) -> Tuple[bytes, int]:
+        """Mutual local attestation + 3-party key exchange (§4.4.1)."""
+        user_eid = self._process.enclave.enclave_id
+        sgx = self._kernel.sgx
+        dh_u = DiffieHellman(seed=b"user-%d" % self._process.pid)
+        a_bytes = int_to_dh_bytes(dh_u.public_value)
+        report = sgx.ereport(user_eid, self._service.measurement,
+                             bind_report_data(a_bytes))
+        ack = self._hello(end, {"report": _report_to_wire(report),
+                                "dh_a": a_bytes.hex()})
+        reply_report = _report_from_wire(ack["report"])
+        # Verify the GPU enclave's report, its identity, and that it
+        # really is a GPU enclave whose PCIe routing was measured at
+        # EGCREATE (Sections 4.4.1, 5.5).
+        verify_local_report(sgx, user_eid, reply_report)
+        if not reply_report.is_gpu_enclave:
+            raise AttestationError("peer is not a GPU enclave")
+        if (self._expected_measurement is not None
+                and reply_report.measurement != self._expected_measurement):
+            raise AttestationError(
+                "GPU enclave measurement does not match the expected "
+                "(vendor-published) identity")
+        e_bytes = bytes.fromhex(ack["dh_e"])
+        check_binding(reply_report.report_data, e_bytes, a_bytes)
+        session_key = derive_key(dh_u.raise_value(dh_bytes_to_int(e_bytes)))
+        return session_key, int(ack["ctx_id"])

@@ -35,7 +35,11 @@ def sealed_size(plaintext_len: int) -> int:
 
 def seal_blob(suite: AeadSuite, nonces: NonceSequence, plaintext: bytes,
               associated_data: bytes = b"") -> bytes:
-    """Encrypt *plaintext* into a framed blob with a fresh nonce."""
+    """Encrypt *plaintext* into a framed blob with a fresh nonce.
+
+    *plaintext* may be any flat bytes-like object; a memoryview slice of
+    the caller's buffer is sealed in place, without a copy.
+    """
     tracer = _OBS.tracer
     if tracer is None:
         return _seal_blob(suite, nonces, plaintext, associated_data)
@@ -48,68 +52,6 @@ def _seal_blob(suite: AeadSuite, nonces: NonceSequence, plaintext: bytes,
     nonce = nonces.next()
     ciphertext, tag = suite.seal(nonce, plaintext, associated_data)
     return _HEADER.pack(_MAGIC, nonce, tag, len(ciphertext)) + ciphertext
-
-
-def seal_blob_into(suite: AeadSuite, nonces: NonceSequence, plaintext,
-                   out: bytearray, associated_data: bytes = b"") -> int:
-    """Seal *plaintext* into the reusable buffer *out*; returns frame length.
-
-    The fast path for per-chunk bulk transfers: the frame (header +
-    ciphertext) is assembled in the caller's preallocated buffer instead
-    of concatenating fresh ``bytes`` per chunk, so steady-state sealing
-    allocates only the ciphertext the AEAD engine itself produces.
-    """
-    tracer = _OBS.tracer
-    if tracer is None:
-        return _seal_blob_into(suite, nonces, plaintext, out, associated_data)
-    with tracer.span("aead.seal", "aead",
-                     bytes=memoryview(plaintext).nbytes):
-        return _seal_blob_into(suite, nonces, plaintext, out, associated_data)
-
-
-def _seal_blob_into(suite: AeadSuite, nonces: NonceSequence, plaintext,
-                    out: bytearray, associated_data: bytes = b"") -> int:
-    nonce = nonces.next()
-    ciphertext, tag = suite.seal(nonce, plaintext, associated_data)
-    total = HEADER_LEN + len(ciphertext)
-    if len(out) < total:
-        raise ValueError(
-            f"seal buffer too small: {len(out)} < {total} bytes")
-    _HEADER.pack_into(out, 0, _MAGIC, nonce, tag, len(ciphertext))
-    out[HEADER_LEN:total] = ciphertext
-    return total
-
-
-def seal_chunks_into(suite: AeadSuite, nonces: NonceSequence,
-                     chunks: Sequence[bytes], out: bytearray,
-                     associated_data: bytes = b"") -> int:
-    """Seal a batch of chunks into ONE framed blob in *out*.
-
-    The whole batch travels under a single fresh nonce and a single AEAD
-    tag (one call into the suite, one chunk-buffer pass); the receiver
-    splits the plaintext with the out-of-band length table via
-    :func:`open_blob_chunks`.  Returns the frame length.
-    """
-    tracer = _OBS.tracer
-    if tracer is None:
-        return _seal_chunks_into(suite, nonces, chunks, out, associated_data)
-    with tracer.span("aead.seal", "aead",
-                     bytes=sum(len(c) for c in chunks), chunks=len(chunks)):
-        return _seal_chunks_into(suite, nonces, chunks, out, associated_data)
-
-
-def _seal_chunks_into(suite: AeadSuite, nonces: NonceSequence,
-                      chunks: Sequence[bytes], out: bytearray,
-                      associated_data: bytes = b"") -> int:
-    nonce = nonces.next()
-    ciphertext, tag = suite.seal_chunks(nonce, chunks, associated_data)
-    total = HEADER_LEN + len(ciphertext)
-    if len(out) < total:
-        raise ValueError(
-            f"seal buffer too small: {len(out)} < {total} bytes")
-    _HEADER.pack_into(out, 0, _MAGIC, nonce, tag, len(ciphertext))
-    out[HEADER_LEN:total] = ciphertext
-    return total
 
 
 def seal_blob_chunks(suite: AeadSuite, nonces: NonceSequence,

@@ -155,7 +155,7 @@ class OcbAesSuite(AeadSuite):
 
     def seal(self, nonce, plaintext, associated_data=b""):
         if self._hw is not None and 12 <= len(nonce) <= 15:
-            sealed = self._hw.encrypt(bytes(nonce), bytes(plaintext),
+            sealed = self._hw.encrypt(bytes(nonce), plaintext,
                                       bytes(associated_data))
             return sealed[:-TAG_LEN], sealed[-TAG_LEN:]
         return self._ocb.encrypt(nonce, plaintext, associated_data)
@@ -311,7 +311,7 @@ class FastAuthSuite(AeadSuite):
 
     def seal(self, nonce, plaintext, associated_data=b""):
         if self._hw is not None and len(nonce) == NONCE_LEN:
-            sealed = self._hw.encrypt(bytes(nonce), bytes(plaintext),
+            sealed = self._hw.encrypt(bytes(nonce), plaintext,
                                       bytes(associated_data))
             return sealed[:-TAG_LEN], sealed[-TAG_LEN:]
         ciphertext = self._xor_stream(nonce, plaintext)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.backends import get_backend
 from repro.core.multiuser import Segment, simulate_concurrent
 from repro.sim.costs import CostModel
 from repro.sim.pipeline import pipelined_time
@@ -92,12 +93,10 @@ def run_single(workload: Workload, mode: str,
     if mode == GDEV:
         driver = machine.make_gdev()
         api = machine.gdev_session(driver, name=workload.name)
-    elif mode == HIX:
-        service = machine.boot_hix()
-        api = machine.hix_session(service, name=workload.name)
     else:
-        service = machine.boot_gpucc()
-        api = machine.gpucc_session(service, name=workload.name)
+        backend = get_backend(mode)
+        service = backend.boot(machine)
+        api = backend.create_session(machine, service, name=workload.name)
 
     counting = _CountingApi(api)
     snap = machine.clock.snapshot()
@@ -143,32 +142,25 @@ def _compute_segments(workload: Workload, costs: CostModel, mode: str,
     return segments
 
 
-def _crypto_kernel_segments(nbytes: float, costs: CostModel,
-                            mode: str = HIX,
+def _crypto_kernel_segments(nbytes: float, costs: CostModel, mode: str,
                             max_segments: int = 24) -> List[Segment]:
     """Device-side crypto for a bulk transfer, chunk by chunk.
 
-    HIX runs AEAD as SM kernels whose throughput is derated by
-    ``gpu_aead_multiuser_efficiency``: per-chunk crypto batches are too
-    small to fill the SMs when several contexts interleave (Section
-    5.4).  GPU-CC runs the same work on the dedicated on-die engine —
-    lower per-chunk latency and a milder multi-user derate, since the
-    engine does not compete with compute kernels for SMs.
+    The backend's device AEAD (HIX: SM kernels; GPU-CC: the on-die
+    engine) runs at its bandwidth derated by the backend's multi-user
+    efficiency: HIX's per-chunk crypto batches are too small to fill
+    the SMs when several contexts interleave (Section 5.4), while the
+    dedicated engine does not compete with compute kernels for SMs.
     """
     if nbytes <= 0:
         return []
+    backend = get_backend(mode)
+    per_chunk_latency, bandwidth = backend.device_crypto(costs)
+    bandwidth *= backend.multiuser_efficiency(costs)
     chunk = costs.pipeline_chunk_bytes
     chunks = max(int(-(-nbytes // chunk)), 1)
     groups = min(chunks, max_segments)
     per_group_bytes = nbytes / groups
-    if mode == GPUCC:
-        per_chunk_latency = costs.gpucc_engine_latency
-        bandwidth = (costs.gpucc_engine_bandwidth
-                     * costs.aead_multiuser_efficiency(GPUCC))
-    else:
-        per_chunk_latency = costs.gpu_aead_kernel_latency
-        bandwidth = (costs.gpu_aead_bandwidth
-                     * costs.aead_multiuser_efficiency(HIX))
     segments = []
     for _ in range(groups):
         segments.append(Segment(
@@ -193,34 +185,20 @@ def user_segments(workload: Workload, costs: CostModel,
         segments.append(Segment("host", costs.d2h_time(0) + d2h
                                 / costs.pcie_d2h_bandwidth, "d2h"))
         return segments
-    if mode == GPUCC:
-        # Bounce-buffer DMA staging adds a third pipeline stage; the
-        # device-side AEAD runs on the on-die engine rather than SMs.
-        segments.append(Segment("host", costs.gpucc_task_init
-                                + costs.gpucc_session_setup, "init"))
-        segments.append(Segment("host", pipelined_time(
-            h2d, [costs.cpu_aead_bandwidth, costs.gpucc_bounce_bandwidth,
-                  costs.pcie_h2d_bandwidth],
-            costs.pipeline_chunk_bytes), "h2d"))
-        segments.extend(_crypto_kernel_segments(h2d, costs, mode))
-        segments.extend(_compute_segments(workload, costs, mode))
-        segments.extend(_crypto_kernel_segments(d2h, costs, mode))
-        segments.append(Segment("host", pipelined_time(
-            d2h, [costs.pcie_d2h_bandwidth, costs.gpucc_bounce_bandwidth,
-                  costs.cpu_aead_bandwidth],
-            costs.pipeline_chunk_bytes), "d2h"))
-        return segments
-    segments.append(Segment("host", costs.hix_task_init
-                            + costs.session_setup, "init"))
+    # The sealed backends' own cost terms; the copy pipelines are
+    # modeled by their bandwidths alone.
+    backend = get_backend(mode)
+    task_init, session_setup = backend.session_costs(costs)
+    h2d_bandwidths, _ = backend.h2d_stages(costs)
+    d2h_bandwidths, _ = backend.d2h_stages(costs)
+    segments.append(Segment("host", task_init + session_setup, "init"))
     segments.append(Segment("host", pipelined_time(
-        h2d, [costs.cpu_aead_bandwidth, costs.pcie_h2d_bandwidth],
-        costs.pipeline_chunk_bytes), "h2d"))
-    segments.extend(_crypto_kernel_segments(h2d, costs))
+        h2d, h2d_bandwidths, costs.pipeline_chunk_bytes), "h2d"))
+    segments.extend(_crypto_kernel_segments(h2d, costs, mode))
     segments.extend(_compute_segments(workload, costs, mode))
-    segments.extend(_crypto_kernel_segments(d2h, costs))
+    segments.extend(_crypto_kernel_segments(d2h, costs, mode))
     segments.append(Segment("host", pipelined_time(
-        d2h, [costs.pcie_d2h_bandwidth, costs.cpu_aead_bandwidth],
-        costs.pipeline_chunk_bytes), "d2h"))
+        d2h, d2h_bandwidths, costs.pipeline_chunk_bytes), "d2h"))
     return segments
 
 

@@ -155,11 +155,6 @@ class CostModel:
         EENTER/EEXIT pair drops out; everything else is identical."""
         return 2 * self.msgqueue_hop + 2 * self.cpu_aead_setup_latency
 
-    def gpucc_engine_time(self, nbytes: int) -> float:
-        """Seconds for one on-die AEAD engine pass over *nbytes* (modeled)."""
-        return (self.gpucc_engine_latency
-                + self.scaled(nbytes) / self.gpucc_engine_bandwidth)
-
     def aead_multiuser_efficiency(self, backend: str = "hix") -> float:
         """Multi-user derate of the backend's GPU-side crypto stage."""
         if backend == "gpucc":

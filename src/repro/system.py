@@ -281,10 +281,11 @@ class Machine:
         a fresh OS comes up; the simulated hardware objects persist.
         """
         self.sgx.cold_boot_reset()
-        self.gpu.reset()
-        # CC mode is sticky across REG_RESET but not across power loss;
-        # the next boot_gpucc() re-enables it.
-        self.gpu.cc_mode = False
+        for device in self.gpus + self.accelerators:
+            device.reset()
+            # CC mode is sticky across REG_RESET but not across power
+            # loss; the next boot_gpucc() re-enables it.
+            device.cc_mode = False
         self.mmu.tlb.flush_all()
         self.kernel = Kernel(self.phys_mem, self.mmu, self.address_map,
                              self.sgx)

@@ -4,15 +4,16 @@ The batch ops (``memcpy_htod_batch`` / ``memcpy_dtoh_batch`` /
 ``launch_batch``) coalesce consecutive same-session requests into one
 sealed frame — one AEAD call and one chunk-buffer pass for the whole
 run — while charging each item the exact analytic virtual time the
-scalar call sequence would have charged.  These tests pin both halves:
-functional equivalence (bytes land where the scalar calls would put
-them, downloads return the same plaintext) and charge parity on the
-per-item analytic categories.
+scalar call sequence would have charged.  These tests pin both halves
+on every TEE backend: functional equivalence (bytes land where the
+scalar calls would put them, downloads return the same plaintext) and
+charge parity on the per-item analytic categories.
 """
 
 import numpy as np
 import pytest
 
+from repro.backends import backend_names
 from repro.crypto.blob import open_blob_chunks, seal_blob_chunks
 from repro.crypto.nonce import NonceSequence
 from repro.crypto.suite import FastAuthSuite
@@ -31,6 +32,27 @@ PARITY_CATEGORIES = ("ipc", "copy_h2d", "copy_d2h", "crypto_gpu", "launch")
 def _chunks(sizes):
     return [RNG.integers(0, 256, size=n, dtype=np.uint8).tobytes()
             for n in sizes]
+
+
+@pytest.fixture(scope="module", params=backend_names())
+def secure_machine(request):
+    """Module-scoped machine per backend with its booted service."""
+    machine = Machine(MachineConfig(backend=request.param))
+    machine.secure_service = machine.boot_secure()
+    return machine
+
+
+@pytest.fixture
+def secure_app(secure_machine):
+    """A fresh attested session against the backend's shared service."""
+    app = secure_machine.secure_session(secure_machine.secure_service,
+                                        "test-user")
+    app.cuCtxCreate()
+    yield app
+    try:
+        app.cuCtxDestroy()
+    except Exception:
+        pass
 
 
 class TestSuiteChunkPrimitives:
@@ -62,66 +84,60 @@ class TestSuiteChunkPrimitives:
 
 
 class TestBatchFunctionalEquivalence:
-    def test_htod_batch_lands_bytes(self, hix_app):
+    def test_htod_batch_lands_bytes(self, secure_app):
         sizes = [4096, 1, 8192, 777]
         payloads = _chunks(sizes)
-        ptrs = [hix_app.cuMemAlloc(max(n, 1)) for n in sizes]
-        hix_app.cuMemcpyHtoDBatch(list(zip(ptrs, payloads)))
+        ptrs = [secure_app.cuMemAlloc(max(n, 1)) for n in sizes]
+        secure_app.cuMemcpyHtoDBatch(list(zip(ptrs, payloads)))
         for ptr, payload, n in zip(ptrs, payloads, sizes):
-            assert hix_app.cuMemcpyDtoH(ptr, n) == payload
+            assert secure_app.cuMemcpyDtoH(ptr, n) == payload
 
-    def test_dtoh_batch_returns_scalar_bytes(self, hix_app):
+    def test_dtoh_batch_returns_scalar_bytes(self, secure_app):
         sizes = [2048, 64, 4096]
         payloads = _chunks(sizes)
-        ptrs = [hix_app.cuMemAlloc(n) for n in sizes]
+        ptrs = [secure_app.cuMemAlloc(n) for n in sizes]
         for ptr, payload in zip(ptrs, payloads):
-            hix_app.cuMemcpyHtoD(ptr, payload)
-        batched = hix_app.cuMemcpyDtoHBatch(
+            secure_app.cuMemcpyHtoD(ptr, payload)
+        batched = secure_app.cuMemcpyDtoHBatch(
             [(ptr, n) for ptr, n in zip(ptrs, sizes)])
         assert batched == payloads
 
-    def test_batch_spanning_multiple_frames(self, hix_app):
+    def test_batch_spanning_multiple_frames(self, secure_app):
         """Items larger than one bulk frame split and still round-trip."""
         sizes = [3 << 20, 512, 3 << 20]
         payloads = _chunks(sizes)
-        ptrs = [hix_app.cuMemAlloc(n) for n in sizes]
-        hix_app.cuMemcpyHtoDBatch(list(zip(ptrs, payloads)))
-        assert hix_app.cuMemcpyDtoHBatch(
+        ptrs = [secure_app.cuMemAlloc(n) for n in sizes]
+        secure_app.cuMemcpyHtoDBatch(list(zip(ptrs, payloads)))
+        assert secure_app.cuMemcpyDtoHBatch(
             [(ptr, n) for ptr, n in zip(ptrs, sizes)]) == payloads
 
-    def test_launch_batch_runs_kernels(self, hix_app):
-        module = hix_app.cuModuleLoad(["builtin.memset32"])
-        ptr = hix_app.cuMemAlloc(4096)
-        hix_app.cuLaunchKernelBatch(module, [
+    def test_launch_batch_runs_kernels(self, secure_app):
+        module = secure_app.cuModuleLoad(["builtin.memset32"])
+        ptr = secure_app.cuMemAlloc(4096)
+        secure_app.cuLaunchKernelBatch(module, [
             ("builtin.memset32", [ptr, 1024, 0x11111111], 0.0),
             ("builtin.memset32", [ptr, 512, 0x22222222], 0.0),
         ])
-        out = np.frombuffer(hix_app.cuMemcpyDtoH(ptr, 4096),
+        out = np.frombuffer(secure_app.cuMemcpyDtoH(ptr, 4096),
                             dtype=np.uint32)
         assert (out[:512] == 0x22222222).all()
         assert (out[512:1024] == 0x11111111).all()
 
-    def test_empty_batch_is_noop(self, hix_machine, hix_app):
-        before = hix_machine.clock.now
-        hix_app.cuMemcpyHtoDBatch([])
-        assert hix_app.cuMemcpyDtoHBatch([]) == []
-        assert hix_machine.clock.now == before
+    def test_empty_batch_is_noop(self, secure_machine, secure_app):
+        before = secure_machine.clock.now
+        secure_app.cuMemcpyHtoDBatch([])
+        assert secure_app.cuMemcpyDtoHBatch([]) == []
+        assert secure_machine.clock.now == before
 
 
 class TestBatchChargeParity:
     """Per-item analytic virtual time: batch == scalar sequence, bit
     for bit, on every category in :data:`PARITY_CATEGORIES`."""
 
-    @staticmethod
-    def _session(machine):
-        app = machine.hix_session(machine.hix_service, "parity-user")
+    def _charges(self, backend, batched, sizes, op):
+        machine = Machine(MachineConfig(backend=backend))
+        app = machine.secure_session(machine.boot_secure(), "parity-user")
         app.cuCtxCreate()
-        return app
-
-    def _charges(self, batched, sizes, op):
-        machine = Machine(MachineConfig())
-        machine.hix_service = machine.boot_hix()
-        app = self._session(machine)
         payloads = _chunks(sizes)
         ptrs = [app.cuMemAlloc(n) for n in sizes]
         if op == "d2h":
@@ -153,11 +169,12 @@ class TestBatchChargeParity:
                                        compute_seconds=hint)
         return machine.clock.elapsed_since(before).by_category
 
+    @pytest.mark.parametrize("backend", backend_names())
     @pytest.mark.parametrize("op", ["h2d", "d2h", "launch"])
-    def test_parity(self, op):
+    def test_parity(self, op, backend):
         sizes = [4096, 128, 65536, 1024]
-        scalar = self._charges(False, sizes, op)
-        batch = self._charges(True, sizes, op)
+        scalar = self._charges(backend, False, sizes, op)
+        batch = self._charges(backend, True, sizes, op)
         for category in PARITY_CATEGORIES:
             assert batch.get(category, 0.0) \
                 == pytest.approx(scalar.get(category, 0.0),

@@ -3,10 +3,13 @@
 The PR that extracted :mod:`repro.backends` out of the HIX stack came
 with a promise: the HIX backend behind the new seam is *bit-identical*
 to the pre-refactor code.  ``golden/hix_prerefactor.json`` was captured
-on the commit before the refactor landed; these tests replay the exact
-capture recipe and compare with ``==`` on every float — any drift in
-simulated time, per-request charges, or attack verdict strings is a
-behavioral regression, not noise.
+on the commit before the refactor landed, and
+``golden/gpucc_premerge.json`` on the commit before the two backends'
+runtimes merged into one sealed client and one service loop.  These
+tests replay the exact capture recipe per backend and compare with
+``==`` on every float — any drift in simulated time, per-request
+charges, or attack verdict strings is a behavioral regression, not
+noise.
 
 The rest of the file pins the seam itself: the request-timing memo's
 session-config token must change when the backend changes (a GPU-CC
@@ -18,6 +21,8 @@ the designs disagree (timing) while agreeing on the contract surface.
 import json
 import pathlib
 
+import pytest
+
 from repro.backends import backend_names, get_backend
 from repro.evalkit.harness import run_single
 from repro.evalkit.security import run_attack_matrix
@@ -27,14 +32,20 @@ from repro.serve.jobs import submit_workload
 from repro.system import Machine, MachineConfig
 from repro.workloads import MatrixAdd
 
-GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / \
-    "hix_prerefactor.json"
-GOLDEN = json.loads(GOLDEN_PATH.read_text())
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+GOLDENS = {"hix": "hix_prerefactor.json", "gpucc": "gpucc_premerge.json"}
 
 
-def _serve_capture():
-    """The exact serve recipe the golden file was captured with."""
-    machine = Machine(MachineConfig(data_inflation=4096.0))
+@pytest.fixture(params=sorted(GOLDENS))
+def backend_golden(request):
+    backend = request.param
+    return backend, json.loads(
+        (GOLDEN_DIR / GOLDENS[backend]).read_text())
+
+
+def _serve_capture(backend):
+    """The exact serve recipe the golden files were captured with."""
+    machine = Machine(MachineConfig(data_inflation=4096.0, backend=backend))
     engine = ServeEngine(machine, scheduler="fair", max_tenants=2,
                          default_quota=SWEEP_QUOTA, fast_path=True)
     workload = MatrixAdd(2048)
@@ -61,25 +72,28 @@ def _serve_capture():
 
 
 class TestHixBitIdenticalToPreRefactor:
-    def test_run_single_timing(self):
-        golden = GOLDEN["run_single:matrix-add-2048:256.0"]
-        result = run_single(MatrixAdd(2048), "hix", 256.0)
+    def test_run_single_timing(self, backend_golden):
+        backend, goldens = backend_golden
+        golden = goldens["run_single:matrix-add-2048:256.0"]
+        result = run_single(MatrixAdd(2048), backend, 256.0)
         assert result.seconds == golden["seconds"]
         assert dict(sorted(result.breakdown.items())) == \
             golden["breakdown"]
 
-    def test_serve_report_and_per_request_charges(self):
-        golden = GOLDEN["serve:matrix-add-2048:4096:2u"]
-        capture = _serve_capture()
+    def test_serve_report_and_per_request_charges(self, backend_golden):
+        backend, goldens = backend_golden
+        golden = goldens["serve:matrix-add-2048:4096:2u"]
+        capture = _serve_capture(backend)
         assert capture["makespan"] == golden["makespan"]
         assert capture["context_switches"] == golden["context_switches"]
         assert capture["gpu_utilization"] == golden["gpu_utilization"]
         assert capture["tenants"] == golden["tenants"]
         assert capture["requests"] == golden["requests"]
 
-    def test_attack_matrix_verdict_strings(self):
-        golden = GOLDEN["attack_matrix"]
-        results = run_attack_matrix("hix")
+    def test_attack_matrix_verdict_strings(self, backend_golden):
+        backend, goldens = backend_golden
+        golden = goldens["attack_matrix"]
+        results = run_attack_matrix(backend)
         captured = [{"attack_id": r.attack_id, "name": r.name,
                      "baseline": r.baseline, "hix": r.hix,
                      "defended": r.defended} for r in results]
@@ -133,6 +147,24 @@ class TestBackendContractSurface:
         gpucc = run_single(MatrixAdd(2048), "gpucc", 256.0)
         assert hix.seconds != gpucc.seconds
         assert "session_setup" in hix.breakdown
+
+    def test_one_client_for_every_backend(self):
+        """Every backend's session class resolves each public ``cu*``
+        method to the same function: the sealed client exists once."""
+        methods = {}
+        for backend in backend_names():
+            machine = Machine(MachineConfig(backend=backend))
+            api_cls = type(machine.secure_session(machine.boot_secure(),
+                                                  name="probe"))
+            methods[backend] = {name: getattr(api_cls, name)
+                                for name in dir(api_cls)
+                                if name.startswith("cu")}
+        reference = methods[backend_names()[0]]
+        assert reference
+        for backend, found in methods.items():
+            assert found.keys() == reference.keys(), backend
+            for name, method in found.items():
+                assert method is reference[name], (backend, name)
 
     def test_machine_dispatches_by_config(self):
         for backend in ("hix", "gpucc"):

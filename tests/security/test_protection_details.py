@@ -178,17 +178,22 @@ class TestTerminationDetails:
         with pytest.raises(TlbValidationError):
             machine.make_gdev()
 
-    def test_cold_boot_resets_gpu_data(self):
-        machine = Machine(MachineConfig())
-        service = machine.boot_hix()
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_cold_boot_resets_gpu_data(self, index):
+        machine = Machine(MachineConfig(num_gpus=2))
+        gpu = machine.gpus[index]
+        service = machine.boot_hix(device=gpu)
         app = machine.hix_session(service).cuCtxCreate()
         buf = app.cuMemAlloc(4096)
         app.cuMemcpyHtoD(buf, b"\x5A" * 4096)
         machine.adversary().kill_process(service.process)
         machine.cold_boot()
-        # After the power cycle the data is gone and the GPU usable again.
-        assert machine.gpu.vram.read(0, 1 << 16).count(0x5A) == 0
-        service2 = machine.boot_hix()
+        # After the power cycle — which reaches every device, not just
+        # the first — the data and the session's context are gone and
+        # the GPU is usable again.
+        assert gpu.vram.read(0, 1 << 16).count(0x5A) == 0
+        assert not gpu.contexts
+        service2 = machine.boot_hix(device=gpu)
         assert service2.alive
 
 

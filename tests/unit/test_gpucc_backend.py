@@ -115,16 +115,17 @@ class TestCcFirewallAndReset:
         # untrusted but still drives the device.
         gpu.bar_read(0, 0, 4)
 
-    def test_cc_mode_sticky_across_reset_dropped_by_cold_boot(self):
-        machine = _gpucc_machine()
-        machine.boot_gpucc()
-        gpu = machine.gpu
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_cc_mode_sticky_across_reset_dropped_by_cold_boot(self, index):
+        machine = Machine(MachineConfig(backend="gpucc", num_gpus=2))
+        gpu = machine.gpus[index]
+        machine.boot_gpucc(device=gpu)
         assert gpu.cc_mode
         assert gpu.reset_count >= 1   # boot resets after enabling CC
         gpu.reset()
         assert gpu.cc_mode
         machine.cold_boot()
-        assert not machine.gpu.cc_mode
+        assert not gpu.cc_mode
 
     def test_reset_scrubs_vram_and_drops_contexts(self):
         machine = _gpucc_machine()
@@ -146,7 +147,7 @@ class TestEngineSessionLifecycle:
         service = machine.boot_gpucc()
         engine = service.engine
         with pytest.raises(ProtocolError):
-            engine.open_request(999, b"blob")
+            engine.session_crypto(999)
         with pytest.raises(ProtocolError):
             engine.register(999)
 

@@ -10,9 +10,8 @@ serving overhead rather than AEAD throughput (which
 
 import pytest
 
-from repro.core.multiuser import Segment
+from repro.core.multiuser import Segment, simulate_concurrent
 from repro.serve.scheduler import DeficitFairScheduler, FifoScheduler
-from repro.serve.timeline import schedule_segments
 
 INFLATION = 8192.0
 
@@ -28,7 +27,7 @@ def _users(num_users: int, phases: int = 50):
 @pytest.mark.benchmark(group="serve")
 def test_perf_multiplex_core_fifo(benchmark):
     users = _users(8)
-    benchmark(schedule_segments, users, FifoScheduler(), 120e-6)
+    benchmark(simulate_concurrent, users, 120e-6, FifoScheduler())
 
 
 @pytest.mark.benchmark(group="serve")
@@ -37,7 +36,7 @@ def test_perf_multiplex_core_fair(benchmark):
 
     def run():
         scheduler = DeficitFairScheduler(600e-6)
-        return schedule_segments(users, scheduler, 120e-6)
+        return simulate_concurrent(users, 120e-6, scheduler)
 
     benchmark(run)
 

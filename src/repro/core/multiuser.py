@@ -17,11 +17,11 @@ phase profile into segments via the cost model and reads off makespans.
 Since the timing-layer unification this module is a thin adapter over
 the shared discrete-event kernel (:mod:`repro.sim.engine`): each user
 becomes a kernel lane of single-segment work units and the GPU is the
-kernel's exclusive :class:`~repro.sim.engine.Resource` under native
-FIFO arbitration.  The pre-kernel heapq implementation lives on as the
-reference oracle in ``tests/property/oracles.py``, and the property
-suite pins this adapter to it exactly — makespan, per-user timelines,
-and stats — on arbitrary tie-heavy inputs.
+kernel's exclusive :class:`~repro.sim.engine.Resource`.  The pre-kernel
+heapq implementation lives on as the reference oracle in
+``tests/property/oracles.py``, and the property suite pins this adapter
+to it exactly — makespan, per-user timelines, and stats — on arbitrary
+tie-heavy inputs.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.sim.engine import TenantLane, WorkUnit, run_lanes
+from repro.sim.engine import LaneTimeline, TenantLane, WorkUnit, run_lanes
 
 
 @dataclass(frozen=True)
@@ -47,40 +47,36 @@ class Segment:
             raise ValueError("segment duration must be non-negative")
 
 
-@dataclass
-class UserTimeline:
-    """Per-user result of the simulation."""
-
-    finish_time: float
-    gpu_busy: float
-    host_busy: float
-    waits: float
+def segments_to_units(segments: Sequence[Segment]) -> List[WorkUnit]:
+    """One work unit per segment (no merging, exact ordering)."""
+    return [WorkUnit(segment.duration, None, segment.label)
+            if segment.kind == "host"
+            else WorkUnit(0.0, segment.duration, segment.label)
+            for segment in segments]
 
 
 def simulate_concurrent(users: Sequence[Sequence[Segment]],
-                        ctx_switch_cost: float
-                        ) -> Tuple[float, List[UserTimeline], Dict[str, float]]:
+                        ctx_switch_cost: float, scheduler=None,
+                        ) -> Tuple[float, List[LaneTimeline],
+                                   Dict[str, float]]:
     """Simulate *users* sharing one GPU; returns (makespan, per-user, stats).
 
     Host segments of different users overlap fully (each user has a CPU
     core — the testbed is 4C/8T for at most 4 users).  GPU segments
-    queue FIFO on the engine; a context switch is charged whenever the
+    queue FIFO on the engine, or in the order a serving-layer
+    *scheduler* picks; a context switch is charged whenever the
     engine's resident context changes (including the first occupancy of
     a previously-used engine, matching Fermi's save/restore behaviour
     between non-empty contexts).
 
-    Executes on the shared kernel (:func:`repro.sim.engine.run_lanes`)
-    with one single-segment lane per user and the kernel's native FIFO
-    arbitration; results are pinned exactly — ties included — to the
-    retired heapq oracle by the property suite.
+    Executes on the shared kernel (:func:`repro.sim.engine.run_lanes`);
+    native FIFO and ``FifoScheduler`` are both pinned exactly — ties
+    included — to the retired heapq oracle by the property suite.
     """
-    lanes = [TenantLane(units=[
-        WorkUnit(seg.duration, None, seg.label) if seg.kind == "host"
-        else WorkUnit(0.0, seg.duration, seg.label)
-        for seg in segments], max_inflight=1) for segments in users]
-    result = run_lanes(lanes, None, ctx_switch_cost)
-    timelines = [UserTimeline(t.finish_time, t.gpu_busy, t.host_busy, t.waits)
-                 for t in result.timelines]
+    lanes = [TenantLane(units=segments_to_units(segments), max_inflight=1)
+             for segments in users]
+    result = run_lanes(lanes, scheduler, ctx_switch_cost)
+    timelines = result.timelines
     stats = {
         "context_switches": float(result.context_switches),
         "gpu_utilization": (sum(t.gpu_busy for t in timelines)

@@ -28,7 +28,6 @@ from repro.evalkit.harness import (
 from repro.serve import ServeEngine, ServeReport, TenantQuota
 from repro.serve.jobs import submit_workload
 from repro.serve.scheduler import DeficitFairScheduler, Scheduler
-from repro.serve.timeline import schedule_segments
 from repro.sim.costs import CostModel
 from repro.system import Machine, MachineConfig
 from repro.workloads.base import Workload
@@ -163,8 +162,8 @@ def fair_crosscheck(workload: Workload, num_users: int,
 
     Feeds the *same* per-user segment lists (from
     :func:`~repro.evalkit.harness.user_segments`) to
-    ``simulate_concurrent`` and to the scheduler-driven timeline with
-    the calibrated fair quantum.  On these workload-shaped inputs the
+    ``simulate_concurrent`` twice: native FIFO, and the DRR scheduler
+    with the calibrated fair quantum.  On these workload-shaped inputs the
     DRR makespan tracks the oracle within a small relative tolerance
     (exactly on single-visit and FIFO-equivalent inputs — see the
     property suite).
@@ -175,8 +174,8 @@ def fair_crosscheck(workload: Workload, num_users: int,
     oracle_makespan, _, oracle_stats = simulate_concurrent(
         users, costs.gpu_context_switch)
     fair = DeficitFairScheduler(costs.serve_fair_quantum)
-    fair_makespan, _, fair_stats = schedule_segments(
-        users, fair, costs.gpu_context_switch)
+    fair_makespan, _, fair_stats = simulate_concurrent(
+        users, costs.gpu_context_switch, fair)
     return CrosscheckResult(
         workload=workload.name,
         num_users=num_users,

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.core.multiuser import segments_to_units
 from repro.sim.costs import CostModel
 from repro.sim.engine import TenantLane, WorkUnit
 from repro.workloads.base import Workload
@@ -77,7 +78,6 @@ class LiteProfile:
         # __init__ — a module-level import would tie the two packages'
         # import orders together for no benefit.
         from repro.evalkit.harness import GDEV, HIX, user_segments
-        from repro.serve.timeline import segments_to_units
         costs = costs or CostModel()
         mode_name = {"hix": HIX, "gdev": GDEV}.get(mode, mode)
         segments = user_segments(workload, costs, mode_name)

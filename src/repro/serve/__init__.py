@@ -9,10 +9,9 @@ multi-tenant server driven through the existing sealed protocol:
   backpressure and timeout semantics;
 * :mod:`~repro.serve.scheduler` — pluggable GPU-engine arbitration
   (FIFO, round-robin, deficit-weighted fair);
-* :mod:`~repro.serve.timeline` — the virtual-time multiplexing core,
-  FIFO-equivalent to the analytic ``multiuser.simulate_concurrent``;
-* :mod:`~repro.serve.engine` — the driver loop that executes real
-  sealed requests for N tenants and schedules them on one device;
+* :mod:`~repro.serve.engine` — the per-tenant request state machine
+  that executes real sealed requests for N tenants and schedules them
+  on one device (the shared kernel in :mod:`repro.sim.engine`);
 * :mod:`~repro.serve.jobs` — workloads decomposed into request streams.
 """
 
@@ -39,13 +38,7 @@ from repro.serve.scheduler import (
     make_scheduler,
 )
 from repro.serve.session import SessionTable, TenantQuota, TenantRecord
-from repro.serve.timeline import (
-    MultiplexResult,
-    TenantLane,
-    WorkUnit,
-    multiplex,
-    schedule_segments,
-)
+from repro.sim.engine import TenantLane, WorkUnit
 
 __all__ = [
     "GPU_ENGINE_CATEGORIES",
@@ -68,9 +61,6 @@ __all__ = [
     "SessionTable",
     "TenantQuota",
     "TenantRecord",
-    "MultiplexResult",
     "TenantLane",
     "WorkUnit",
-    "multiplex",
-    "schedule_segments",
 ]

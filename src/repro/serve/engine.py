@@ -17,8 +17,10 @@ bounded request queue.  The engine then runs every tenant as a real
   per-request recording listener (so the measurement is independent of
   the clock's absolute accumulator state — see :class:`_ChargeRecorder`)
   and split into GPU-engine-exclusive seconds (compute, dispatch,
-  in-GPU crypto) vs overlappable host seconds using
-  :meth:`TimeBreakdown.split`.
+  in-GPU crypto) vs overlappable host seconds.
+
+* **Each tenant is one request state machine** (:class:`_TenantStream`):
+  one named step per concern, one code path per request outcome.
 
 * **The engine is the kernel's exclusive Resource.**  Host work of
   different tenants overlaps, GPU visits serialize under the
@@ -57,6 +59,8 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
+    Tuple,
     Union,
 )
 
@@ -65,8 +69,6 @@ from repro.errors import (
     CryptoError,
     DriverError,
     GpuAlreadyOwned,
-    QueueFullError,
-    RequestRejected,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs.audit import audit_log
@@ -118,7 +120,6 @@ from repro.serve.resilience import (
 from repro.serve.scheduler import FifoScheduler, Scheduler, make_scheduler
 from repro.serve.session import SessionTable, TenantQuota, TenantRecord
 from repro.sim.engine import EventClock, LaneRun, TenantLane, WorkUnit
-from repro.sim.clock import TimeBreakdown
 from repro.sim.trace import TraceEvent
 
 #: Clock categories that occupy the GPU execution engine exclusively.
@@ -133,6 +134,26 @@ GPU_ENGINE_CATEGORIES = frozenset({"gpu_compute", "gpu_dispatch",
 #: injected faults against these records).
 SECURITY_FAILURE_KINDS = frozenset({KIND_CRYPTO, KIND_DEVICE_LOST,
                                     KIND_REJECTED, "driver"})
+
+#: Depth of each tenant's sealed channel message queue.  The memo token
+#: includes it (a request's timing depends on it), and the
+#: ``queue_full`` retry-after hint scales with it.
+CHANNEL_QUEUE_DEPTH = 4
+
+#: The telemetry series each settled outcome marks, in order.  Served
+#: requests also observe their completion latency.
+OUTCOME_SERIES = {
+    SERVED: (good_series,),
+    TIMEOUT: (bad_series, timeout_series),
+    FAILED: (bad_series,),
+    DENIED: (shed_series,),
+    BACKPRESSURE: (shed_series,),
+    SHED: (shed_series,),
+}
+
+#: Outcome of an execution that raised, by failure kind: a quota denial
+#: and channel backlog are load shedding, everything else a failure.
+_FAILURE_OUTCOMES = {KIND_QUOTA: DENIED, KIND_QUEUE_FULL: BACKPRESSURE}
 
 _UNSET = object()
 
@@ -155,16 +176,24 @@ class _ChargeRecorder:
     would leak the interleaving into the last ulp of the host split.
     """
 
-    __slots__ = ("total", "by_category")
+    __slots__ = ("total", "by_category", "_clock")
 
     #: The one category whose charges depend on cross-tenant production
     #: order.  The virtual schedule charges switches itself, from the
     #: owner changes it actually decides, so measurements drop them.
     EXCLUDED = frozenset({"gpu_ctx_switch"})
 
-    def __init__(self) -> None:
+    def __init__(self, clock) -> None:
+        self._clock = clock
         self.total = 0.0
         self.by_category: Dict[str, float] = {}
+
+    def __enter__(self) -> "_ChargeRecorder":
+        self._clock.add_listener(self)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._clock.remove_listener(self)
 
     def __call__(self, start: float, seconds: float, category: str) -> None:
         if category in self.EXCLUDED:
@@ -173,8 +202,19 @@ class _ChargeRecorder:
         self.by_category[category] = (
             self.by_category.get(category, 0.0) + seconds)
 
-    def breakdown(self) -> TimeBreakdown:
-        return TimeBreakdown(self.total, self.by_category)
+    def split(self, crypto_eff: float) -> Tuple[float, float]:
+        """The measured charge as ``(host_seconds, gpu_engine_seconds)``.
+
+        In-GPU crypto is derated by *crypto_eff* under concurrent
+        service (see the module docstring).
+        """
+        gpu = sum(seconds for category, seconds in self.by_category.items()
+                  if category in GPU_ENGINE_CATEGORIES)
+        host = self.total - gpu
+        if crypto_eff < 1.0:
+            crypto = self.by_category.get("crypto_gpu", 0.0)
+            gpu += crypto * (1.0 / crypto_eff - 1.0)
+        return max(host, 0.0), max(gpu, 0.0)
 
 
 class _GuardedApi:
@@ -209,6 +249,13 @@ class _GuardedApi:
         token = self._handles.pop(dptr.addr, None)
         if token is not None:
             self._table.release_memory(self._record, token)
+
+    def release_allocations(self) -> None:
+        """Release the quota charges of every live allocation: they died
+        with the session's enclave context (destroyed with cleanse)."""
+        for token in self._handles.values():
+            self._table.release_memory(self._record, token)
+        self._handles.clear()
 
     def __getattr__(self, name: str):
         return getattr(self._api, name)
@@ -292,6 +339,440 @@ class TenantClient:
         return counts
 
 
+class _TenantStream:
+    """One tenant's request state machine, pulled by its kernel lane.
+
+    :meth:`run` is the lane's unit stream.  Each ``next()`` happens
+    inside a kernel event at the tenant's virtual production time, so
+    real sealed requests of different tenants interleave on the shared
+    machine in the order a real serving loop would admit them.  Each
+    concern is one step; a step that charges time yields its units
+    (``yield from``) in production order:
+
+    * :meth:`_admit` opens a context under quota or denies the queue;
+    * :meth:`_open_session` attests, exchanges keys, re-provisions;
+    * :meth:`_shed` drops a fresh request at an open breaker;
+    * :meth:`_replay` charges a memo hit, deferring it to :meth:`_flush`;
+    * :meth:`_execute` runs a request over the sealed path, measured;
+    * :meth:`_serve` settles a replayed or executed success;
+    * :meth:`_fail` settles a failure and retries it, backing off and
+      running :meth:`_recover` when the session was lost;
+    * :meth:`_teardown` destroys the context; :meth:`_hand_off` gives a
+      drained tenant's backlog to its migration target.
+    """
+
+    def __init__(self, engine: "ServeEngine", client: "TenantClient",
+                 crypto_eff: float) -> None:
+        self.engine = engine
+        self.client = client
+        self.crypto_eff = crypto_eff
+        self.kernel = engine._kernel
+        self.policy = engine._retry_policy
+        self.rng = (tenant_rng(engine._seed, client.name)
+                    if self.policy is not None else None)
+        self.breaker = (CircuitBreaker(engine._breaker_config)
+                        if engine._breaker_config is not None else None)
+        self.api: Optional[_GuardedApi] = None
+        #: Memo hits whose functional work awaits the next flush.
+        self.pending: List[ServeRequest] = []
+        #: Failed requests due another execution, ahead of the queue.
+        self.retries: Deque[ServeRequest] = deque()
+
+    def run(self) -> Iterator[WorkUnit]:
+        """The tenant's unit stream."""
+        client = self.client
+        if not self._admit():
+            return
+        yield from self._open_session()
+        while client.queue or self.retries or self.pending:
+            if client.drain_requested:
+                # Cooperative drain: stop pulling work; the hand-off
+                # below moves the rest of the backlog to another machine.
+                break
+            if not (client.queue or self.retries):
+                # Only deferred work is left; a group that fails its
+                # flush may still be owed retries.
+                self._flush()
+                continue
+            if self.retries:
+                # Retries re-execute over the real sealed path — never
+                # from the memo, whose entry may describe the dead
+                # session the first attempt failed against.
+                yield from self._execute(self.retries.popleft(), None)
+                continue
+            request = client.queue.pop()
+            if self.breaker is not None:
+                allowed, wait_hint = self.breaker.allow(self.kernel.now)
+                if not allowed:
+                    yield from self._shed(request, wait_hint)
+                    continue
+            memo_key = None
+            if self.engine._fast_path and request.memo_key is not None:
+                memo_key = (request.memo_key, request.extra_host_seconds)
+                cached = self.engine.memo.get(memo_key)
+                if cached is not None:
+                    yield from self._replay(request, *cached)
+                    continue
+            yield from self._execute(request, memo_key)
+        self._flush()
+        draining = client.drain_requested
+        yield from self._teardown(draining)
+        if draining:
+            self._hand_off()
+
+    # -- bookkeeping shared by the steps -------------------------------------
+
+    def _mark(self, outcome: str, amount: float = 1.0,
+              latency: Optional[float] = None) -> None:
+        """Count *amount* requests settling as *outcome* in telemetry."""
+        telemetry = self.engine.telemetry
+        if telemetry is None:
+            return
+        now = self.kernel.now
+        tenant = self.client.name
+        for series in OUTCOME_SERIES[outcome]:
+            telemetry.mark(series(tenant), now, amount)
+        if latency is not None:
+            telemetry.observe(latency_series(tenant), now, latency)
+
+    def _serial_unit(self, charged: _ChargeRecorder, label: str) -> WorkUnit:
+        """A measured region as serial host work: any engine seconds it
+        charged are folded in rather than scheduled."""
+        host, gpu = charged.split(self.crypto_eff)
+        return WorkUnit(host + gpu, None, label)
+
+    # -- steps ---------------------------------------------------------------
+
+    def _admit(self) -> bool:
+        """Open a context under the tenant's quota, or deny its queue."""
+        client = self.client
+        try:
+            self.engine.table.open_context(client.record)
+        except AdmissionError as exc:
+            client.admission_error = str(exc)
+            kind = classify_failure(exc)
+            denied = len(client.queue)
+            while client.queue:
+                request = client.queue.pop()
+                request.outcome = DENIED
+                request.error = str(exc)
+                request.error_kind = kind
+            if denied:
+                self._mark(DENIED, denied)
+            return False
+        return True
+
+    def _open_session(self) -> Iterator[WorkUnit]:
+        """Attestation, key exchange and context creation, measured."""
+        engine, client = self.engine, self.client
+        machine = engine.machine
+        with _ChargeRecorder(machine.clock) as charged:
+            api = machine.secure_session(
+                engine.service, name=client.name,
+                channel_queue_depth=CHANNEL_QUEUE_DEPTH)
+            with _span("serve.session-setup", "serve", tenant=client.name,
+                       backend=machine.config.backend):
+                api.cuCtxCreate()
+        yield self._serial_unit(charged, "session-setup")
+        # Published only now: faults read ``client.api`` at fault time.
+        self.api = client.api = _GuardedApi(api, engine.table, client.record,
+                                            engine._alloc_tokens)
+        if client.reprovision_on_start and client.on_recover is not None:
+            # Migrated-in session: device state stayed behind (cleansed)
+            # on the source machine, so the workload's recovery hook
+            # re-provisions it against the fresh session.
+            with _ChargeRecorder(machine.clock) as charged:
+                with _span("serve.session-reprovision", "serve",
+                           tenant=client.name):
+                    client.on_recover(self.api)
+            yield self._serial_unit(charged, "reprovision")
+
+    def _shed(self, request: ServeRequest,
+              wait_hint: float) -> Iterator[WorkUnit]:
+        """The open breaker drops a fresh request unexecuted."""
+        request.outcome = SHED
+        request.error = "circuit breaker open"
+        request.error_kind = KIND_CIRCUIT_OPEN
+        request.retry_after = (wait_hint if wait_hint > 0.0
+                               else self.engine._queue_retry_after(
+                                   self.client))
+        obs_metrics.registry().counter("serve.retry.shed").inc()
+        self._mark(SHED)
+        yield WorkUnit(0.0, None, request.label)
+
+    def _replay(self, request: ServeRequest, host: float,
+                gpu: float) -> Iterator[WorkUnit]:
+        """A memo hit: charge the cached split now, run it at the next
+        :meth:`_flush`."""
+        request.host_seconds = host
+        request.gpu_seconds = gpu
+        request.session_epoch = self.client.session_epoch
+        self.pending.append(request)
+        yield from self._serve(request)
+
+    def _execute(self, request: ServeRequest,
+                 memo_key: Any) -> Iterator[WorkUnit]:
+        """Run *request* over the real sealed path, measured from zero."""
+        engine = self.engine
+        clock = engine.machine.clock
+        self._flush()
+        request.attempts += 1
+        failure: Optional[BaseException] = None
+        with _ChargeRecorder(clock) as charged:
+            with _span("serve.request", "serve", tenant=self.client.name,
+                       request=request.label, seq=request.seq):
+                clock.advance(engine.machine.costs.serve_dispatch_latency,
+                              "serve_dispatch")
+                if request.extra_host_seconds > 0.0:
+                    clock.advance(request.extra_host_seconds, "launch")
+                try:
+                    request.result = request.fn(self.api)
+                except (DriverError, CryptoError) as exc:
+                    failure = exc
+        request.host_seconds, request.gpu_seconds = charged.split(
+            self.crypto_eff)
+        request.session_epoch = self.client.session_epoch
+        if failure is not None:
+            yield from self._fail(request, failure)
+            return
+        if memo_key is not None:
+            # Only successful runs are memoized: a failure's timing
+            # depends on where it failed, not on the request shape.
+            engine.memo.put(memo_key, request.host_seconds,
+                            request.gpu_seconds)
+        yield from self._serve(request)
+
+    def _serve(self, request: ServeRequest) -> Iterator[WorkUnit]:
+        """Settle a request whose (replayed or executed) run succeeded."""
+        client = self.client
+        host, gpu = request.host_seconds, request.gpu_seconds
+        client.served_seconds += host + gpu
+        client.served_count += 1
+        if self.breaker is not None:
+            self.breaker.record_success(self.kernel.now)
+        if gpu <= 0.0:
+            # Host-only request (malloc/free/module-load): served
+            # inline, never visits the engine queue.
+            request.outcome = SERVED
+            self._mark(SERVED, latency=host)
+            yield WorkUnit(host, None, request.label)
+            return
+        pulled_at, attempts = self.kernel.now, request.attempts
+
+        def settle(outcome: str) -> None:
+            if request.attempts != attempts:
+                return  # ran again since (deferred flush failed): stale
+            if outcome == "served":
+                request.outcome = SERVED
+                self._mark(SERVED, latency=self.kernel.now - pulled_at
+                           + request.gpu_seconds)
+            else:
+                request.outcome = TIMEOUT
+                request.error_kind = KIND_TIMEOUT
+                self._mark(TIMEOUT)
+
+        yield WorkUnit(host, gpu, request.label, deadline=request.timeout,
+                       on_outcome=settle)
+
+    def _fail(self, request: ServeRequest,
+              exc: BaseException) -> Iterator[WorkUnit]:
+        """Settle a failed execution; re-queue it if the policy retries."""
+        kind = classify_failure(exc)
+        request.outcome = _FAILURE_OUTCOMES.get(kind, FAILED)
+        request.error = str(exc)
+        request.error_kind = kind
+        if request.outcome == BACKPRESSURE:
+            request.retry_after = self.engine._queue_retry_after(self.client)
+        now = self.kernel.now
+        if self.breaker is not None:
+            if kind in BREAKER_KINDS:
+                self.breaker.record_failure(now)
+            else:
+                # A quota denial is policy, not backend health: no
+                # verdict, but a half-open probe slot is free again.
+                self.breaker.release_probe()
+        self._mark(request.outcome)
+        if kind in SECURITY_FAILURE_KINDS:
+            audit_log().record(
+                "serve.fault_detected", self.client.name, time=now,
+                ok=False, detail=f"{request.label}: {request.error}",
+                error_kind=kind)
+        # A failed request consumed host time only; any engine time it
+        # managed to charge is not scheduled.
+        yield WorkUnit(request.host_seconds + request.gpu_seconds, None,
+                       request.label)
+        policy = self.policy
+        if policy is None or not policy.retries(kind, request.attempts):
+            return
+        delay = policy.backoff(request.attempts, self.rng)
+        registry = obs_metrics.registry()
+        registry.counter("serve.retry.attempts").inc()
+        registry.histogram("serve.retry.backoff_seconds").observe(delay)
+        yield WorkUnit(delay, None, f"{request.label}:backoff", idle=True)
+        if kind in RECOVERY_KINDS:
+            yield from self._recover()
+        request.outcome = PENDING
+        self.retries.append(request)
+
+    def _recover(self) -> Iterator[WorkUnit]:
+        """Re-establish the session after enclave/session loss.
+
+        Runs the full trust path again — fresh user enclave, attestation
+        of the (possibly re-booted) GPU enclave, 3-party key exchange —
+        measured and charged to the tenant like any other work.  Device
+        state from the old session is gone (the enclave context was
+        destroyed with cleanse), so quota charges for old allocations
+        are released, the timing memo is invalidated (stale splits must
+        never replay against a fresh session), and the client's
+        ``on_recover`` hook re-provisions workload state.
+        """
+        engine, client = self.engine, self.client
+        machine = engine.machine
+        with _ChargeRecorder(machine.clock) as charged:
+            with _span("serve.session-recovery", "serve",
+                       tenant=client.name, backend=machine.config.backend):
+                if not engine.service.alive:
+                    engine._restore_service()
+                self.api.release_allocations()
+                api = machine.secure_session(
+                    engine.service, name=client.name,
+                    channel_queue_depth=CHANNEL_QUEUE_DEPTH)
+                api.cuCtxCreate()
+                self.api._api = api
+                client.session_epoch += 1
+                engine.memo.invalidate("session re-established after fault")
+                if client.on_recover is not None:
+                    client.on_recover(self.api)
+        obs_metrics.registry().counter("serve.retry.session_recoveries").inc()
+        audit_log().record(
+            "serve.session_recovered", client.name, time=self.kernel.now,
+            detail=f"session re-established at epoch "
+                   f"{client.session_epoch} (fresh attestation + key "
+                   f"exchange, memo invalidated)",
+            epoch=client.session_epoch)
+        yield self._serial_unit(charged, "session-recovery")
+
+    def _flush(self) -> None:
+        """Run the deferred functional work of memo-hit requests.
+
+        Real bytes still move through the sealed protocol — runs of
+        consecutive requests that share a ``batch_key`` coalesce
+        through the batch ops (one AEAD seal/open per fused frame) —
+        but the clock is suppressed: their virtual time was already
+        charged from the memo, bit-identically to the slow path.
+
+        A group whose deferred execution fails (a fault landed between
+        the charge and the flush) fails as one: each request counts an
+        attempt and, when the retry policy allows, is re-queued for a
+        full slow-path re-execution.
+        """
+        pending = self.pending
+        if not pending:
+            return
+        with self.engine.machine.clock.suppressed():
+            index = 0
+            while index < len(pending):
+                head = pending[index]
+                group = [head]
+                if head.batch_key is not None and head.batch_fn is not None:
+                    while (index + len(group) < len(pending)
+                           and pending[index + len(group)].batch_key
+                           == head.batch_key):
+                        group.append(pending[index + len(group)])
+                try:
+                    if len(group) > 1:
+                        head.batch_fn(self.api, group)
+                    else:
+                        head.result = head.fn(self.api)
+                except (DriverError, CryptoError) as exc:
+                    kind = classify_failure(exc)
+                    for request in group:
+                        request.attempts += 1
+                        request.outcome = FAILED
+                        request.error = str(exc)
+                        request.error_kind = kind
+                        if self.policy is not None and self.policy.retries(
+                                kind, request.attempts):
+                            self.retries.append(request)
+                    self._mark(FAILED, len(group))
+                    if kind in SECURITY_FAILURE_KINDS:
+                        audit_log().record(
+                            "serve.fault_detected", self.client.name,
+                            time=self.kernel.now, ok=False,
+                            detail=f"deferred flush failed: {exc}",
+                            error_kind=kind)
+                index += len(group)
+        pending.clear()
+
+    def _teardown(self, draining: bool) -> Iterator[WorkUnit]:
+        """Destroy the context with cleanse and close the session."""
+        engine, client = self.engine, self.client
+        with _ChargeRecorder(engine.machine.clock) as charged:
+            with _span("serve.teardown", "serve", tenant=client.name):
+                try:
+                    self.api.cuCtxDestroy()
+                except (DriverError, CryptoError):
+                    # The session/device died and no retry policy
+                    # resurrected it; quota bookkeeping still closes.
+                    pass
+                if draining:
+                    # The target re-provisions its own allocations.
+                    self.api.release_allocations()
+                engine.table.close_context(client.record)
+        # Session teardown is a memo-invalidation point.  Entries are
+        # only dropped once the *last* context closes — the splits stay
+        # valid between tenants of one run (they share the session
+        # configuration), but never outlive the sessions they were
+        # measured against.
+        if all(record.contexts_open == 0 for record in engine.table.tenants):
+            engine.memo.invalidate("all sessions closed")
+        audit_log().record(
+            "serve.session_closed", client.name, time=self.kernel.now,
+            detail="enclave context destroyed with cleanse"
+                   + (" (cooperative drain)" if draining else ""),
+            epoch=client.session_epoch, drained=draining)
+        yield self._serial_unit(charged, "teardown")
+
+    def _hand_off(self) -> None:
+        """Give the unexecuted backlog to the drain's migration target.
+
+        Runs at the pull after the teardown unit charged, so the
+        target's fresh session setup starts strictly after the source
+        session closed — sessions move between isolation domains only
+        via full re-establishment.
+        """
+        client = self.client
+        remaining: List[ServeRequest] = list(self.retries)
+        while client.queue:
+            remaining.append(client.queue.pop())
+        if remaining:
+            handed = set(map(id, remaining))
+            client.requests = [request for request in client.requests
+                               if id(request) not in handed]
+            for request in remaining:
+                request.outcome = MIGRATED
+                request.error = None
+                request.error_kind = None
+        client.migrated_away = len(remaining)
+        obs_metrics.registry().counter("serve.migrations.drained").inc()
+        if client.on_drained is not None:
+            client.on_drained(remaining)
+
+
+def _captured(units: Iterator[WorkUnit],
+              ledger: List[WorkUnit]) -> Iterator[WorkUnit]:
+    """Tee each unit's charge (not its callbacks) into *ledger*.
+
+    Replaying the ledger charges virtual time bit-identically without
+    touching any crypto state — the lite-session profile.
+    """
+    for unit in units:
+        ledger.append(WorkUnit(unit.host_seconds, unit.gpu_seconds,
+                               unit.label, deadline=unit.deadline,
+                               idle=unit.idle))
+        yield unit
+
+
 class ServeEngine:
     """Multi-tenant serving loop over one GPU enclave."""
 
@@ -300,7 +781,6 @@ class ServeEngine:
                  max_tenants: int = 8,
                  default_quota: Optional[TenantQuota] = None,
                  crypto_efficiency: Optional[float] = None,
-                 channel_queue_depth: int = 4,
                  fast_path: bool = True,
                  retry_policy: Optional[RetryPolicy] = None,
                  breaker: Optional[BreakerConfig] = None,
@@ -318,7 +798,6 @@ class ServeEngine:
         self._clients: List[TenantClient] = []
         self._alloc_tokens = itertools.count(1)
         self._crypto_efficiency = crypto_efficiency
-        self._channel_queue_depth = channel_queue_depth
         self._fast_path = fast_path
         #: Resilience knobs (repro.serve.resilience); both default off,
         #: in which case failures are terminal exactly as before.
@@ -340,6 +819,7 @@ class ServeEngine:
         # runs hold several engines open across one kernel drain).
         self._lane_run: Optional[LaneRun] = None
         self._lane_names: List[str] = []
+        self._lane_name_set: Set[str] = set()
         self._lane_clients: List[Optional[TenantClient]] = []
         self._crypto_eff = 1.0
         #: Timing memo for the fast path; shared across tenants of one
@@ -348,11 +828,9 @@ class ServeEngine:
 
     def _memo_token(self, crypto_eff: float):
         """Everything that parameterizes what an identical request charges."""
-        config = getattr(self._machine, "config", None)
-        return (getattr(config, "backend", "hix"),
-                getattr(config, "suite_name", None),
-                getattr(config, "data_inflation", None),
-                self._channel_queue_depth, crypto_eff,
+        config = self._machine.config
+        return (config.backend, config.suite_name, config.data_inflation,
+                CHANNEL_QUEUE_DEPTH, crypto_eff,
                 costs_fingerprint(self._machine.costs))
 
     @property
@@ -384,8 +862,6 @@ class ServeEngine:
         self._clients.append(client)
         return client
 
-    # -- measurement -------------------------------------------------------
-
     def _resolve_crypto_efficiency(self) -> float:
         if self._crypto_efficiency is not None:
             return self._crypto_efficiency
@@ -393,20 +869,6 @@ class ServeEngine:
             return self._machine.backend.multiuser_efficiency(
                 self._machine.costs)
         return 1.0
-
-    def _split(self, elapsed: TimeBreakdown, crypto_eff: float):
-        """Measured charge -> (host_seconds, gpu_engine_seconds).
-
-        The production order's incidental ``gpu_ctx_switch`` charges are
-        dropped entirely: the virtual schedule charges switches itself,
-        from the owner changes it actually decides.
-        """
-        gpu, host = elapsed.split(GPU_ENGINE_CATEGORIES)
-        host -= elapsed.by_category.get("gpu_ctx_switch", 0.0)
-        if crypto_eff < 1.0:
-            crypto = elapsed.by_category.get("crypto_gpu", 0.0)
-            gpu += crypto * (1.0 / crypto_eff - 1.0)
-        return max(host, 0.0), max(gpu, 0.0)
 
     # -- resilience --------------------------------------------------------
 
@@ -423,7 +885,7 @@ class ServeEngine:
             per_request = client.served_seconds / client.served_count
         else:
             per_request = self._machine.costs.serve_dispatch_latency
-        return per_request * self._channel_queue_depth
+        return per_request * CHANNEL_QUEUE_DEPTH
 
     def _restore_service(self) -> None:
         """Bring back a dead GPU enclave service.
@@ -441,478 +903,38 @@ class ServeEngine:
             self._service = machine.boot_secure()
         obs_metrics.registry().counter("serve.retry.service_restores").inc()
         audit_log().record(
-            "serve.service_restored", "machine",
-            time=self._kernel.now if self._kernel is not None else 0.0,
+            "serve.service_restored", "machine", time=self._kernel.now,
             detail="GPU service re-established after device loss "
                    "(cold boot when GECS stayed bound)",
-            backend=getattr(getattr(machine, "config", None),
-                            "backend", "hix"))
+            backend=machine.config.backend)
 
-    def _recover_session(self, client: TenantClient, guarded: "_GuardedApi",
-                         crypto_eff: float) -> Iterator[WorkUnit]:
-        """Re-establish *client*'s session after enclave/session loss.
+    # -- lanes -------------------------------------------------------------
 
-        Runs the full trust path again — fresh user enclave, attestation
-        of the (possibly re-booted) GPU enclave, 3-party key exchange —
-        measured and charged to the tenant like any other work.  Device
-        state from the old session is gone (the enclave context was
-        destroyed with cleanse), so quota charges for old allocations
-        are released, the timing memo is invalidated (stale splits must
-        never replay against a fresh session), and the client's
-        ``on_recover`` hook re-provisions workload state.
-        """
-        machine = self._machine
-        clock = machine.clock
-        recorder = _ChargeRecorder()
-        clock.add_listener(recorder)
-        try:
-            with _span("serve.session-recovery", "serve",
-                       tenant=client.name,
-                       backend=getattr(machine.config, "backend", "hix")):
-                if not self._service.alive:
-                    self._restore_service()
-                for token in list(guarded._handles.values()):
-                    self.table.release_memory(client.record, token)
-                guarded._handles.clear()
-                api = machine.secure_session(
-                    self._service, name=client.name,
-                    channel_queue_depth=self._channel_queue_depth)
-                api.cuCtxCreate()
-                guarded._api = api
-                client.session_epoch += 1
-                self.memo.invalidate("session re-established after fault")
-                if client.on_recover is not None:
-                    client.on_recover(guarded)
-        finally:
-            clock.remove_listener(recorder)
-        obs_metrics.registry().counter("serve.retry.session_recoveries").inc()
-        audit_log().record(
-            "serve.session_recovered", client.name,
-            time=self._kernel.now if self._kernel is not None else 0.0,
-            detail=f"session re-established at epoch "
-                   f"{client.session_epoch} (fresh attestation + key "
-                   f"exchange, memo invalidated)",
-            epoch=client.session_epoch)
-        host, gpu = self._split(recorder.breakdown(), crypto_eff)
-        yield WorkUnit(host + gpu, None, "session-recovery")
-
-    # -- execution ---------------------------------------------------------
-
-    def _unit_stream(self, client: TenantClient,
-                     crypto_eff: float) -> Iterator[WorkUnit]:
-        """The tenant's behaviour: pulled by its kernel process.
-
-        Each ``next()`` happens inside a kernel event, at the tenant's
-        virtual production time — so real sealed requests of different
-        tenants interleave on the shared machine in the same order a
-        real serving loop would admit them, and admission errors,
-        backpressure, and timeout settlement all land in virtual time.
-        """
-        machine = self._machine
-        clock = machine.clock
-        costs = machine.costs
-        policy = self._retry_policy
-        rng = (tenant_rng(self._seed, client.name)
-               if policy is not None else None)
-        breaker = (CircuitBreaker(self._breaker_config)
-                   if self._breaker_config is not None else None)
-        registry = obs_metrics.registry()
-        telemetry = self.telemetry
-        audit = audit_log()
-        tenant = client.name
-
-        def vnow() -> float:
-            return self._kernel.now if self._kernel is not None else 0.0
-
+    def _client_lane(self, client: TenantClient) -> TenantLane:
+        """*client*'s kernel lane, named uniquely in this run."""
+        units = _TenantStream(self, client, self._crypto_eff).run()
         if self.capture_units:
             client.captured_units = []
-        capture = client.captured_units
+            units = _captured(units, client.captured_units)
+        quota = client.record.quota
+        return self._named_lane(
+            TenantLane(units=units, weight=quota.weight,
+                       max_inflight=quota.max_inflight, name=client.name),
+            client)
 
-        def emit(unit: WorkUnit) -> WorkUnit:
-            # Tee the charge (not the callbacks) into the lite-session
-            # capture ledger: replaying these units charges virtual time
-            # bit-identically without touching any crypto state.
-            if capture is not None:
-                capture.append(WorkUnit(unit.host_seconds, unit.gpu_seconds,
-                                        unit.label, deadline=unit.deadline,
-                                        idle=unit.idle))
-            return unit
-
-        try:
-            self.table.open_context(client.record)
-        except AdmissionError as exc:
-            client.admission_error = str(exc)
-            denied = 0
-            while client.queue:
-                request = client.queue.pop()
-                request.outcome = DENIED
-                request.error = str(exc)
-                request.error_kind = KIND_QUOTA
-                denied += 1
-            if telemetry is not None and denied:
-                telemetry.mark(shed_series(tenant), vnow(), denied)
-            return
-
-        recorder = _ChargeRecorder()
-        clock.add_listener(recorder)
-        try:
-            api = machine.secure_session(
-                self._service, name=client.name,
-                channel_queue_depth=self._channel_queue_depth)
-            with _span("serve.session-setup", "serve", tenant=client.name,
-                       backend=getattr(machine.config, "backend", "hix")):
-                api.cuCtxCreate()
-        finally:
-            clock.remove_listener(recorder)
-        host, gpu = self._split(recorder.breakdown(), crypto_eff)
-        # Session setup is serial host work (attestation + DH); any
-        # engine seconds it charged are folded in rather than scheduled.
-        yield emit(WorkUnit(host + gpu, None, "session-setup"))
-
-        guarded = _GuardedApi(api, self.table, client.record,
-                              self._alloc_tokens)
-        client.api = guarded
-
-        if client.reprovision_on_start and client.on_recover is not None:
-            # Migrated-in session: device state stayed behind (cleansed)
-            # on the source machine, so the workload's recovery hook
-            # re-provisions it against the fresh session — measured and
-            # charged like any other work.
-            recorder = _ChargeRecorder()
-            clock.add_listener(recorder)
-            try:
-                with _span("serve.session-reprovision", "serve",
-                           tenant=client.name):
-                    client.on_recover(guarded)
-            finally:
-                clock.remove_listener(recorder)
-            host, gpu = self._split(recorder.breakdown(), crypto_eff)
-            yield emit(WorkUnit(host + gpu, None, "reprovision"))
-
-        fast = self._fast_path
-        pending: List[ServeRequest] = []
-        retry_backlog: Deque[ServeRequest] = deque()
-
-        def flush_pending() -> None:
-            """Run the deferred functional work of memo-hit requests.
-
-            Real bytes still move through the sealed protocol — runs of
-            consecutive requests that share a ``batch_key`` coalesce
-            through the batch ops (one AEAD seal/open per fused frame)
-            — but the clock is suppressed: their virtual time was
-            already charged from the memo, bit-identically to the slow
-            path.
-
-            A group whose deferred execution fails (a fault landed
-            between the charge and the flush) is terminal when no retry
-            policy is configured; with one, each retryable request is
-            re-queued for a full slow-path re-execution.
-            """
-            if not pending:
-                return
-            with clock.suppressed():
-                index = 0
-                while index < len(pending):
-                    head = pending[index]
-                    group = [head]
-                    if head.batch_key is not None and head.batch_fn is not None:
-                        while (index + len(group) < len(pending)
-                               and pending[index + len(group)].batch_key
-                               == head.batch_key):
-                            group.append(pending[index + len(group)])
-                    try:
-                        if len(group) > 1:
-                            head.batch_fn(guarded, group)
-                        else:
-                            head.result = head.fn(guarded)
-                    except (AdmissionError, QueueFullError,
-                            RequestRejected, DriverError,
-                            CryptoError) as exc:
-                        kind = classify_failure(exc)
-                        for deferred in group:
-                            deferred.attempts += 1
-                            deferred.outcome = FAILED
-                            deferred.error = str(exc)
-                            deferred.error_kind = kind
-                            if (policy is not None
-                                    and policy.retries(kind,
-                                                       deferred.attempts)):
-                                deferred.retrying = True
-                                retry_backlog.append(deferred)
-                        if telemetry is not None:
-                            telemetry.mark(bad_series(tenant), vnow(),
-                                           len(group))
-                        if kind in SECURITY_FAILURE_KINDS:
-                            audit.record(
-                                "serve.fault_detected", tenant,
-                                time=vnow(), ok=False,
-                                detail=f"deferred flush failed: {exc}",
-                                error_kind=kind)
-                    else:
-                        for deferred in group:
-                            deferred.session_epoch = client.session_epoch
-                    index += len(group)
-            pending.clear()
-
-        while client.queue or retry_backlog:
-            if client.drain_requested:
-                # Cooperative drain: stop pulling work, flush what was
-                # already charged, and let the handoff below move the
-                # rest of the backlog to another machine.
-                break
-            if retry_backlog:
-                # Retries re-execute over the real sealed path — never
-                # from the memo, whose entry may describe the dead
-                # session the first attempt failed against.
-                request = retry_backlog.popleft()
-                is_retry = True
-            else:
-                request = client.queue.pop()
-                is_retry = False
-            if breaker is not None and not is_retry:
-                allowed, wait_hint = breaker.allow(
-                    self._kernel.now if self._kernel is not None else 0.0)
-                if not allowed:
-                    request.outcome = SHED
-                    request.error = "circuit breaker open"
-                    request.error_kind = KIND_CIRCUIT_OPEN
-                    request.retry_after = (wait_hint if wait_hint > 0.0
-                                           else self._queue_retry_after(
-                                               client))
-                    registry.counter("serve.retry.shed").inc()
-                    if telemetry is not None:
-                        telemetry.mark(shed_series(tenant), vnow())
-                    yield emit(WorkUnit(0.0, None, request.label))
-                    continue
-            if fast and not is_retry and request.memo_key is not None:
-                memo_key = (request.memo_key, request.extra_host_seconds)
-                cached = self.memo.get(memo_key)
-                if cached is not None:
-                    host, gpu = cached
-                    request.host_seconds = host
-                    request.gpu_seconds = gpu
-                    request.session_epoch = client.session_epoch
-                    client.served_seconds += host + gpu
-                    client.served_count += 1
-                    pending.append(request)
-                    if gpu <= 0.0:
-                        request.outcome = SERVED
-                        if telemetry is not None:
-                            telemetry.mark(good_series(tenant), vnow())
-                            telemetry.observe(latency_series(tenant),
-                                              vnow(), host)
-                        yield emit(WorkUnit(host, None, request.label))
-                        continue
-
-                    pulled_at = vnow()
-
-                    def settle_hit(outcome: str,
-                                   request: ServeRequest = request,
-                                   pulled_at: float = pulled_at) -> None:
-                        if request.retrying or request.outcome == FAILED:
-                            return  # deferred execution failed at flush
-                        request.outcome = (SERVED if outcome == "served"
-                                           else TIMEOUT)
-                        if outcome != "served":
-                            request.error_kind = KIND_TIMEOUT
-                        if telemetry is not None:
-                            settled_at = vnow()
-                            if outcome == "served":
-                                telemetry.mark(good_series(tenant),
-                                               settled_at)
-                                telemetry.observe(
-                                    latency_series(tenant), settled_at,
-                                    settled_at - pulled_at
-                                    + request.gpu_seconds)
-                            else:
-                                telemetry.mark(bad_series(tenant),
-                                               settled_at)
-                                telemetry.mark(timeout_series(tenant),
-                                               settled_at)
-
-                    yield emit(WorkUnit(host, gpu, request.label,
-                                        deadline=request.timeout,
-                                        on_outcome=settle_hit))
-                    continue
-            else:
-                memo_key = None
-            flush_pending()
-            request.attempts += 1
-            recorder = _ChargeRecorder()
-            clock.add_listener(recorder)
-            try:
-                with _span("serve.request", "serve", tenant=client.name,
-                           request=request.label, seq=request.seq):
-                    clock.advance(costs.serve_dispatch_latency,
-                                  "serve_dispatch")
-                    if request.extra_host_seconds > 0.0:
-                        clock.advance(request.extra_host_seconds, "launch")
-                    ok = True
-                    try:
-                        request.result = request.fn(guarded)
-                    except AdmissionError as exc:
-                        ok = False
-                        request.outcome = DENIED
-                        request.error = str(exc)
-                        request.error_kind = KIND_QUOTA
-                    except QueueFullError as exc:
-                        # Channel backlog is the lower level's
-                        # backpressure; surface it as such rather than
-                        # as a protocol fault.
-                        ok = False
-                        request.outcome = BACKPRESSURE
-                        request.error = str(exc)
-                        request.error_kind = KIND_QUEUE_FULL
-                        request.retry_after = self._queue_retry_after(client)
-                    except (RequestRejected, DriverError,
-                            CryptoError) as exc:
-                        ok = False
-                        request.outcome = FAILED
-                        request.error = str(exc)
-                        request.error_kind = classify_failure(exc)
-            finally:
-                clock.remove_listener(recorder)
-            host, gpu = self._split(recorder.breakdown(), crypto_eff)
-            request.host_seconds = host
-            request.gpu_seconds = gpu
-            request.session_epoch = client.session_epoch
-            if ok and memo_key is not None:
-                # Only successful runs are memoized: a failure's timing
-                # depends on where it failed, not on the request shape.
-                self.memo.put(memo_key, host, gpu)
-            if breaker is not None:
-                now = self._kernel.now if self._kernel is not None else 0.0
-                if ok:
-                    breaker.record_success(now)
-                elif request.error_kind in BREAKER_KINDS:
-                    breaker.record_failure(now)
-            if not ok:
-                failed_at = vnow()
-                if telemetry is not None:
-                    if request.outcome == FAILED:
-                        telemetry.mark(bad_series(tenant), failed_at)
-                    else:  # quota denial / channel backpressure: a shed
-                        telemetry.mark(shed_series(tenant), failed_at)
-                if request.error_kind in SECURITY_FAILURE_KINDS:
-                    audit.record(
-                        "serve.fault_detected", tenant, time=failed_at,
-                        ok=False,
-                        detail=f"{request.label}: {request.error}",
-                        error_kind=request.error_kind)
-                # A denied/failed request consumed host time only; any
-                # engine time it managed to charge is not scheduled.
-                yield emit(WorkUnit(host + gpu, None, request.label))
-                kind = request.error_kind
-                if policy is not None and policy.retries(kind,
-                                                         request.attempts):
-                    delay = policy.backoff(request.attempts, rng)
-                    registry.counter("serve.retry.attempts").inc()
-                    registry.histogram(
-                        "serve.retry.backoff_seconds").observe(delay)
-                    yield emit(WorkUnit(delay, None,
-                                        f"{request.label}:backoff",
-                                        idle=True))
-                    if kind in RECOVERY_KINDS:
-                        for unit in self._recover_session(client, guarded,
-                                                          crypto_eff):
-                            yield emit(unit)
-                    request.retrying = True
-                    request.outcome = PENDING
-                    retry_backlog.append(request)
-                continue
-            client.served_seconds += host + gpu
-            client.served_count += 1
-            if gpu <= 0.0:
-                # Host-only request (malloc/free/module-load): served
-                # inline, never visits the engine queue.
-                request.outcome = SERVED
-                if telemetry is not None:
-                    telemetry.mark(good_series(tenant), vnow())
-                    telemetry.observe(latency_series(tenant), vnow(), host)
-                yield emit(WorkUnit(host, None, request.label))
-                continue
-
-            pulled_at = vnow()
-
-            def settle(outcome: str, request: ServeRequest = request,
-                       pulled_at: float = pulled_at) -> None:
-                request.outcome = SERVED if outcome == "served" else TIMEOUT
-                if outcome != "served":
-                    request.error_kind = KIND_TIMEOUT
-                if telemetry is not None:
-                    settled_at = vnow()
-                    if outcome == "served":
-                        telemetry.mark(good_series(tenant), settled_at)
-                        telemetry.observe(
-                            latency_series(tenant), settled_at,
-                            settled_at - pulled_at + request.gpu_seconds)
-                    else:
-                        telemetry.mark(bad_series(tenant), settled_at)
-                        telemetry.mark(timeout_series(tenant), settled_at)
-
-            yield emit(WorkUnit(host, gpu, request.label,
-                                deadline=request.timeout, on_outcome=settle))
-
-        flush_pending()
-        draining = client.drain_requested
-        recorder = _ChargeRecorder()
-        clock.add_listener(recorder)
-        try:
-            with _span("serve.teardown", "serve", tenant=client.name):
-                try:
-                    guarded._api.cuCtxDestroy()
-                except (DriverError, CryptoError):
-                    # The session/device died and no retry policy
-                    # resurrected it; quota bookkeeping still closes.
-                    pass
-                if draining:
-                    # The enclave context was destroyed with cleanse;
-                    # release the quota charges of the allocations that
-                    # died with it (the target re-provisions its own).
-                    for token in list(guarded._handles.values()):
-                        self.table.release_memory(client.record, token)
-                    guarded._handles.clear()
-                self.table.close_context(client.record)
-        finally:
-            clock.remove_listener(recorder)
-        # Satellite fix: session teardown is a memo-invalidation point.
-        # Entries are only dropped once the *last* context closes — the
-        # splits stay valid between tenants of one run (they share the
-        # session configuration), but never outlive the sessions they
-        # were measured against.
-        if all(record.contexts_open == 0 for record in self.table.tenants):
-            self.memo.invalidate("all sessions closed")
-        audit.record(
-            "serve.session_closed", tenant, time=vnow(),
-            detail="enclave context destroyed with cleanse"
-                   + (" (cooperative drain)" if draining else ""),
-            epoch=client.session_epoch, drained=draining)
-        host, gpu = self._split(recorder.breakdown(), crypto_eff)
-        yield emit(WorkUnit(host + gpu, None, "teardown"))
-
-        if draining:
-            # Hand the unexecuted backlog off *after* the teardown unit
-            # has charged: the next pull happens once teardown's host
-            # time elapsed, so the target's fresh session setup starts
-            # strictly after the source session closed — sessions move
-            # between isolation domains only via full re-establishment.
-            remaining: List[ServeRequest] = list(retry_backlog)
-            retry_backlog.clear()
-            while client.queue:
-                remaining.append(client.queue.pop())
-            if remaining:
-                handed = set(map(id, remaining))
-                client.requests = [request for request in client.requests
-                                   if id(request) not in handed]
-                for request in remaining:
-                    request.outcome = MIGRATED
-                    request.error = None
-                    request.error_kind = None
-                    request.retrying = False
-            client.migrated_away = len(remaining)
-            registry.counter("serve.migrations.drained").inc()
-            if client.on_drained is not None:
-                client.on_drained(remaining)
+    def _named_lane(self, lane: TenantLane,
+                    client: Optional[TenantClient]) -> TenantLane:
+        """Register *lane* under a name unique in this run: its own (or
+        ``lane<index>``), suffixed ``#<index>`` if already taken."""
+        index = len(self._lane_names)
+        name = lane.name or f"lane{index}"
+        if name in self._lane_name_set:
+            name = f"{name}#{index}"
+        lane.name = name
+        self._lane_names.append(name)
+        self._lane_name_set.add(name)
+        self._lane_clients.append(client)
+        return lane
 
     def start(self, kernel: EventClock,
               extra_lanes: Sequence[TenantLane] = ()) -> LaneRun:
@@ -938,36 +960,16 @@ class ServeEngine:
             # advancing any clock, so simulated time is unperturbed.
             self.telemetry.attach(kernel)
         self._scheduler.reset()
-        crypto_eff = self._crypto_eff = self._resolve_crypto_efficiency()
+        self._crypto_eff = self._resolve_crypto_efficiency()
         # (Re)bind the memo to this run's timing configuration — any
         # cost-model or session-config change invalidates cached splits.
-        self.memo.configure(self._memo_token(crypto_eff))
+        self.memo.configure(self._memo_token(self._crypto_eff))
 
-        lane_names: List[str] = []
-        seen_names = set()
-        for index, client in enumerate(self._clients):
-            name = client.name
-            if name in seen_names:
-                name = f"{name}#{index}"
-            lane_names.append(name)
-            seen_names.add(name)
-
-        lanes = [TenantLane(units=self._unit_stream(client, crypto_eff),
-                            weight=client.record.quota.weight,
-                            max_inflight=client.record.quota.max_inflight,
-                            name=lane_names[index])
-                 for index, client in enumerate(self._clients)]
-        self._lane_clients = list(self._clients)
-        for lane in extra_lanes:
-            name = lane.name or f"lane{len(lane_names)}"
-            if name in seen_names:
-                name = f"{name}#{len(lane_names)}"
-            lane.name = name
-            lane_names.append(name)
-            seen_names.add(name)
-            lanes.append(lane)
-            self._lane_clients.append(None)
-        self._lane_names = lane_names
+        self._lane_names = []
+        self._lane_name_set = set()
+        self._lane_clients = []
+        lanes = [self._client_lane(client) for client in self._clients]
+        lanes += [self._named_lane(lane, None) for lane in extra_lanes]
         # A plain FIFO scheduler selects min-(ready, seq) — exactly the
         # kernel-native arbitration — so hand the Resource None and let
         # it use its O(log lanes) head heap instead of an O(lanes) scan
@@ -982,19 +984,6 @@ class ServeEngine:
                                  kernel)
         return self._lane_run
 
-    def admit_lane(self, lane: TenantLane,
-                   client: Optional[TenantClient] = None) -> int:
-        """Add a lane to a started run at the kernel's current time."""
-        if self._lane_run is None:
-            raise RuntimeError("admit_lane requires a started run")
-        name = lane.name or f"lane{len(self._lane_names)}"
-        if name in self._lane_names:
-            name = f"{name}#{len(self._lane_names)}"
-        lane.name = name
-        self._lane_names.append(name)
-        self._lane_clients.append(client)
-        return self._lane_run.add_lane(lane)
-
     def receive_migration(self, name: str, requests: List[ServeRequest],
                           session_epoch: int,
                           quota: Optional[TenantQuota] = None,
@@ -1007,28 +996,26 @@ class ServeEngine:
         plus one — requests served here are distinguishable from
         pre-drain ones, which keeps the chaos layer's cleanse checks
         meaningful across machines), the source's unexecuted requests
-        resubmitted in order, and a new lane whose stream runs the full
-        trust path — attestation, key exchange, ``on_recover``
-        re-provisioning — before serving.  Nothing but the request
-        ledger crosses machines: no keys, no device state, no memo
-        entries.
+        resubmitted in order, and a new lane — started at the kernel's
+        current time — whose stream runs the full trust path
+        (attestation, key exchange, ``on_recover`` re-provisioning)
+        before serving.  Nothing but the request ledger crosses
+        machines: no keys, no device state, no memo entries.
         """
+        if self._lane_run is None:
+            raise RuntimeError("receive_migration requires a started run")
         client = self.add_tenant(name, quota)
         client.session_epoch = session_epoch
         client.on_recover = on_recover
         client.reprovision_on_start = True
         for request in requests:
             request.outcome = PENDING
-            request.retrying = False
             client.queue.submit(request)
             client.requests.append(request)
-        lane = TenantLane(units=self._unit_stream(client, self._crypto_eff),
-                          weight=client.record.quota.weight,
-                          max_inflight=client.record.quota.max_inflight,
-                          name=name)
-        self.admit_lane(lane, client)
+        self._lane_run.add_lane(self._client_lane(client))
         obs_metrics.registry().counter("serve.migrations.received").inc()
         return client
+
 
     def finish(self) -> ServeReport:
         """Assemble the report after the shared kernel has drained."""
@@ -1117,9 +1104,8 @@ class ServeEngine:
         scheduling decisions.
         """
         registry = obs_metrics.registry()
-        backend = getattr(getattr(self._machine, "config", None),
-                          "backend", "hix")
-        registry.counter(f"serve.backend.{backend}.runs").inc()
+        registry.counter(
+            f"serve.backend.{self._machine.config.backend}.runs").inc()
         for name, total in report_totals(report).items():
             if total:
                 registry.counter(name).inc(total)

@@ -82,9 +82,6 @@ class ServeRequest:
     #: session re-establishment, so callers can tell whether two
     #: requests observed the same device state.
     session_epoch: int = 0
-    #: Internal: set when a failed execution was re-queued for retry so
-    #: stale visit settlements cannot overwrite the retry's outcome.
-    retrying: bool = False
 
 
 @dataclass

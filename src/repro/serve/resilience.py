@@ -206,6 +206,12 @@ class CircuitBreaker:
             return
         self._outcomes.append(False)
 
+    def release_probe(self) -> None:
+        """The half-open probe ended without a verdict on backend health
+        (a quota denial): free its slot so the next fresh request
+        probes instead."""
+        self._probing = False
+
     def record_failure(self, now: float) -> None:
         if self.state == HALF_OPEN:
             self._trip(now)

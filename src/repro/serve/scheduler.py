@@ -4,7 +4,8 @@ A scheduler arbitrates the one exclusive resource in the system — the
 GPU execution engine — among the ready queue heads of the admitted
 tenants.  It sees only :class:`~repro.sim.engine.Visit` objects and
 the current engine owner, so the same scheduler drives both the pure
-virtual-time cross-checks (:func:`~repro.serve.timeline.schedule_segments`)
+virtual-time cross-checks
+(:func:`~repro.core.multiuser.simulate_concurrent` with a scheduler)
 and the real sealed-request serving engine.
 
 Three policies ship with the reproduction:

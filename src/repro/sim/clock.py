@@ -29,17 +29,6 @@ class TimeBreakdown:
             return 0.0
         return self.by_category.get(category, 0.0) / self.total
 
-    def split(self, categories) -> Tuple[float, float]:
-        """Partition the total: (time in *categories*, time elsewhere).
-
-        Used by the serving engine to separate GPU-engine-exclusive
-        charges (compute, dispatch, in-GPU crypto) from overlappable
-        host-side work when scheduling tenants onto one device.
-        """
-        matched = sum(seconds for category, seconds
-                      in self.by_category.items() if category in categories)
-        return matched, self.total - matched
-
     def __sub__(self, earlier: "TimeBreakdown") -> "TimeBreakdown":
         cats: Dict[str, float] = dict(earlier.by_category)
         merged = {

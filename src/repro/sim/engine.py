@@ -2,8 +2,8 @@
 
 One heap, one arbitration discipline, three client surfaces: the
 analytic multi-user model (:func:`repro.core.multiuser.simulate_concurrent`),
-the serving layer's virtual-time multiplexer
-(:func:`repro.serve.timeline.multiplex`), and the pipelined seal+transfer
+the serving engine's tenant lanes
+(:class:`repro.serve.engine.ServeEngine`), and the pipelined seal+transfer
 makespan (:mod:`repro.sim.pipeline`) are all thin adapters over the
 primitives here.  Before this kernel existed each of those layers had
 its own event loop, and two of them disagreed on simultaneous-event
@@ -808,7 +808,7 @@ def run_lanes(lanes: Sequence[TenantLane], scheduler,
               kernel: Optional[EventClock] = None) -> LaneResult:
     """Run every lane to exhaustion over one shared engine.
 
-    This is the kernel-native core both public multiplexers wrap: each
+    This is the kernel-native core the timing surfaces share: each
     lane becomes a real :class:`Process` pulling its unit stream in
     virtual time (so a serving engine's streams execute sealed requests
     at production time), all GPU visits arbitrate through one

@@ -7,6 +7,7 @@ the fleet router on one shared event clock.
 
 import pytest
 
+from repro.backends import backend_names
 from repro.chaos.workload import submit_victim_stream
 from repro.cli import main
 from repro.errors import PlacementError
@@ -181,9 +182,10 @@ class TestFleetSweep:
 
 
 class TestFleetChaos:
-    def test_migration_preserves_two_sided_verdict(self):
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_migration_preserves_two_sided_verdict(self, backend):
         from repro.chaos import run_campaign
-        result = run_campaign("fleet-migration", seed=0)
+        result = run_campaign("fleet-migration", seed=0, backend=backend)
         assert result.security_ok, [c for c in result.security if not c.ok]
         assert result.fairness_ok, [c for c in result.fairness if not c.ok]
         assert result.ok

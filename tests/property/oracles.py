@@ -41,10 +41,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.multiuser import Segment, UserTimeline
+from repro.core.multiuser import Segment
 from repro.errors import EpcError, ReproError
 from repro.hw.phys_mem import PAGE_SIZE
 from repro.sgx.epc import EpcmEntry, PageType
+from repro.sim.engine import LaneTimeline as UserTimeline
 from repro.sim.engine import TenantLane, Visit
 from repro.sim.trace import TraceEvent
 

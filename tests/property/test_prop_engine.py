@@ -9,7 +9,7 @@ them:
   ``simulate_concurrent`` **exactly on all inputs** — makespan, every
   per-user timeline field, and the stats dict — including tie-saturated
   inputs built from a tiny duration grid with zero-length segments;
-* ``schedule_segments`` with ``FifoScheduler`` matches the same oracle
+* ``simulate_concurrent`` with ``FifoScheduler`` matches the same oracle
   exactly (the tie-break divergence the old multiplexer documented is
   fixed, not tolerated);
 * all three schedulers match the retired multiplexer on tie-free
@@ -25,18 +25,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core.multiuser import Segment, simulate_concurrent
+from repro.core.multiuser import (
+    Segment,
+    segments_to_units,
+    simulate_concurrent,
+)
 from repro.serve.scheduler import (
     DeficitFairScheduler,
     FifoScheduler,
     RoundRobinScheduler,
 )
-from repro.serve.timeline import (
-    TenantLane,
-    WorkUnit,
-    multiplex,
-    schedule_segments,
-)
+from repro.sim.engine import TenantLane, WorkUnit, run_lanes
 from repro.sim.pipeline import pipelined_time, pipelined_time_events
 from tests.property.oracles import (
     oracle_multiplex,
@@ -94,7 +93,7 @@ class TestKernelMatchesAnalyticOracle:
     def test_fifo_scheduler_exact(self, users, cost):
         """The satellite fix: FIFO serving is oracle-equal on ALL
         inputs, not just tie-free ones."""
-        assert_exactly_equal(schedule_segments(users, FifoScheduler(), cost),
+        assert_exactly_equal(simulate_concurrent(users, cost, FifoScheduler()),
                              oracle_simulate_concurrent(users, cost))
 
 
@@ -166,11 +165,9 @@ class TestKernelMatchesRetiredMultiplexer:
            name=fresh_schedulers())
     @settings(max_examples=150, deadline=None)
     def test_all_schedulers_exact_on_tie_free_inputs(self, users, cost, name):
-        mine = schedule_segments(users, build_scheduler(name), cost)
-        lanes = [TenantLane(units=[
-            WorkUnit(s.duration, None, s.label) if s.kind == "host"
-            else WorkUnit(0.0, s.duration, s.label) for s in segments],
-            max_inflight=1) for segments in users]
+        mine = simulate_concurrent(users, cost, build_scheduler(name))
+        lanes = [TenantLane(units=segments_to_units(segments),
+                            max_inflight=1) for segments in users]
         oracle = oracle_multiplex(lanes, build_scheduler(name), cost)
         assume(not coincident_instants(oracle.events))
         assert_exactly_equal(
@@ -195,7 +192,7 @@ class TestKernelMatchesRetiredMultiplexer:
                 else WorkUnit(0.0, s.duration, s.label, deadline=deadline)
                 for s in segments], max_inflight=inflight)
                 for segments in users]
-        mine = multiplex(lanes(), build_scheduler(name), 120 * US)
+        mine = run_lanes(lanes(), build_scheduler(name), 120 * US)
         oracle = oracle_multiplex(lanes(), build_scheduler(name), 120 * US)
         assume(not coincident_instants(oracle.events, deadline=deadline))
         assert mine.makespan == oracle.makespan

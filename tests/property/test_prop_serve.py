@@ -1,14 +1,16 @@
-"""Property-based cross-checks: serving timeline vs the analytic oracle.
+"""Property-based cross-checks: serving schedulers vs the analytic oracle.
 
-The serving layer's virtual-time core (``repro.serve.timeline``) claims
-specific equivalences with the paper's analytic multi-user model
-(``repro.core.multiuser.simulate_concurrent``); this suite pins them
-down on randomized inputs:
+``repro.core.multiuser.simulate_concurrent`` is the paper's analytic
+multi-user model under native FIFO; given a serving-layer scheduler
+(:mod:`repro.serve.scheduler`) it runs the same lanes under that
+policy instead.  The schedulers claim specific equivalences with the
+native model; this suite pins them down on randomized inputs:
 
-* FIFO reproduces the oracle's makespan **exactly on all inputs** —
-  both run on the shared kernel (:mod:`repro.sim.engine`), whose single
-  simultaneous-event rule closed the historical tie-break divergence
-  (the kernel-vs-retired-oracle pins live in ``test_prop_engine.py``);
+* ``FifoScheduler`` reproduces the oracle's makespan **exactly on all
+  inputs** — both paths run on the shared kernel
+  (:mod:`repro.sim.engine`), whose single simultaneous-event rule
+  closed the historical tie-break divergence (the
+  kernel-vs-retired-oracle pins live in ``test_prop_engine.py``);
 * on single-visit-per-tenant inputs *every* work-conserving scheduler
   reproduces it exactly (busy periods of a work-conserving server do
   not depend on service order);
@@ -28,7 +30,6 @@ from repro.serve.scheduler import (
     FifoScheduler,
     RoundRobinScheduler,
 )
-from repro.serve.timeline import schedule_segments
 from repro.workloads.rodinia import rodinia_workloads
 
 MS = 1e-3
@@ -91,7 +92,7 @@ class TestFifoMatchesOracle:
     @settings(max_examples=80, deadline=None)
     def test_identical_users_exact(self, users, cost):
         oracle, _, _ = simulate_concurrent(users, cost)
-        mine, _, _ = schedule_segments(users, FifoScheduler(), cost)
+        mine, _, _ = simulate_concurrent(users, cost, FifoScheduler())
         assert mine == oracle
 
     @given(users=arbitrary_users(), cost=switch_costs)
@@ -100,8 +101,8 @@ class TestFifoMatchesOracle:
         """No tie-free carve-out: FIFO serving equals the analytic
         model bit for bit on every input, per-user fields included."""
         oracle, o_timelines, o_stats = simulate_concurrent(users, cost)
-        mine, timelines, stats = schedule_segments(
-            users, FifoScheduler(), cost)
+        mine, timelines, stats = simulate_concurrent(
+            users, cost, FifoScheduler())
         assert mine == oracle
         assert stats == o_stats
         for timeline, expected in zip(timelines, o_timelines):
@@ -119,13 +120,13 @@ class TestSingleVisitOrderInvariance:
         and no host tail, every work-conserving policy yields the
         oracle's makespan, whatever order it serves the queue in."""
         oracle, _, _ = simulate_concurrent(users, cost)
-        mine, _, _ = schedule_segments(users, scheduler, cost)
+        mine, _, _ = simulate_concurrent(users, cost, scheduler)
         assert mine == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
     @given(users=single_visit_users(), cost=switch_costs)
     @settings(max_examples=40, deadline=None)
     def test_switch_count_is_tenant_count(self, users, cost):
-        _, _, stats = schedule_segments(users, RoundRobinScheduler(), cost)
+        _, _, stats = simulate_concurrent(users, cost, RoundRobinScheduler())
         assert stats["context_switches"] == len(users) - 1
 
 
@@ -136,7 +137,7 @@ class TestConservation:
     @settings(max_examples=60, deadline=None)
     def test_busy_seconds_conserved(self, users, cost, scheduler):
         """Scheduling reorders work; it never creates or destroys it."""
-        _, timelines, _ = schedule_segments(users, scheduler, cost)
+        _, timelines, _ = simulate_concurrent(users, cost, scheduler)
         for timeline, segments in zip(timelines, users):
             host = sum(s.duration for s in segments if s.kind == "host")
             gpu = sum(s.duration for s in segments if s.kind == "gpu")
@@ -147,8 +148,8 @@ class TestConservation:
     @settings(max_examples=40, deadline=None)
     def test_makespan_lower_bound(self, users, cost):
         """The engine is one resource: makespan >= total gpu + switches."""
-        makespan, _, stats = schedule_segments(
-            users, DeficitFairScheduler(600 * US), cost)
+        makespan, _, stats = simulate_concurrent(
+            users, cost, DeficitFairScheduler(600 * US))
         total_gpu = sum(s.duration for u in users for s in u
                         if s.kind == "gpu")
         floor = total_gpu + stats["context_switches"] * cost

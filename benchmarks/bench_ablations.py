@@ -12,8 +12,8 @@ import pytest
 from repro.evalkit.figures import ablation_pipelining, ablation_single_copy
 from repro.evalkit.harness import GDEV, HIX, run_multiuser, run_single
 from repro.evalkit.report import render_table
+from repro.evalkit.sweeps import sweep_cost_parameter
 from repro.sim.costs import CostModel
-from repro.system import Machine, MachineConfig
 from repro.workloads import MatrixAdd
 from repro.workloads.rodinia import BackProp, Pathfinder
 
@@ -73,18 +73,13 @@ def test_a3_context_switching(benchmark, publish):
 
 
 def _a4_rows():
-    rows = []
-    for label, bandwidth in (("1.0 GB/s", 1.0), ("1.9 GB/s (default)", 1.9),
-                             ("6.0 GB/s (matches PCIe)", 6.0)):
-        config = MachineConfig(
-            data_inflation=INFLATION,
-            costs=CostModel(cpu_aead_bandwidth=bandwidth * (1 << 30)))
-        gdev = run_single(MatrixAdd(8192), GDEV, INFLATION,
-                          machine=Machine(config)).milliseconds
-        hix = run_single(MatrixAdd(8192), HIX, INFLATION,
-                         machine=Machine(config)).milliseconds
-        rows.append([label, f"{gdev:.1f}", f"{hix:.1f}", f"{hix / gdev:.2f}x"])
-    return rows
+    labels = ("1.0 GB/s", "1.9 GB/s (default)", "6.0 GB/s (matches PCIe)")
+    sweep = sweep_cost_parameter(
+        MatrixAdd(8192), "cpu_aead_bandwidth",
+        [gbps * (1 << 30) for gbps in (1.0, 1.9, 6.0)], inflation=INFLATION)
+    return [[label, f"{point.gdev_seconds * 1e3:.1f}",
+             f"{point.hix_seconds * 1e3:.1f}", f"{point.slowdown:.2f}x"]
+            for label, point in zip(labels, sweep.points)]
 
 
 @pytest.mark.benchmark(group="ablations")

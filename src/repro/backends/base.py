@@ -101,13 +101,6 @@ class TeeBackend:
         """Derate of the backend's GPU-side crypto stage under sharing."""
         return costs.aead_multiuser_efficiency(self.name)
 
-    # -- identity -------------------------------------------------------
-
-    def fingerprint(self) -> Tuple[str, str]:
-        """Joined into serve memo tokens: cached timing splits must
-        never be replayed across backends."""
-        return ("backend", self.name)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TeeBackend {self.name}>"
 

@@ -76,10 +76,14 @@ def submit_queue_flood(client: TenantClient, floods: int = 32,
         except BackpressureError:
             plan.backpressured += 1
 
+    previous_recover = client.on_recover
+
     def recover(api, nbytes: int = nbytes):
+        if previous_recover is not None:
+            previous_recover(api)
         state["dptr"] = api.cuMemAlloc(nbytes)
 
-    client.on_recover = _chain_recover(client.on_recover, recover)
+    client.on_recover = recover
     return plan
 
 
@@ -142,23 +146,16 @@ def submit_timeout_surf(client: TenantClient, surfs: int = 6,
         except BackpressureError:
             plan.backpressured += 1
 
+    previous_recover = client.on_recover
+
     def recover(api):
+        if previous_recover is not None:
+            previous_recover(api)
         state["dptr"] = api.cuMemAlloc(4096)
         state["module"] = api.cuModuleLoad(["builtin.memset32"])
 
-    client.on_recover = _chain_recover(client.on_recover, recover)
+    client.on_recover = recover
     return plan
-
-
-def _chain_recover(previous, recover):
-    if previous is None:
-        return recover
-
-    def chained(api):
-        previous(api)
-        recover(api)
-
-    return chained
 
 
 ABUSE_KINDS = {

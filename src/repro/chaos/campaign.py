@@ -279,6 +279,82 @@ def _trap_escape_checks(engine: ServeEngine,
     return checks
 
 
+def assemble_verdict(name: str, seed: int, backend: str,
+                     victims: Sequence[str],
+                     base_sampler: TimeSeriesSampler,
+                     chaos_sampler: TimeSeriesSampler,
+                     watermark: int,
+                     plans: Sequence[VictimPlan],
+                     domains: Sequence[Tuple[ServeEngine, FaultInjector]],
+                     finishes: Sequence[Tuple[str, float, float]],
+                     baseline: ServeReport, chaos: ServeReport,
+                     fairness_bound: float, goodput_floor: float,
+                     detection_bound: float,
+                     abuse_plans: Sequence[AbusePlan] = (),
+                     extra_security: Sequence[SecurityCheck] = (),
+                     ) -> CampaignResult:
+    """Grade one finished chaos run on all three sides.
+
+    Both campaign shapes call this: one engine, or a fleet of them.
+    *domains* pairs each isolation domain's engine with the injector
+    that faulted it.  *finishes* holds one ``(tenant, baseline_finish,
+    chaos_finish)`` row per victim, in the order the fairness rows
+    render.  *extra_security* follows the per-domain checks.
+    *watermark* is the audit cursor taken before the chaos run, so the
+    baseline run's routine events can never satisfy a detection match.
+    """
+    # Latency objectives are calibrated off this seed's own faultless
+    # run, so the same campaign holds on every backend (gpu-cc's bounce
+    # overhead shifts absolute latencies; the headroom ratio doesn't).
+    objectives: Dict[str, SloObjective] = {}
+    for victim in victims:
+        target = victim_latency_target(base_sampler, victim)
+        if target is not None:
+            objectives[victim] = SloObjective(availability=0.995,
+                                              latency_target=target)
+
+    manager = AlertManager(chaos_sampler, objectives, audit=audit_log())
+    manager.evaluate()
+    slo_report = manager.report()
+    faults = [fault for _, injector in domains for fault in injector.faults]
+    detection = match_detections(
+        faults, audit_log().events_since(watermark), slo_report.alerts,
+        detection_bound)
+
+    security: List[SecurityCheck] = []
+    for plan in plans:
+        security.extend(SecurityCheck(*check) for check in plan.checks())
+    for engine, injector in domains:
+        security.extend(SecurityCheck(*check)
+                        for check in injector.verify(engine))
+        security.extend(_trap_escape_checks(engine, injector.faults))
+    security.extend(extra_security)
+
+    fairness: List[FairnessCheck] = []
+    goodput_by_name = {plan.tenant: plan.goodput() for plan in plans}
+    for tenant, base_finish, chaos_finish in finishes:
+        slowdown = chaos_finish / base_finish if base_finish > 0.0 else 1.0
+        goodput = goodput_by_name.get(tenant, 1.0)
+        fairness.append(FairnessCheck(
+            tenant=tenant,
+            baseline_finish=base_finish,
+            chaos_finish=chaos_finish,
+            slowdown=slowdown,
+            goodput=goodput,
+            ok=slowdown <= fairness_bound and goodput >= goodput_floor))
+
+    return CampaignResult(campaign=name, seed=seed, faults=faults,
+                          security=security, fairness=fairness,
+                          baseline=baseline, chaos=chaos,
+                          fairness_bound=fairness_bound,
+                          goodput_floor=goodput_floor,
+                          abuse_plans=list(abuse_plans),
+                          backend=backend,
+                          detection=detection,
+                          detection_bound=detection_bound,
+                          alerts=slo_report.alerts)
+
+
 def run_campaign_obj(campaign: Campaign, seed: int = 0) -> CampaignResult:
     """Execute *campaign* and assemble its three-sided verdict."""
     obs_metrics.registry().counter("chaos.campaigns_run").inc()
@@ -288,71 +364,26 @@ def run_campaign_obj(campaign: Campaign, seed: int = 0) -> CampaignResult:
                                           telemetry=base_sampler)
     baseline = baseline_engine.run()
 
-    # Latency objectives are calibrated off this seed's own faultless
-    # run, so the same campaign holds on every backend (gpu-cc's bounce
-    # overhead shifts absolute latencies; the headroom ratio doesn't).
-    objectives: Dict[str, SloObjective] = {}
-    for name in campaign.victim_names():
-        target = victim_latency_target(base_sampler, name)
-        if target is not None:
-            objectives[name] = SloObjective(availability=0.995,
-                                            latency_target=target)
-
     chaos_sampler = TimeSeriesSampler()
     engine, plans, abuse_plans = _build_engine(campaign, seed,
                                                with_abuse=True,
                                                telemetry=chaos_sampler)
-    faults = campaign.faults_factory(campaign.victim_names())
-    injector = FaultInjector(faults)
-    # Watermark the audit log so the baseline run's routine events can
-    # never satisfy a detection match.
+    injector = FaultInjector(campaign.faults_factory(campaign.victim_names()))
     watermark = audit_log().cursor()
     chaos = injector.run(engine)
 
-    manager = AlertManager(chaos_sampler, objectives, audit=audit_log())
-    manager.evaluate()
-    slo_report = manager.report()
-    detection = match_detections(
-        faults, audit_log().events_since(watermark), slo_report.alerts,
-        campaign.detection_bound)
-
-    security: List[SecurityCheck] = []
-    for plan in plans:
-        security.extend(SecurityCheck(*check) for check in plan.checks())
-    security.extend(SecurityCheck(*check)
-                    for check in injector.verify(engine))
-    security.extend(_trap_escape_checks(engine, faults))
-
-    fairness: List[FairnessCheck] = []
-    base_by_name: Dict[str, float] = {
-        report.name: report.finish_time for report in baseline.tenants}
-    goodput_by_name = {plan.tenant: plan.goodput() for plan in plans}
-    for report in chaos.tenants:
-        if report.name not in base_by_name:
-            continue
-        base_finish = base_by_name[report.name]
-        slowdown = (report.finish_time / base_finish
-                    if base_finish > 0.0 else 1.0)
-        goodput = goodput_by_name.get(report.name, 1.0)
-        fairness.append(FairnessCheck(
-            tenant=report.name,
-            baseline_finish=base_finish,
-            chaos_finish=report.finish_time,
-            slowdown=slowdown,
-            goodput=goodput,
-            ok=(slowdown <= campaign.fairness_bound
-                and goodput >= campaign.goodput_floor)))
-
-    return CampaignResult(campaign=campaign.name, seed=seed, faults=faults,
-                          security=security, fairness=fairness,
-                          baseline=baseline, chaos=chaos,
-                          fairness_bound=campaign.fairness_bound,
-                          goodput_floor=campaign.goodput_floor,
-                          abuse_plans=abuse_plans,
-                          backend=campaign.backend,
-                          detection=detection,
-                          detection_bound=campaign.detection_bound,
-                          alerts=slo_report.alerts)
+    base_by_name = {report.name: report.finish_time
+                    for report in baseline.tenants}
+    finishes = [(report.name, base_by_name[report.name], report.finish_time)
+                for report in chaos.tenants if report.name in base_by_name]
+    return assemble_verdict(
+        campaign.name, seed, campaign.backend, campaign.victim_names(),
+        base_sampler, chaos_sampler, watermark, plans, [(engine, injector)],
+        finishes, baseline, chaos,
+        fairness_bound=campaign.fairness_bound,
+        goodput_floor=campaign.goodput_floor,
+        detection_bound=campaign.detection_bound,
+        abuse_plans=abuse_plans)
 
 
 # ---------------------------------------------------------------------------

@@ -36,19 +36,16 @@ from typing import Dict, List, Tuple
 
 from repro.chaos.campaign import (
     CampaignResult,
-    FairnessCheck,
     SecurityCheck,
-    _trap_escape_checks,
     _victim_quota,
+    assemble_verdict,
 )
-from repro.chaos.detection import match_detections, victim_latency_target
 from repro.chaos.faults import DmaRedirectFault, Fault, GpuResetFault
 from repro.chaos.injector import FaultInjector
 from repro.chaos.workload import VictimPlan, submit_victim_stream
 from repro.fleet import Fleet, FleetReport
 from repro.obs import metrics as obs_metrics
 from repro.obs.audit import audit_log
-from repro.obs.slo import AlertManager, SloObjective
 from repro.obs.timeseries import TimeSeriesSampler
 from repro.serve.resilience import (
     KIND_CRYPTO,
@@ -179,8 +176,9 @@ def _victim_finishes(report: FleetReport) -> Dict[str, float]:
 
 def run_fleet_campaign(seed: int = 0,
                        backend: str = "hix") -> CampaignResult:
-    """Execute the fleet-migration campaign; same verdict shape as
-    :func:`~repro.chaos.campaign.run_campaign_obj`."""
+    """Execute the fleet-migration campaign; same verdict as
+    :func:`~repro.chaos.campaign.run_campaign_obj` plus two migration
+    checks."""
     obs_metrics.registry().counter("chaos.campaigns_run").inc()
 
     base_sampler = TimeSeriesSampler()
@@ -188,14 +186,6 @@ def run_fleet_campaign(seed: int = 0,
     for machine in baseline_fleet.machines:
         machine.engine.telemetry = base_sampler
     baseline = baseline_fleet.run()
-
-    objectives: Dict[str, SloObjective] = {}
-    for index in range(VICTIMS):
-        name = f"victim{index}"
-        target_latency = victim_latency_target(base_sampler, name)
-        if target_latency is not None:
-            objectives[name] = SloObjective(availability=0.995,
-                                            latency_target=target_latency)
 
     chaos_sampler = TimeSeriesSampler()
     fleet, plans = _build_fleet(seed, backend)
@@ -215,69 +205,39 @@ def run_fleet_campaign(seed: int = 0,
     watermark = audit_log().cursor()
     chaos = fleet.run(kernel=kernel)
 
-    manager = AlertManager(chaos_sampler, objectives, audit=audit_log())
-    manager.evaluate()
-    slo_report = manager.report()
-    all_faults = [fault for faults in script for fault in faults]
-    detection = match_detections(
-        all_faults, audit_log().events_since(watermark),
-        slo_report.alerts, DETECTION_BOUND)
-
-    security: List[SecurityCheck] = []
-    for plan in plans:
-        security.extend(SecurityCheck(*check) for check in plan.checks())
-    for machine, injector in zip(fleet.machines, injectors):
-        security.extend(SecurityCheck(*check)
-                        for check in injector.verify(machine.engine))
-        security.extend(_trap_escape_checks(machine.engine,
-                                            injector.faults))
-
     record = chaos.migrations[0]
-    security.append(SecurityCheck(
-        name="fleet.migration_completed",
-        subject=migrating,
-        ok=record.completed and record.requests_moved > 0,
-        detail=(f"{record.requests_moved} request(s) drained and "
-                f"re-established on m{record.plan.target}"
-                if record.completed else
-                "drain never fired — stream finished first "
-                "(timing miscalibrated)")))
     landed = record.target_client
-    epoch_ok = landed is not None and landed.session_epoch >= 1
-    security.append(SecurityCheck(
-        name="fleet.migration_epoch_bump",
-        subject=migrating,
-        ok=epoch_ok,
-        detail=("target session re-established at epoch "
-                f"{landed.session_epoch}" if landed is not None else
-                "no target client recorded")))
+    migration_checks = [
+        SecurityCheck(
+            name="fleet.migration_completed",
+            subject=migrating,
+            ok=record.completed and record.requests_moved > 0,
+            detail=(f"{record.requests_moved} request(s) drained and "
+                    f"re-established on m{record.plan.target}"
+                    if record.completed else
+                    "drain never fired — stream finished first "
+                    "(timing miscalibrated)")),
+        SecurityCheck(
+            name="fleet.migration_epoch_bump",
+            subject=migrating,
+            ok=landed is not None and landed.session_epoch >= 1,
+            detail=("target session re-established at epoch "
+                    f"{landed.session_epoch}" if landed is not None else
+                    "no target client recorded")),
+    ]
 
-    fairness: List[FairnessCheck] = []
     base_finish = _victim_finishes(baseline)
     chaos_finish = _victim_finishes(chaos)
-    goodput_by_name = {plan.tenant: plan.goodput() for plan in plans}
-    for name in sorted(base_finish):
-        base = base_finish[name]
-        after = chaos_finish.get(name, 0.0)
-        slowdown = after / base if base > 0.0 else 1.0
-        goodput = goodput_by_name.get(name, 1.0)
-        fairness.append(FairnessCheck(
-            tenant=name,
-            baseline_finish=base,
-            chaos_finish=after,
-            slowdown=slowdown,
-            goodput=goodput,
-            ok=(slowdown <= FAIRNESS_BOUND
-                and goodput >= GOODPUT_FLOOR)))
-
-    return CampaignResult(
-        campaign=FLEET_CAMPAIGN, seed=seed,
-        faults=all_faults,
-        security=security, fairness=fairness,
-        baseline=baseline.merged, chaos=chaos.merged,
+    finishes = [(name, base_finish[name], chaos_finish.get(name, 0.0))
+                for name in sorted(base_finish)]
+    return assemble_verdict(
+        FLEET_CAMPAIGN, seed, backend,
+        [f"victim{index}" for index in range(VICTIMS)],
+        base_sampler, chaos_sampler, watermark, plans,
+        [(machine.engine, injector)
+         for machine, injector in zip(fleet.machines, injectors)],
+        finishes, baseline.merged, chaos.merged,
         fairness_bound=FAIRNESS_BOUND,
         goodput_floor=GOODPUT_FLOOR,
-        backend=backend,
-        detection=detection,
         detection_bound=DETECTION_BOUND,
-        alerts=slo_report.alerts)
+        extra_security=migration_checks)

@@ -83,25 +83,3 @@ def simulate_concurrent(users: Sequence[Sequence[Segment]],
                             / result.makespan if result.makespan > 0 else 0.0),
     }
     return result.makespan, timelines, stats
-
-
-def interleave_copies(total_bytes: float, chunk: float, host_rate: float,
-                      gpu_rate: float, gpu_kernel_latency: float
-                      ) -> List[Segment]:
-    """Helper: chunked secure copy as alternating host/gpu segments.
-
-    Models the multi-user behaviour where each chunk's CPU-side sealing
-    and transfer is host work but its in-GPU crypto kernel occupies the
-    engine — forcing interleaving (and context switches) with other
-    users' kernels, the effect Section 5.4 blames for the multi-user
-    overhead.
-    """
-    segments: List[Segment] = []
-    remaining = total_bytes
-    while remaining > 0:
-        this_chunk = min(chunk, remaining)
-        segments.append(Segment("host", this_chunk / host_rate, "seal+xfer"))
-        segments.append(Segment("gpu", gpu_kernel_latency
-                                + this_chunk / gpu_rate, "crypto-kernel"))
-        remaining -= this_chunk
-    return segments

@@ -152,9 +152,6 @@ class SealedClient:
             # The service may already be gone (e.g. graceful shutdown).
             pass
 
-    def cuInit(self) -> "SealedClient":
-        return self
-
     def cuCtxCreate(self) -> "SealedClient":
         """Attested session setup and key exchange (Section 4.4.1)."""
         tracer = _OBS.tracer

@@ -67,7 +67,3 @@ class ReplayGuard:
                 f"replayed or stale nonce counter {counter} "
                 f"(highest seen {self._highest_seen})")
         self._highest_seen = counter
-
-    @property
-    def highest_seen(self) -> int:
-        return self._highest_seen

@@ -47,10 +47,6 @@ class OCB_AES128:
         self._l_dollar = _double(self._l_star)
         self._l = [_double(self._l_dollar)]
 
-    @property
-    def tag_len(self) -> int:
-        return self._tag_len
-
     def _l_i(self, i: int) -> bytes:
         while len(self._l) <= i:
             self._l.append(_double(self._l[-1]))

@@ -10,7 +10,7 @@ or anything else the model exposes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.evalkit.harness import GDEV, HIX, run_single
 from repro.evalkit.report import render_table
@@ -35,13 +35,6 @@ class SweepResult:
     parameter: str
     workload: str
     points: List[SweepPoint] = field(default_factory=list)
-
-    def series(self) -> Dict[str, List[float]]:
-        return {
-            "Gdev_ms": [p.gdev_seconds * 1e3 for p in self.points],
-            "HIX_ms": [p.hix_seconds * 1e3 for p in self.points],
-            "slowdown": [p.slowdown for p in self.points],
-        }
 
     def render(self) -> str:
         rows = [[f"{p.value:g}", f"{p.gdev_seconds * 1e3:.2f}",

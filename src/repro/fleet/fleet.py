@@ -66,10 +66,6 @@ class FleetMachine:
         self.healthy = True
         self.draining = False
 
-    @property
-    def sessions(self) -> int:
-        return len(self.engine.table)
-
     def drain_estimate(self) -> float:
         """How long this machine's queued backlog needs to drain.
 
@@ -156,9 +152,6 @@ class FleetReport:
     @property
     def makespan(self) -> float:
         return self.merged.makespan
-
-    def machine(self, name: str) -> ServeReport:
-        return self.reports[self.machine_names.index(name)]
 
     def render(self, width: int = 60) -> str:
         lines = [
@@ -304,16 +297,6 @@ class Fleet:
         for index in range(count):
             self.add_lite_session(f"{prefix}{index}", profile,
                                   weight=weight, max_inflight=max_inflight)
-
-    def client_of(self, tenant: str) -> TenantClient:
-        """The (current) client serving *tenant*, wherever it lives."""
-        index = self.router.machine_of(tenant)
-        if index is None:
-            raise KeyError(tenant)
-        for client in self.machines[index].engine.clients:
-            if client.name == tenant:
-                return client
-        raise KeyError(tenant)
 
     # -- migration ----------------------------------------------------------
 

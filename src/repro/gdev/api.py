@@ -51,9 +51,6 @@ class GdevApi:
     def __exit__(self, *exc) -> None:
         self.cuCtxDestroy()
 
-    def cuInit(self) -> "GdevApi":
-        return self
-
     def cuCtxCreate(self, shared: bool = False) -> "GdevApi":
         """Create a context; ``shared=True`` joins the MPS-style merged
         context (pre-Volta semantics, paper Section 4.5)."""

@@ -43,11 +43,6 @@ class GpuPageTable:
             raise PageFault(f"GPU va {gpu_va:#x} unmapped in this context")
         return ppn * GPU_PAGE_SIZE + gpu_va % GPU_PAGE_SIZE
 
-    @property
-    def mapped_pages(self) -> int:
-        return len(self._entries)
-
-
 @dataclass
 class GpuContext:
     """One GPU context: address space + per-context session key slot."""

@@ -25,7 +25,6 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from repro.crypto.blob import (
-    HEADER_LEN,
     open_blob,
     open_blob_chunks,
     seal_blob,
@@ -43,7 +42,7 @@ class KernelSpec:
         self.name = name
         self.fn = fn
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<KernelSpec {self.name}>"
 
 
@@ -73,9 +72,6 @@ class KernelRegistry:
         except KeyError:
             raise KernelNotFound(
                 f"GPU has no kernel named {name!r}") from None
-
-    def names(self) -> List[str]:
-        return sorted(self._kernels)
 
     def __contains__(self, name: str) -> bool:
         return name in self._kernels
@@ -219,8 +215,3 @@ def _aead_encrypt_gather(dev, ctx, params) -> None:
 def _ctx_aad(ctx) -> bytes:
     """Bind bulk blobs to their GPU context id."""
     return b"hix-bulk-ctx-%d" % ctx.ctx_id
-
-
-def gpu_blob_overhead() -> int:
-    """Bytes of framing added by hix.aead_encrypt (length prefix + header)."""
-    return 8 + HEADER_LEN

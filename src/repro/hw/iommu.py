@@ -10,7 +10,7 @@ authenticated encryption catching it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.hw.phys_mem import PAGE_SIZE
 from repro.obs.tracer import STATE as _OBS
@@ -25,15 +25,8 @@ class Iommu:
         #: Pages merged into contiguous DMA runs (fast-path diagnostics).
         self.coalesced_runs = 0
 
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
     def enable(self) -> None:
         self._enabled = True
-
-    def disable(self) -> None:
-        self._enabled = False
 
     def map(self, bdf: str, io_vaddr: int, paddr: int) -> None:
         """Map one page of device address space to a host physical page."""
@@ -55,9 +48,6 @@ class Iommu:
         if ppn is None:
             return io_addr
         return ppn * PAGE_SIZE + io_addr % PAGE_SIZE
-
-    def domain_of(self, bdf: str) -> Optional[Dict[int, int]]:
-        return self._domains.get(bdf)
 
     def translate_range(self, bdf: str, io_addr: int,
                         length: int) -> Tuple[Tuple[int, int], ...]:

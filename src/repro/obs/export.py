@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Span, SpanTracer
+from repro.obs.tracer import Span
 
 __all__ = [
     "lane_spans", "chrome_trace", "chrome_to_spans",
@@ -241,8 +241,3 @@ def write_metrics(path, registry: MetricsRegistry) -> Path:
     path.write_text(json.dumps(registry.snapshot(), indent=2,
                                sort_keys=True) + "\n")
     return path
-
-
-def tracer_spans(tracer: SpanTracer) -> List[Span]:
-    """The tracer's root spans (convenience for exporter callers)."""
-    return list(tracer.roots)

@@ -25,7 +25,7 @@ Design points:
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter", "Gauge", "CallbackGauge", "Histogram", "MetricsRegistry",
@@ -229,15 +229,6 @@ class MetricsRegistry:
 
     def get(self, name: str):
         return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
-
-    def remove(self, name: str) -> None:
-        self._metrics.pop(name, None)
-
-    def clear(self) -> None:
-        self._metrics.clear()
 
     # -- export ----------------------------------------------------------------
 

@@ -333,9 +333,6 @@ class AlertManager:
         self.alerts: List[Alert] = []
         self._evaluated = False
 
-    def declare(self, tenant: str, objective: SloObjective) -> None:
-        self.objectives[tenant] = objective
-
     def evaluate(self) -> List[Alert]:
         """Walk every touched window once; idempotent."""
         if self._evaluated:

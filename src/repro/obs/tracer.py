@@ -7,9 +7,9 @@ inside it.  Spans nest: instrumented layer boundaries (SGX instruction
 dispatch, TLP routing, MMU/IOMMU translation, DMA, AEAD seal/open, gdev
 API calls, serve request lifecycles) open spans, and every clock charge
 emitted while a span is open becomes a leaf under it — the tracer
-attaches to a clock's listener surface exactly like
-:class:`repro.sim.trace.TraceRecorder` does, so one instrumentation
-point observes every timing layer now that all of them run through the
+attaches to a clock's ``add_listener`` surface, which ``SimClock`` and
+the kernel's ``EventClock`` share, so one instrumentation point
+observes every timing layer now that all of them run through the
 unified kernel.
 
 Tenant / session / request identity travels as span *attributes*;
@@ -75,13 +75,6 @@ class Span:
         yield self
         for child in self.children:
             yield from child.walk()
-
-    def find(self, name: str) -> Optional["Span"]:
-        """First span named *name* in this subtree (depth-first)."""
-        for node in self.walk():
-            if node.name == name:
-                return node
-        return None
 
     # -- context-manager surface (open spans only) ---------------------------
 

@@ -42,10 +42,6 @@ class PrivilegedAdversary:
         self._iommu = iommu
         self._probe = kernel.create_process("adversary")
 
-    @property
-    def process(self) -> Process:
-        return self._probe
-
     # -- attack (1)/(2): memory inspection and tampering ------------------------
 
     def read_physical(self, paddr: int, nbytes: int) -> bytes:

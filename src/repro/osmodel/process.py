@@ -51,6 +51,6 @@ class Process:
                 is_kernel=self.is_kernel)
         return ctx
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "kernel" if self.is_kernel else "user"
         return f"<Process {self.pid} {self.name!r} ({kind})>"

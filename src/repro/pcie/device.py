@@ -101,6 +101,6 @@ class PcieFunction:
     def expansion_rom_read(self, offset: int, length: int) -> bytes:
         raise UnsupportedRequest(f"{self.bdf}: no expansion ROM")
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<{type(self).__name__} {self.bdf} "
                 f"{self.config.vendor_id:04x}:{self.config.device_id:04x}>")

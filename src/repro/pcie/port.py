@@ -59,9 +59,6 @@ class RootPort:
         self.config.subordinate_bus = max(self.config.subordinate_bus,
                                           switch.config.subordinate_bus)
 
-    def detach(self, bdf: Bdf) -> Optional[PcieFunction]:
-        return self._devices.pop(bdf, None)
-
     @property
     def devices(self) -> List[PcieFunction]:
         """Every endpoint below this port (including behind switches)."""

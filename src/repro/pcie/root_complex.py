@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.errors import UnsupportedRequest
 from repro.obs.tracer import STATE as _OBS
@@ -24,10 +24,6 @@ from repro.pcie.tlp import Tlp, TlpKind
 
 
 logger = logging.getLogger(__name__)
-
-
-class RejectedWrite(Tuple):
-    """(bdf, offset, value, requester) record of a discarded config write."""
 
 
 class RootComplex:
@@ -63,12 +59,6 @@ class RootComplex:
     @property
     def ports(self) -> List[RootPort]:
         return list(self._ports)
-
-    def enumerate_functions(self) -> Iterator[Tuple[Bdf, PcieFunction]]:
-        """Walk the tree, yielding endpoint functions with trusted attributes."""
-        for port in self._ports:
-            for device in port.devices:
-                yield device.bdf, device
 
     def find_function(self, bdf: Bdf) -> Optional[PcieFunction]:
         for port in self._ports:
@@ -144,7 +134,8 @@ class RootComplex:
         """Process a CfgWr TLP; returns False if lockdown discarded it."""
         self.config_writes += 1
         config = self._config_target(bdf)
-        if str(bdf) in self._locked_bdfs and offset in config.routing_register_offsets():
+        if (self.lockdown_active_for(str(bdf))
+                and offset in config.routing_register_offsets()):
             if not (self.allow_sizing_inquiry
                     and config.is_sizing_inquiry(offset, value)):
                 # Paper: "the root complex simply discards it".

@@ -76,9 +76,6 @@ class Switch:
             elif port.child is not None:
                 yield port.child
 
-    def owns_bus(self, bus: int) -> bool:
-        return self.config.secondary_bus <= bus <= self.config.subordinate_bus
-
     def find_function(self, bdf: Bdf) -> Optional[PcieFunction]:
         for endpoint in self.endpoints():
             if endpoint.bdf == bdf:

@@ -73,7 +73,6 @@ from repro.errors import (
 from repro.obs import metrics as obs_metrics
 from repro.obs.audit import audit_log
 from repro.obs.slo import (
-    SloObjective,
     bad_series,
     good_series,
     latency_series,
@@ -1067,16 +1066,6 @@ class ServeEngine:
             self.telemetry.finalize(report.makespan)
         self._publish_metrics(report)
         return report
-
-    def slo_objectives(self) -> Dict[str, SloObjective]:
-        """Per-tenant objectives declared on admitted quotas
-        (``TenantQuota.slo``), ready for an ``AlertManager``."""
-        objectives: Dict[str, SloObjective] = {}
-        for record in self.table.tenants:
-            slo = getattr(record.quota, "slo", None)
-            if slo is not None:
-                objectives[record.name] = slo
-        return objectives
 
     def run(self, kernel: Optional[EventClock] = None) -> ServeReport:
         """Execute every queued request and return the serving report.

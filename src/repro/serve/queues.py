@@ -120,14 +120,8 @@ class RequestQueue:
     def pop(self) -> ServeRequest:
         return self._entries.popleft()
 
-    def peek(self) -> Optional[ServeRequest]:
-        return self._entries[0] if self._entries else None
-
     def __len__(self) -> int:
         return len(self._entries)
 
     def __bool__(self) -> bool:
         return bool(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)

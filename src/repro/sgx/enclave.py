@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from repro.hw.mmu import AccessContext
 from repro.hw.phys_mem import PAGE_SIZE
 from repro.sgx.measurement import EnclaveMeasurement
 from repro.sgx.secs import Secs
@@ -104,13 +103,5 @@ class Enclave:
         return self.secs.base
 
     @property
-    def size(self) -> int:
-        return self.secs.size
-
-    @property
     def measurement(self) -> bytes:
         return self.secs.measurement.value
-
-    def context(self, asid: int) -> AccessContext:
-        """Enclave-mode access context (what EENTER establishes)."""
-        return AccessContext(asid=asid, enclave_id=self.enclave_id)

@@ -94,10 +94,6 @@ class SgxUnit:
         except KeyError:
             raise SgxError(f"no enclave with id {enclave_id}") from None
 
-    @property
-    def enclaves(self) -> Dict[int, Secs]:
-        return dict(self._enclaves)
-
     # -- lifecycle instructions -------------------------------------------------
 
     @_traced("sgx.ecreate")

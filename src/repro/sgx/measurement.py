@@ -52,10 +52,6 @@ class EnclaveMeasurement:
             self._update(b"EEXTEND",
                          (offset + start).to_bytes(8, "big") + chunk)
 
-    def record_extra(self, tag: str, payload: bytes) -> None:
-        """HIX extension hook (e.g. the PCIe routing measurement)."""
-        self._update(tag.encode(), payload)
-
     def finalize(self) -> bytes:
         if not self._final:
             self._final = self._digest.digest()

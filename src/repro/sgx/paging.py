@@ -11,9 +11,10 @@ neither read, modify, nor replay them.
 This module implements that machinery on the simulated SGX unit:
 
 * :class:`VersionArray` — EPC-resident nonce slots, one per evicted page;
-* ``SgxUnit.ewb`` / ``SgxUnit.eldu`` (installed by :func:`install`) —
-  the paired instructions, with the full check set: sealed content,
-  bound metadata (enclave, vaddr, page type), and version freshness.
+* :func:`ewb` / :func:`eldu` — the paired instructions, taking the
+  :class:`~repro.sgx.instructions.SgxUnit` as their first argument, with
+  the full check set: sealed content, bound metadata (enclave, vaddr,
+  page type), and version freshness.
 
 Tampering with an evicted page, swapping two evicted pages, or replaying
 a stale copy all fail ``ELDU`` — exercised in the security tests.
@@ -162,9 +163,3 @@ def eldu(sgx: SgxUnit, phys_mem, src_paddr: int, slot_index: int,
     paddr = sgx.epc.allocate(enclave_id, vaddr, page_type)
     phys_mem.write(paddr, content)
     return paddr
-
-
-def install(sgx: SgxUnit) -> None:
-    """Attach ``ewb``/``eldu`` bound methods onto a unit (optional mixin)."""
-    sgx.ewb = lambda *args, **kw: ewb(sgx, *args, **kw)      # type: ignore
-    sgx.eldu = lambda *args, **kw: eldu(sgx, *args, **kw)    # type: ignore

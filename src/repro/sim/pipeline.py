@@ -176,12 +176,3 @@ def pipelined_time_events(nbytes: float, stage_bandwidths: Sequence[float],
         Process(kernel, chunk(index), name=f"chunk{index}").start(0)
     kernel.run()
     return max(finish_times)
-
-
-def effective_bandwidth(nbytes: float, stage_bandwidths: Sequence[float],
-                        chunk_bytes: float) -> float:
-    """Effective end-to-end bytes/second of the chunked pipeline."""
-    makespan = pipelined_time(nbytes, stage_bandwidths, chunk_bytes)
-    if makespan <= 0:
-        raise ValueError("cannot compute bandwidth for empty transfer")
-    return nbytes / makespan

@@ -1,18 +1,16 @@
-"""Execution tracing: timelines of simulated-time charges.
+"""Lane timelines of simulated-time charges, and the fast-path gauges.
 
-A :class:`TraceRecorder` subscribes to a machine's clock and records
-every charge as a (start, duration, category) event.  This is the
-simulator's profiler: examples and debugging sessions can render a
-per-phase timeline of a run, and tests can assert ordering properties
-("the in-GPU decrypt kernel runs after the DMA", etc.).
+A :class:`TraceEvent` is one (start, duration, category) charge; the
+serving engine collects them per tenant lane and :func:`render_lanes`
+draws them as an ASCII timeline.  Charges recorded as spans, with
+parents and attributes, come from
+:class:`repro.obs.tracer.SpanTracer` (``repro trace``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
-
-from repro.sim.clock import SimClock
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -26,74 +24,6 @@ class TraceEvent:
     @property
     def end(self) -> float:
         return self.start + self.duration
-
-
-class TraceRecorder:
-    """Collects clock charges; usable as a context manager."""
-
-    def __init__(self, clock: SimClock) -> None:
-        self._clock = clock
-        self.events: List[TraceEvent] = []
-        self._attached = False
-
-    def __enter__(self) -> "TraceRecorder":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def start(self) -> None:
-        if not self._attached:
-            self._clock.add_listener(self._record)
-            self._attached = True
-
-    def stop(self) -> None:
-        if self._attached:
-            self._clock.remove_listener(self._record)
-            self._attached = False
-
-    def _record(self, start: float, seconds: float, category: str) -> None:
-        if seconds > 0.0:
-            self.events.append(TraceEvent(start, seconds, category))
-
-    # -- queries ----------------------------------------------------------------
-
-    def by_category(self, category: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.category == category]
-
-    def first(self, category: str) -> Optional[TraceEvent]:
-        for event in self.events:
-            if event.category == category:
-                return event
-        return None
-
-    def total(self, category: Optional[str] = None) -> float:
-        return sum(e.duration for e in self.events
-                   if category is None or e.category == category)
-
-    def render(self, width: int = 60) -> str:
-        """ASCII timeline, one row per category."""
-        if not self.events:
-            return "(empty trace)"
-        span, column = _time_axis(self.events, width)
-        categories = sorted({e.category for e in self.events})
-        lines = [f"trace: {span * 1e3:.3f} ms across "
-                 f"{len(self.events)} events"]
-        for category in categories:
-            row = [" "] * width
-            for event in self.by_category(category):
-                lo = column(event.start)
-                hi = column(event.end)
-                for index in range(lo, max(hi, lo) + 1):
-                    row[index] = "#"
-            lines.append(f"{category:>16} |{''.join(row)}|")
-        return "\n".join(lines)
-
-
-def record(clock: SimClock) -> TraceRecorder:
-    """Convenience: ``with trace.record(machine.clock) as t: ...``."""
-    return TraceRecorder(clock)
 
 
 def _time_axis(events: "List[TraceEvent]", width: int):
@@ -127,8 +57,7 @@ def render_lanes(lanes: "dict[str, List[TraceEvent]]",
                  width: int = 60) -> str:
     """ASCII timeline with one row per named lane (e.g. per tenant).
 
-    Unlike :meth:`TraceRecorder.render` (one row per *category*), every
-    lane mixes categories on one row — host work as ``.``, exclusive
+    Every lane mixes categories on one row — host work as ``.``, exclusive
     GPU-engine time as ``#``, context switches as ``x`` — so concurrent
     tenants' interleaving on the shared engine is visible at a glance.
     Later-drawn glyphs win inside a cell, with engine time drawn last so

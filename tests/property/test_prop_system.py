@@ -3,11 +3,33 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.hw.mmu import AccessContext, AccessType, Mmu, PageFlags, PageTable
+from repro.errors import PageFault
+from repro.hw.mmu import (
+    _RANGE_THRESHOLD,
+    AccessContext,
+    AccessType,
+    Mmu,
+    PageFlags,
+    PageTable,
+)
 from repro.hw.phys_mem import PAGE_SIZE
 from repro.core.multiuser import Segment, simulate_concurrent
 
 FLAGS = PageFlags.PRESENT | PageFlags.WRITABLE | PageFlags.USER
+#: Virtual pages the page-table sequences touch.
+VPNS = 160
+
+_flags = st.sampled_from([FLAGS, PageFlags.PRESENT | PageFlags.USER,
+                          PageFlags(0)])
+#: One page-table edit: a single page, a run on either side of the
+#: interval threshold, or an unmap.
+_page_table_op = st.one_of(
+    st.tuples(st.just("map"), st.integers(0, VPNS - 1),
+              st.integers(0, 4000), _flags),
+    st.tuples(st.just("map_range"), st.integers(0, VPNS - 1),
+              st.integers(1, 3 * _RANGE_THRESHOLD), st.integers(0, 4000),
+              _flags),
+    st.tuples(st.just("unmap"), st.integers(0, VPNS - 1)))
 
 
 class TestMmuProperties:
@@ -42,6 +64,77 @@ class TestMmuProperties:
         hot = {vpn: mmu.translate(pt, ctx, vpn * PAGE_SIZE, AccessType.READ)
                for vpn in mappings}
         assert cold == hot
+
+    @given(ops=st.lists(_page_table_op, max_size=14))
+    @settings(max_examples=150, deadline=None)
+    def test_page_table_matches_per_page_oracle(self, ops):
+        """Singles, runs on both sides of the interval threshold and
+        unmaps, in any order: the latest edit of each page wins."""
+        pt = PageTable(asid=1)
+        oracle = {}
+        for op in ops:
+            if op[0] == "map":
+                _, vpn, ppn, flags = op
+                pt.map(vpn * PAGE_SIZE, ppn * PAGE_SIZE, flags)
+                oracle[vpn] = (ppn, flags)
+            elif op[0] == "map_range":
+                _, vpn, npages, ppn, flags = op
+                pt.map_range(vpn * PAGE_SIZE, ppn * PAGE_SIZE,
+                             npages * PAGE_SIZE, flags)
+                oracle.update((vpn + index, (ppn + index, flags))
+                              for index in range(npages))
+            else:
+                pt.unmap(op[1] * PAGE_SIZE)
+                oracle.pop(op[1], None)
+        for vpn in range(VPNS + 3 * _RANGE_THRESHOLD):
+            entry = oracle.get(vpn)
+            if entry is None or not entry[1] & PageFlags.PRESENT:
+                with pytest.raises(PageFault):
+                    pt.lookup(vpn * PAGE_SIZE)
+            else:
+                assert pt.lookup(vpn * PAGE_SIZE + 7) == (
+                    entry[0] * PAGE_SIZE, entry[1])
+        assert pt.mapped_pages() == len(oracle)
+
+    @given(frames=st.lists(st.integers(0, 23), min_size=8, max_size=8,
+                           unique=True),
+           start=st.integers(0, 8 * PAGE_SIZE - 1),
+           length=st.integers(1, 8 * PAGE_SIZE),
+           payload=st.binary(min_size=1, max_size=64))
+    @settings(max_examples=60, deadline=None)
+    def test_virt_access_matches_per_page_access(self, frames, start,
+                                                 length, payload):
+        """Ranges over physically scattered pages read and write the
+        same bytes as one access per page."""
+        length = min(length, 8 * PAGE_SIZE - start)
+        mmu = Mmu()
+        pt = PageTable(asid=1)
+        ctx = AccessContext(asid=1)
+        for vpn, frame in enumerate(frames):
+            pt.map(vpn * PAGE_SIZE, frame * PAGE_SIZE, FLAGS)
+        memory = bytearray(bytes(range(256)) * (24 * PAGE_SIZE // 256))
+
+        def phys_read(paddr, nbytes):
+            return bytes(memory[paddr:paddr + nbytes])
+
+        def phys_write(paddr, data):
+            memory[paddr:paddr + len(data)] = data
+
+        def per_page(vaddr):
+            return frames[vaddr // PAGE_SIZE] * PAGE_SIZE + vaddr % PAGE_SIZE
+
+        expected = bytes(memory[per_page(vaddr)]
+                         for vaddr in range(start, start + length))
+        for _ in range(2):  # cold walk, then the warm-TLB memo
+            assert mmu.virt_read(pt, ctx, start, length,
+                                 phys_read) == expected
+
+        data = (payload * (length // len(payload) + 1))[:length]
+        shadow = bytearray(memory)
+        for offset, byte in enumerate(data):
+            shadow[per_page(start + offset)] = byte
+        mmu.virt_write(pt, ctx, start, data, phys_write)
+        assert memory == shadow
 
 
 class TestMultiuserProperties:

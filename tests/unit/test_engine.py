@@ -18,7 +18,6 @@ from repro.sim.engine import (
     WorkUnit,
     run_lanes,
 )
-from repro.sim.trace import TraceRecorder
 
 
 class TestEventOrdering:
@@ -57,16 +56,17 @@ class TestEventClock:
         assert order == ["reserved", "fresh"]
 
     def test_trace_recorder_attaches_unchanged(self):
-        """The SimClock listener surface carries over: a TraceRecorder
-        sees kernel charges exactly as it sees clock advances."""
+        """The SimClock listener surface carries over: a recording
+        listener sees kernel charges exactly as it sees clock advances."""
         clock = EventClock()
-        with TraceRecorder(clock) as recorder:
-            clock.charge(1.0, 2.0, "gpu")
-            clock.charge(3.0, 0.0, "noise")  # zero-length: dropped
-        events = recorder.events
-        assert len(events) == 1
-        assert (events[0].start, events[0].duration,
-                events[0].category) == (1.0, 2.0, "gpu")
+        seen = []
+        listener = lambda start, seconds, category: seen.append(
+            (start, seconds, category))
+        clock.add_listener(listener)
+        clock.charge(1.0, 2.0, "gpu")
+        clock.remove_listener(listener)
+        clock.charge(3.0, 1.0, "after")
+        assert seen == [(1.0, 2.0, "gpu")]
 
 
 class TestProcess:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.multiuser import Segment, interleave_copies, simulate_concurrent
+from repro.core.multiuser import Segment, simulate_concurrent
 
 
 def host(duration):
@@ -76,19 +76,3 @@ class TestSimulateConcurrent:
         parallel, _, _ = simulate_concurrent([profile, list(profile)], 0.01)
         sequential = 2 * (1.0 + 0.5)
         assert parallel < sequential
-
-
-class TestInterleaveCopies:
-    def test_chunk_count(self):
-        segments = interleave_copies(10.0, 4.0, host_rate=1.0,
-                                     gpu_rate=1.0, gpu_kernel_latency=0.0)
-        assert len(segments) == 6  # 3 chunks x (host + gpu)
-
-    def test_total_gpu_time(self):
-        segments = interleave_copies(8.0, 4.0, host_rate=2.0,
-                                     gpu_rate=4.0, gpu_kernel_latency=0.5)
-        gpu_time = sum(s.duration for s in segments if s.kind == "gpu")
-        assert gpu_time == pytest.approx(8.0 / 4.0 + 2 * 0.5)
-
-    def test_zero_bytes(self):
-        assert interleave_copies(0, 4.0, 1.0, 1.0, 0.1) == []

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim.pipeline import (
-    effective_bandwidth,
     pipelined_time,
     pipelined_times,
     serial_time,
@@ -108,15 +107,17 @@ class TestTailChunk:
 
 
 class TestEffectiveBandwidthEdges:
+    """Effective bandwidth is bytes over the pipelined makespan."""
+
     def test_sub_chunk_transfer_degenerates_to_serial(self):
         stages = [GB, 2 * GB]
         nbytes = MB / 2  # smaller than one chunk
-        assert effective_bandwidth(nbytes, stages, MB) == pytest.approx(
+        assert nbytes / pipelined_time(nbytes, stages, MB) == pytest.approx(
             nbytes / serial_time(nbytes, stages))
 
     def test_exactly_one_chunk(self):
         stages = [GB, 2 * GB]
-        assert effective_bandwidth(MB, stages, MB) == pytest.approx(
+        assert MB / pipelined_time(MB, stages, MB) == pytest.approx(
             MB / serial_time(MB, stages))
 
 
@@ -155,14 +156,9 @@ def test_pipelined_never_beats_the_bottleneck(nbytes_mb, chunk_mb, bandwidths):
 
 def test_effective_bandwidth_bounded_by_bottleneck():
     stages = [1.9 * GB, 6.0 * GB]
-    bandwidth = effective_bandwidth(256 * MB, stages, 4 * MB)
+    bandwidth = 256 * MB / pipelined_time(256 * MB, stages, 4 * MB)
     assert bandwidth <= min(stages)
     assert bandwidth >= 0.8 * min(stages)
-
-
-def test_effective_bandwidth_rejects_empty_transfer():
-    with pytest.raises(ValueError):
-        effective_bandwidth(0, [GB], MB)
 
 
 class TestPipelinedTimesVectorized:

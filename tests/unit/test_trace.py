@@ -1,9 +1,9 @@
-"""Unit tests for clock listeners and the trace recorder."""
+"""Unit tests for clock listeners and the lane timeline renderer."""
 
 import pytest
 
 from repro.sim.clock import SimClock
-from repro.sim.trace import TraceRecorder, record
+from repro.sim.trace import TraceEvent, _time_axis, render_lanes
 
 
 class TestClockListeners:
@@ -26,71 +26,14 @@ class TestClockListeners:
         assert seen == ["a"]
 
 
-class TestTraceRecorder:
-    def test_records_only_while_attached(self):
-        clock = SimClock()
-        recorder = TraceRecorder(clock)
-        clock.advance(1.0, "before")
-        with recorder:
-            clock.advance(2.0, "during")
-        clock.advance(3.0, "after")
-        assert [e.category for e in recorder.events] == ["during"]
-
-    def test_zero_duration_charges_skipped(self):
-        clock = SimClock()
-        with record(clock) as recorder:
-            clock.advance(0.0, "noop")
-            clock.advance(1.0, "real")
-        assert len(recorder.events) == 1
-
-    def test_queries(self):
-        clock = SimClock()
-        with record(clock) as recorder:
-            clock.advance(1.0, "copy")
-            clock.advance(2.0, "compute")
-            clock.advance(0.5, "copy")
-        assert recorder.total() == pytest.approx(3.5)
-        assert recorder.total("copy") == pytest.approx(1.5)
-        assert recorder.first("compute").start == pytest.approx(1.0)
-        assert len(recorder.by_category("copy")) == 2
-
-    def test_event_end(self):
-        clock = SimClock()
-        with record(clock) as recorder:
-            clock.advance(1.5, "x")
-        assert recorder.events[0].end == pytest.approx(1.5)
-
-    def test_render_empty(self):
-        assert "empty" in TraceRecorder(SimClock()).render()
-
-    def test_render_rows_per_category(self):
-        clock = SimClock()
-        with record(clock) as recorder:
-            clock.advance(1.0, "alpha")
-            clock.advance(1.0, "beta")
-        text = recorder.render(width=20)
-        assert "alpha" in text and "beta" in text and "#" in text
-
-    def test_render_single_instant_trace_reports_zero_span(self):
-        """All events at one instant: genuine 0-span, no epsilon fudge."""
-        from repro.sim.trace import TraceEvent
-        recorder = TraceRecorder(SimClock())
-        # _record skips zero durations from clocks, but render must cope
-        # with zero-span inputs fed programmatically.
-        recorder.events = [TraceEvent(2.0, 0.0, "only")]
-        text = recorder.render(width=20)
-        assert "0.000 ms" in text
-        assert "only" in text and "#" in text
-
+class TestLaneRender:
     def test_render_lanes_single_instant(self):
-        from repro.sim.trace import TraceEvent, render_lanes
         lanes = {"t0": [TraceEvent(1.0, 0.0, "gpu")]}
         text = render_lanes(lanes, width=12)
         assert "0.000 ms" in text
         assert "#" in text
 
     def test_time_axis_zero_span_maps_to_column_zero(self):
-        from repro.sim.trace import TraceEvent, _time_axis
         span, column = _time_axis([TraceEvent(5.0, 0.0, "x")], 40)
         assert span == 0.0
         assert column(5.0) == 0
@@ -100,15 +43,18 @@ class TestTraceRecorder:
         assert column(0.0) == 0
         assert column(2.0) == 20
 
-    def test_ordering_property_on_real_run(self):
-        """On a HIX memcpy, CPU-side copy is charged before in-GPU crypto."""
-        from repro.system import Machine, MachineConfig
-        machine = Machine(MachineConfig())
-        service = machine.boot_hix()
-        app = machine.hix_session(service, "traced").cuCtxCreate()
-        buf = app.cuMemAlloc(4096)
-        with record(machine.clock) as recorder:
-            app.cuMemcpyHtoD(buf, b"\x11" * 4096)
-        copy = recorder.first("copy_h2d")
-        crypto = recorder.first("crypto_gpu")
-        assert copy is not None and crypto is not None
+
+def test_hix_memcpy_charges_copy_before_gpu_crypto():
+    """On a HIX memcpy, CPU-side copy is charged before in-GPU crypto."""
+    from repro.system import Machine, MachineConfig
+    machine = Machine(MachineConfig())
+    service = machine.boot_hix()
+    app = machine.hix_session(service, "traced").cuCtxCreate()
+    buf = app.cuMemAlloc(4096)
+    seen = []
+    listener = lambda start, seconds, category: seen.append(category)
+    machine.clock.add_listener(listener)
+    app.cuMemcpyHtoD(buf, b"\x11" * 4096)
+    machine.clock.remove_listener(listener)
+    assert "copy_h2d" in seen and "crypto_gpu" in seen
+    assert seen.index("copy_h2d") < seen.index("crypto_gpu")

@@ -54,14 +54,7 @@ from repro.core.key_exchange import (
 )
 from repro.core.runtime import SealedClient
 from repro.core.service import SealedService, ServiceSession
-from repro.crypto.blob import (
-    HEADER_LEN,
-    open_blob,
-    open_blob_chunks,
-    seal_blob,
-    seal_blob_chunks,
-    sealed_size,
-)
+from repro.crypto.blob import open_blob_chunks, seal_blob_chunks, sealed_size
 from repro.crypto.kdf import hkdf_sha256, hmac_sha256
 from repro.errors import AttestationError, CertChainError, ProtocolError
 from repro.gpu.bios import bios_hash
@@ -181,9 +174,12 @@ class CcEngine:
     """Fixed-function AEAD engine beside the copy engines.
 
     Holds per-context session crypto in on-die SRAM (Python objects,
-    per the simulation convention above) and seals/opens data in place
-    in VRAM.  Unlike HIX's ``hix.*`` crypto kernels this never occupies
-    the SMs — no kernel launches, no ``gpu_dispatch`` charges.
+    per the simulation convention above) and handles one sealed frame
+    per transfer in VRAM: :meth:`open_scatter` authenticates an upload
+    once and scatters its chunks to their destinations,
+    :meth:`seal_gather` gathers a download's ranges and seals them as
+    one frame.  Unlike HIX's ``hix.*`` crypto kernels this never
+    occupies the SMs — no kernel launches, no ``gpu_dispatch`` charges.
 
     Tag failures raise :class:`~repro.errors.IntegrityError` straight to
     the caller (the user sees the detection); no device fault is queued,
@@ -236,31 +232,8 @@ class CcEngine:
 
     # -- bulk path ------------------------------------------------------
 
-    def open_into(self, ctx_id: int, src_va: int, blob_len: int,
-                  dst_va: int) -> int:
-        """Open a sealed blob staged in VRAM; plaintext lands at *dst_va*."""
-        crypto = self.session_crypto(ctx_id)
-        ctx = self._ctx(ctx_id)
-        sealed = self._device.read_ctx(ctx, src_va, blob_len)
-        plaintext = open_blob(crypto.bulk_suite, sealed,
-                              associated_data=self._bulk_aad(ctx_id),
-                              replay_guard=crypto.bulk_h2d_guard)
-        self._device.write_ctx(ctx, dst_va, plaintext)
-        return len(plaintext)
-
-    def seal_from(self, ctx_id: int, src_va: int, nbytes: int,
-                  dst_va: int) -> int:
-        """Seal *nbytes* of VRAM; the blob lands at *dst_va* (staging)."""
-        crypto = self.session_crypto(ctx_id)
-        ctx = self._ctx(ctx_id)
-        plaintext = self._device.read_ctx(ctx, src_va, nbytes)
-        blob = seal_blob(crypto.bulk_suite, crypto.bulk_d2h_nonces,
-                         plaintext, associated_data=self._bulk_aad(ctx_id))
-        self._device.write_ctx(ctx, dst_va, blob)
-        return len(blob)
-
     def open_scatter(self, ctx_id: int, src_va: int, blob_len: int,
-                     gpu_vas: Sequence[int], lengths: Sequence[int]) -> int:
+                     gpu_vas: Sequence[int], lengths: Sequence[int]) -> None:
         """Open one fused frame and scatter its chunks to their targets."""
         crypto = self.session_crypto(ctx_id)
         ctx = self._ctx(ctx_id)
@@ -268,14 +241,11 @@ class CcEngine:
         chunks = open_blob_chunks(crypto.bulk_suite, sealed, list(lengths),
                                   associated_data=self._bulk_aad(ctx_id),
                                   replay_guard=crypto.bulk_h2d_guard)
-        total = 0
         for gpu_va, chunk in zip(gpu_vas, chunks):
             self._device.write_ctx(ctx, gpu_va, chunk)
-            total += len(chunk)
-        return total
 
     def seal_gather(self, ctx_id: int, gpu_vas: Sequence[int],
-                    lengths: Sequence[int], dst_va: int) -> int:
+                    lengths: Sequence[int], dst_va: int) -> None:
         """Gather chunks from VRAM and seal them as one fused frame."""
         crypto = self.session_crypto(ctx_id)
         ctx = self._ctx(ctx_id)
@@ -285,7 +255,6 @@ class CcEngine:
                                 chunks,
                                 associated_data=self._bulk_aad(ctx_id))
         self._device.write_ctx(ctx, dst_va, blob)
-        return len(blob)
 
 
 # ---------------------------------------------------------------------------
@@ -383,28 +352,9 @@ class GpuCcService(SealedService):
 
     # ------------------------------------------- bounce-buffer secure memcpy
 
-    def _memcpy_htod(self, session: ServiceSession, gpu_va: int,
-                     blob_len: int) -> dict:
-        """Bounce region -> VRAM staging (ciphertext), then on-die open."""
-        staging_va = self.driver.malloc(session.ctx, blob_len)
-        self._dma_from_region(session, staging_va, blob_len)
-        self.engine.open_into(session.ctx.ctx_id, staging_va, blob_len,
-                              gpu_va)
-        self.driver.free(session.ctx, staging_va)
-        return {"ok": True, "plaintext_len": blob_len - HEADER_LEN}
-
-    def _memcpy_dtoh(self, session: ServiceSession, gpu_va: int,
-                     nbytes: int) -> dict:
-        """On-die seal into VRAM staging, then staging -> bounce region."""
-        blob_len = sealed_size(nbytes)
-        staging_va = self.driver.malloc(session.ctx, blob_len)
-        self.engine.seal_from(session.ctx.ctx_id, gpu_va, nbytes, staging_va)
-        self._dma_to_region(session, staging_va, blob_len)
-        self.driver.free(session.ctx, staging_va, cleanse=True)
-        return {"ok": True, "blob_len": blob_len}
-
     def _memcpy_htod_batch(self, session: ServiceSession, gpu_vas: list,
                            lengths: list, blob_len: int) -> dict:
+        """Bounce region -> VRAM staging (ciphertext), then on-die open."""
         staging_va = self.driver.malloc(session.ctx, blob_len)
         self._dma_from_region(session, staging_va, blob_len)
         self.engine.open_scatter(session.ctx.ctx_id, staging_va, blob_len,
@@ -414,6 +364,7 @@ class GpuCcService(SealedService):
 
     def _memcpy_dtoh_batch(self, session: ServiceSession, gpu_vas: list,
                            lengths: list) -> dict:
+        """On-die seal into VRAM staging, then staging -> bounce region."""
         blob_len = sealed_size(sum(lengths))
         staging_va = self.driver.malloc(session.ctx, blob_len)
         self.engine.seal_gather(session.ctx.ctx_id, gpu_vas, lengths,

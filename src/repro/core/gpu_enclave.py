@@ -39,7 +39,7 @@ from repro.core.key_exchange import (
     int_to_dh_bytes,
 )
 from repro.core.service import SealedService, ServiceSession
-from repro.crypto.blob import HEADER_LEN, sealed_size
+from repro.crypto.blob import sealed_size
 from repro.errors import AttestationError, ProtocolError
 from repro.gdev.driver import GdevModule
 from repro.gpu.bios import bios_hash, is_valid_rom
@@ -59,6 +59,7 @@ from repro.sgx.instructions import SgxUnit
 GPU_ENCLAVE_CODE = (b"HIX GPU enclave driver v1.0 -- Gdev-based trusted "
                     b"CUDA runtime relocated from the OS kernel")
 
+# All four names stay: every session loads this image and cleanses its bytes.
 CRYPTO_KERNELS = ["hix.aead_decrypt", "hix.aead_encrypt",
                   "hix.aead_decrypt_scatter", "hix.aead_encrypt_gather"]
 
@@ -197,39 +198,14 @@ class GpuEnclaveService(SealedService):
 
     # ----------------------------------------------- single-copy secure memcpy
 
-    def _memcpy_htod(self, session: Session, gpu_va: int,
-                     blob_len: int) -> dict:
-        """Shared memory -> GPU (ciphertext), then in-GPU decrypt (§4.4.2)."""
-        staging_va = self.driver.malloc(session.ctx, blob_len)
-        self._dma_from_region(session, staging_va, blob_len)
-        self.driver.launch(
-            session.ctx, session.crypto_module, "hix.aead_decrypt",
-            [DevPtr(staging_va), blob_len, DevPtr(gpu_va)], via_mmio=True)
-        self.driver.free(session.ctx, staging_va)
-        return {"ok": True, "plaintext_len": blob_len - HEADER_LEN}
-
-    def _memcpy_dtoh(self, session: Session, gpu_va: int,
-                     nbytes: int) -> dict:
-        """In-GPU encrypt, then GPU -> shared memory (ciphertext)."""
-        blob_len = sealed_size(nbytes)
-        staging_va = self.driver.malloc(session.ctx, 8 + blob_len)
-        self.driver.launch(
-            session.ctx, session.crypto_module, "hix.aead_encrypt",
-            [DevPtr(gpu_va), nbytes, DevPtr(staging_va)], via_mmio=True)
-        self._dma_to_region(session, staging_va + 8, blob_len)
-        self.driver.free(session.ctx, staging_va, cleanse=True)
-        return {"ok": True, "blob_len": blob_len}
-
-    # ------------------------------------------- batched single-copy transfers
-
     def _memcpy_htod_batch(self, session: Session, gpu_vas: list,
                            lengths: list, blob_len: int) -> dict:
-        """One DMA + one in-GPU open for a whole batch of uploads.
+        """Shared memory -> GPU (ciphertext), then in-GPU open (§4.4.2).
 
-        The fused frame in shared memory seals the concatenation of the
-        batch's chunks under one nonce/tag; the scatter kernel
-        authenticates it once and distributes the plaintext chunks to
-        their per-item destinations.
+        One DMA and one kernel per frame: the frame in shared memory
+        seals the concatenation of its items' chunks under one
+        nonce/tag; the scatter kernel authenticates it once and
+        distributes the plaintext chunks to their per-item destinations.
         """
         staging_va = self.driver.malloc(session.ctx, blob_len)
         self._dma_from_region(session, staging_va, blob_len)
@@ -245,7 +221,7 @@ class GpuEnclaveService(SealedService):
 
     def _memcpy_dtoh_batch(self, session: Session, gpu_vas: list,
                            lengths: list) -> dict:
-        """One in-GPU gather-and-seal + one DMA for a batch of downloads."""
+        """In-GPU gather-and-seal, then GPU -> shared memory (ciphertext)."""
         blob_len = sealed_size(sum(lengths))
         staging_va = self.driver.malloc(session.ctx, 8 + blob_len)
         params = [DevPtr(staging_va), len(gpu_vas)]

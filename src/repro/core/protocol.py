@@ -29,26 +29,23 @@ CH_REPLY = 4      # GPU enclave -> user enclave control messages
 REQUEST_AAD = b"hix-request"
 REPLY_AAD = b"hix-reply"
 
-# Request operations the GPU enclave serves.  The ``*_batch`` variants
-# coalesce several same-session transfers/launches into one sealed
-# request (one AEAD seal/open per direction instead of one per item);
-# the per-item structure travels as explicit tables inside the request.
+# Request operations the GPU enclave serves.  Every sealed transfer and
+# launch travels as a ``*_batch`` op: one sealed request (one AEAD
+# seal/open per direction) carries one or more items, whose per-item
+# structure travels as explicit tables inside the request.  A single
+# copy or launch is a one-item batch.
 OP_CTX_DESTROY = "ctx_destroy"
 OP_FREE = "free"
-OP_LAUNCH = "launch"
 OP_LAUNCH_BATCH = "launch_batch"
 OP_MALLOC = "malloc"
-OP_MEMCPY_DTOH = "memcpy_dtoh"
 OP_MEMCPY_DTOH_BATCH = "memcpy_dtoh_batch"
-OP_MEMCPY_HTOD = "memcpy_htod"
 OP_MEMCPY_HTOD_BATCH = "memcpy_htod_batch"
 OP_MODULE_LOAD = "module_load"
 OP_SHUTDOWN = "shutdown"
 
 ALL_OPS = frozenset({
-    OP_CTX_DESTROY, OP_FREE, OP_LAUNCH, OP_LAUNCH_BATCH, OP_MALLOC,
-    OP_MEMCPY_DTOH, OP_MEMCPY_DTOH_BATCH, OP_MEMCPY_HTOD,
-    OP_MEMCPY_HTOD_BATCH, OP_MODULE_LOAD, OP_SHUTDOWN,
+    OP_CTX_DESTROY, OP_FREE, OP_LAUNCH_BATCH, OP_MALLOC,
+    OP_MEMCPY_DTOH_BATCH, OP_MEMCPY_HTOD_BATCH, OP_MODULE_LOAD, OP_SHUTDOWN,
 })
 
 # Machine-readable error codes carried in structured error replies.

@@ -286,68 +286,59 @@ class SealedClient:
     def cuMemFree(self, dptr: DevPtr) -> None:
         self._request({"op": protocol.OP_FREE, "gpu_va": dptr.addr})
 
-    def _bulk_chunk_limit(self) -> int:
-        return self._end.region.bulk_capacity - HEADER_LEN
-
     def _put_bulk(self, sealed: bytes) -> None:
         self._end.region.write(self._process, BULK_OFFSET, sealed,
                                enclave_mode=self.enclave_mode)
 
-    def _get_bulk(self, reply: dict, nbytes: int, what: str) -> bytes:
+    def _get_bulk(self, reply: dict, nbytes: int) -> bytes:
         """The sealed blob the service left for *nbytes* of plaintext."""
         blob_len = int(reply["blob_len"])
         if blob_len != sealed_size(nbytes):
-            raise ProtocolError(f"unexpected sealed {what} size")
+            raise ProtocolError("unexpected sealed blob size")
         return self._end.region.read(self._process, BULK_OFFSET, blob_len,
                                      enclave_mode=self.enclave_mode)
 
-    def _upload(self, gpu_va: int, raw: memoryview) -> None:
-        """Seal *raw* chunk by chunk straight from the caller's buffer
-        and have the service land it at *gpu_va* (one request per
-        chunk; an empty buffer still sends one empty chunk)."""
-        limit = self._bulk_chunk_limit()
-        offset = 0
-        while True:
-            chunk = raw[offset:offset + limit]
-            sealed = seal_blob(self._crypto.bulk_suite,
-                               self._crypto.bulk_h2d_nonces, chunk,
-                               associated_data=self._bulk_ad)
-            self._put_bulk(sealed)
-            self._request({"op": protocol.OP_MEMCPY_HTOD,
-                           "gpu_va": gpu_va + offset,
-                           "blob_len": len(sealed)})
-            offset += len(chunk)
-            if offset >= raw.nbytes:
-                return
+    def _frames(self, sizes: Sequence[int]) -> Tuple[list, int]:
+        """Pack transfers of *sizes* bytes, in order, into bulk frames.
 
-    def _download(self, gpu_va: int, nbytes: int) -> bytes:
-        """Fetch and open *nbytes* from *gpu_va*, chunk by chunk."""
-        limit = self._bulk_chunk_limit()
-        parts = []
-        offset = 0
-        while offset < nbytes:
-            chunk = min(nbytes - offset, limit)
-            reply = self._request({"op": protocol.OP_MEMCPY_DTOH,
-                                   "gpu_va": gpu_va + offset,
-                                   "nbytes": chunk})
-            parts.append(open_blob(
-                self._crypto.bulk_suite, self._get_bulk(reply, chunk, "blob"),
-                associated_data=self._bulk_ad,
-                replay_guard=self._crypto.bulk_d2h_guard))
-            offset += chunk
-        # A single chunk's plaintext is returned as is (no copy).
-        return b"".join(parts)
+        Consecutive items share a frame while they fit the shared
+        region's bulk area; an item larger than one frame goes out in
+        frame-sized pieces, one frame each.  Returns the frames, each a
+        list of ``(item index, offset, nbytes)`` pieces, and how many
+        items paid their RPC through their own requests: the first item
+        of each frame, once per item however many frames it spans.
+        """
+        limit = self._end.region.bulk_capacity - HEADER_LEN
+        frames: list = []
+        frame: list = []
+        frame_bytes = 0
+        paid = 0
+        for index, nbytes in enumerate(sizes):
+            if frame and frame_bytes + nbytes > limit:
+                frames.append(frame)
+                frame, frame_bytes = [], 0
+            if not frame:
+                paid += 1
+            if nbytes <= limit:
+                frame.append((index, 0, nbytes))
+                frame_bytes += nbytes
+                continue
+            frames.extend([(index, offset, min(limit, nbytes - offset))]
+                          for offset in range(0, nbytes, limit))
+        if frame:
+            frames.append(frame)
+        return frames, paid
 
-    def _charge_copies(self, sizes: Sequence[int], frames: int,
+    def _charge_copies(self, sizes: Sequence[int], paid: int,
                        upload: bool) -> None:
         """Analytic time of sealed transfers of *sizes* bytes each.
 
-        Charged per item, exactly as the equivalent sequence of scalar
-        calls charges it: the backend's copy pipeline (Section 5.2:
-        encrypt overlapping transfer), its request overhead and its
-        device-side crypto pass.  *frames* requests already paid an
-        RPC in :meth:`_request`; the remaining items are topped up to
-        one RPC each.
+        Charged per item, however the items were framed: the backend's
+        copy pipeline (Section 5.2: encrypt overlapping transfer), its
+        request overhead and its device-side crypto pass.  *paid* items
+        already paid an RPC per request of theirs in :meth:`_request`
+        (an item split over k frames paid k); the remaining items are
+        topped up to one RPC each.
         """
         costs, backend = self._costs, self._backend
         if costs is None or not sizes:
@@ -364,7 +355,7 @@ class SealedClient:
             copies = pipelined_times(modeled, bandwidths,
                                      costs.pipeline_chunk_bytes,
                                      stage_latencies=latencies)
-        for _ in range(len(sizes) - frames):
+        for _ in range(len(sizes) - paid):
             self._charge(backend.rpc_round_trip(costs), "ipc")
         overhead = backend.request_overhead(costs)
         crypto_latency, crypto_bandwidth = backend.device_crypto(costs)
@@ -383,11 +374,11 @@ class SealedClient:
     def cuMemcpyHtoD(self, dptr: DevPtr, data: HostBuffer) -> None:
         """Single-copy secure host-to-device transfer (Section 4.4.2/4.4.3).
 
-        Per chunk: seal inside the user's TEE, place the ciphertext in
-        the shared region, and have the service move it into device
-        memory, where the device-side AEAD opens it.  The source is
-        chunked through memoryviews and sealed in place (no slice
-        copies).
+        A one-item :meth:`cuMemcpyHtoDBatch`: seal inside the user's
+        TEE, place the ciphertext in the shared region, and have the
+        service move it into device memory, where the device-side AEAD
+        opens it.  The source is sealed in place through memoryviews
+        (no slice copies).
         """
         tracer = _OBS.tracer
         if tracer is None:
@@ -398,12 +389,11 @@ class SealedClient:
             return self._cuMemcpyHtoD(dptr, data)
 
     def _cuMemcpyHtoD(self, dptr: DevPtr, data: HostBuffer) -> None:
-        raw = _as_buffer(data)
-        self._upload(dptr.addr, raw)
-        self._charge_copies([raw.nbytes], frames=1, upload=True)
+        self._cuMemcpyHtoDBatch([(dptr, data)])
 
     def cuMemcpyDtoH(self, dptr: DevPtr, nbytes: int) -> bytes:
-        """Single-copy secure device-to-host transfer."""
+        """Single-copy secure device-to-host transfer: a one-item
+        :meth:`cuMemcpyDtoHBatch`."""
         tracer = _OBS.tracer
         if tracer is None:
             return self._cuMemcpyDtoH(dptr, nbytes)
@@ -412,9 +402,7 @@ class SealedClient:
             return self._cuMemcpyDtoH(dptr, nbytes)
 
     def _cuMemcpyDtoH(self, dptr: DevPtr, nbytes: int) -> bytes:
-        out = self._download(dptr.addr, nbytes)
-        self._charge_copies([nbytes], frames=1, upload=False)
-        return out
+        return self._cuMemcpyDtoHBatch([(dptr, nbytes)])[0]
 
     # -- batched transfers --------------------------------------------------------------------
 
@@ -428,8 +416,8 @@ class SealedClient:
         Simulated time is still charged *per item*, exactly as the
         equivalent sequence of :meth:`cuMemcpyHtoD` calls would charge
         it — batching changes the real execution, never the virtual
-        timeline.  Items larger than one frame take the scalar chunked
-        path.
+        timeline.  An item larger than one frame is split into
+        frame-sized pieces, one frame each.
         """
         tracer = _OBS.tracer
         if tracer is None:
@@ -439,46 +427,22 @@ class SealedClient:
             return self._cuMemcpyHtoDBatch(items)
 
     def _cuMemcpyHtoDBatch(self, items: Sequence) -> None:
-        limit = self._bulk_chunk_limit()
-        sizes: list = []
-        frame_chunks: list = []
-        frame_vas: list = []
-        frame_bytes = 0
-        frames = 0
-
-        def flush_frame() -> None:
-            nonlocal frame_bytes, frames
-            if not frame_chunks:
-                return
+        raws = [_as_buffer(data) for _, data in items]
+        sizes = [raw.nbytes for raw in raws]
+        frames, paid = self._frames(sizes)
+        for frame in frames:
             sealed = seal_blob_chunks(
                 self._crypto.bulk_suite, self._crypto.bulk_h2d_nonces,
-                frame_chunks, associated_data=self._bulk_ad)
+                [raws[index][offset:offset + nbytes]
+                 for index, offset, nbytes in frame],
+                associated_data=self._bulk_ad)
             self._put_bulk(sealed)
             self._request({"op": protocol.OP_MEMCPY_HTOD_BATCH,
-                           "gpu_vas": frame_vas,
-                           "lengths": [c.nbytes for c in frame_chunks],
+                           "gpu_vas": [items[index][0].addr + offset
+                                       for index, offset, _ in frame],
+                           "lengths": [nbytes for _, _, nbytes in frame],
                            "blob_len": len(sealed)})
-            frame_chunks.clear()
-            frame_vas.clear()
-            frame_bytes = 0
-            frames += 1
-
-        for dptr, data in items:
-            raw = _as_buffer(data)
-            sizes.append(raw.nbytes)
-            if raw.nbytes > limit:
-                # Oversized item: can't share a frame — scalar path.
-                flush_frame()
-                self._upload(dptr.addr, raw)
-                frames += 1
-                continue
-            if frame_bytes + raw.nbytes > limit:
-                flush_frame()
-            frame_chunks.append(raw)
-            frame_vas.append(dptr.addr)
-            frame_bytes += raw.nbytes
-        flush_frame()
-        self._charge_copies(sizes, frames, upload=True)
+        self._charge_copies(sizes, paid, upload=True)
 
     def cuMemcpyDtoHBatch(self, items: Sequence) -> list:
         """Batched downloads: ``items`` is ``[(DevPtr, nbytes), ...]``.
@@ -498,45 +462,26 @@ class SealedClient:
             return self._cuMemcpyDtoHBatch(items)
 
     def _cuMemcpyDtoHBatch(self, items: Sequence) -> list:
-        limit = self._bulk_chunk_limit()
-        results: list = [None] * len(items)
         sizes = [int(nbytes) for _, nbytes in items]
-        frame: list = []       # (result_index, gpu_va, nbytes)
-        frame_bytes = 0
-        frames = 0
-
-        def flush_frame() -> None:
-            nonlocal frame_bytes, frames
-            if not frame:
-                return
-            lengths = [n for _, _, n in frame]
+        frames, paid = self._frames(sizes)
+        parts: list = [[] for _ in items]
+        for frame in frames:
+            lengths = [nbytes for _, _, nbytes in frame]
             reply = self._request({"op": protocol.OP_MEMCPY_DTOH_BATCH,
-                                   "gpu_vas": [va for _, va, _ in frame],
+                                   "gpu_vas": [items[index][0].addr + offset
+                                               for index, offset, _ in frame],
                                    "lengths": lengths})
             chunks = open_blob_chunks(
                 self._crypto.bulk_suite,
-                self._get_bulk(reply, sum(lengths), "batch blob"), lengths,
+                self._get_bulk(reply, sum(lengths)), lengths,
                 associated_data=self._bulk_ad,
                 replay_guard=self._crypto.bulk_d2h_guard)
             for (index, _, _), chunk in zip(frame, chunks):
-                results[index] = chunk
-            frame.clear()
-            frame_bytes = 0
-            frames += 1
-
-        for index, ((dptr, _), nbytes) in enumerate(zip(items, sizes)):
-            if nbytes > limit:
-                flush_frame()
-                results[index] = self._download(dptr.addr, nbytes)
-                frames += 1
-                continue
-            if frame_bytes + nbytes > limit:
-                flush_frame()
-            frame.append((index, dptr.addr, nbytes))
-            frame_bytes += nbytes
-        flush_frame()
-        self._charge_copies(sizes, frames, upload=False)
-        return results
+                parts[index].append(chunk)
+        self._charge_copies(sizes, paid, upload=False)
+        # An item that fit one frame is returned as is (no copy).
+        return [pieces[0] if len(pieces) == 1 else b"".join(pieces)
+                for pieces in parts]
 
     # -- modules / kernels ---------------------------------------------------------------------
 
@@ -560,13 +505,8 @@ class SealedClient:
     def _cuLaunchKernel(self, module: HixModuleHandle, kernel_name: str,
                         params: Sequence[ParamValue],
                         compute_seconds: float = 0.0) -> None:
-        if self._costs is not None:
-            self._charge(self._backend.launch_cost(self._costs), "launch")
-        self._request({"op": protocol.OP_LAUNCH,
-                       "module_id": module.module_id,
-                       "kernel": kernel_name,
-                       "params": protocol.encode_params(list(params)),
-                       "compute_seconds": compute_seconds})
+        self._cuLaunchKernelBatch(
+            module, [(kernel_name, params, compute_seconds)])
 
     def cuLaunchKernelBatch(self, module: HixModuleHandle,
                             launches: Sequence) -> None:

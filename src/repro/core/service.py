@@ -5,7 +5,7 @@ GPU enclave (:mod:`repro.core.gpu_enclave`) or GPU-CC's untrusted
 driver (:mod:`repro.backends.gpucc`).  Both run the same loop — take a
 notification, open the sealed request, dispatch it to the Gdev-derived
 driver, seal the reply — so it lives here once.  A subclass supplies
-boot, the hello handshake, the four bulk-memcpy handlers, where a
+boot, the hello handshake, the two bulk-memcpy handlers, where a
 session's :class:`~repro.core.key_exchange.SessionCrypto` lives, and
 what shutdown tears down.
 """
@@ -172,12 +172,6 @@ class SealedService:
             # Freed device memory is cleansed before reuse (Section 4.5).
             self.driver.free(session.ctx, int(request["gpu_va"]), cleanse=True)
             return {"ok": True}
-        if op == protocol.OP_MEMCPY_HTOD:
-            return self._memcpy_htod(session, int(request["gpu_va"]),
-                                     int(request["blob_len"]))
-        if op == protocol.OP_MEMCPY_DTOH:
-            return self._memcpy_dtoh(session, int(request["gpu_va"]),
-                                     int(request["nbytes"]))
         if op in (protocol.OP_MEMCPY_HTOD_BATCH,
                   protocol.OP_MEMCPY_DTOH_BATCH):
             gpu_vas = [int(va) for va in request["gpu_vas"]]
@@ -195,8 +189,6 @@ class SealedService:
             module_id = next(session.module_ids)
             session.modules[module_id] = module
             return {"ok": True, "module_id": module_id}
-        if op == protocol.OP_LAUNCH:
-            return self._launch_batch(session, [request])
         if op == protocol.OP_LAUNCH_BATCH:
             launches = request["launches"]
             if not isinstance(launches, list) or not launches:

@@ -115,19 +115,27 @@ class AeadSuite(ABC):
         instead of one per chunk.  The receiver recovers the chunk
         boundaries from an out-of-band length table (carried inside the
         sealed request that announces the batch), via
-        :meth:`open_chunks`.
+        :meth:`open_chunks`.  A single chunk is sealed as is, without
+        a copy.
         """
+        if len(chunks) == 1:
+            return self.seal(nonce, chunks[0], associated_data)
         return self.seal(nonce, b"".join(chunks), associated_data)
 
     def open_chunks(self, nonce: bytes, ciphertext: bytes, tag: bytes,
                     lengths: Sequence[int],
                     associated_data: bytes = b"") -> List[bytes]:
-        """Verify once, decrypt once, split into the original chunks."""
+        """Verify once, decrypt once, split into the original chunks.
+
+        A single chunk is the plaintext itself, returned without a copy.
+        """
         plaintext = self.open(nonce, ciphertext, tag, associated_data)
         if len(plaintext) != sum(lengths):
             raise IntegrityError(
                 f"batched plaintext is {len(plaintext)} bytes but the "
                 f"length table claims {sum(lengths)}")
+        if len(lengths) == 1:
+            return [plaintext]
         view = memoryview(plaintext)
         chunks: List[bytes] = []
         offset = 0

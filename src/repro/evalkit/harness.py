@@ -71,16 +71,6 @@ class _CountingApi:
         return getattr(self._api, name)
 
 
-def per_launch_overhead(costs: CostModel, mode: str) -> float:
-    """Driver-visible cost of one kernel launch, beyond GPU compute.
-
-    Delegates to :meth:`CostModel.launch_overhead` so the serving
-    layer's job builder and this harness charge elided launches from
-    one formula.
-    """
-    return costs.launch_overhead(mode)
-
-
 def run_single(workload: Workload, mode: str,
                inflation: float = DEFAULT_INFLATION,
                machine: Optional[Machine] = None) -> RunResult:
@@ -107,7 +97,7 @@ def run_single(workload: Workload, mode: str,
     missing_launches = max(workload.n_launches - counting.launches, 0)
     if missing_launches:
         machine.clock.advance(
-            missing_launches * per_launch_overhead(costs, mode), "launch")
+            missing_launches * costs.launch_overhead(mode), "launch")
     residual_compute = max(
         workload.compute_seconds - counting.hinted_seconds, 0.0)
     if residual_compute > 0.0:
@@ -134,7 +124,7 @@ def _compute_segments(workload: Workload, costs: CostModel, mode: str,
     launches = max(workload.n_launches, 1)
     groups = min(launches, max_segments)
     per_group_compute = workload.compute_seconds / groups
-    per_group_overhead = (launches / groups) * per_launch_overhead(costs, mode)
+    per_group_overhead = (launches / groups) * costs.launch_overhead(mode)
     segments: List[Segment] = []
     for _ in range(groups):
         segments.append(Segment("host", per_group_overhead, "launch"))

@@ -31,6 +31,10 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from repro.core.channel import BULK_OFFSET
+from repro.core.protocol import CH_BULK_H2D
+from repro.crypto.blob import seal_blob
+from repro.crypto.nonce import NonceSequence
+from repro.crypto.suite import KEY_LEN, make_suite
 from repro.errors import (
     AttestationError,
     CertChainError,
@@ -437,6 +441,14 @@ def attack_redirect_dma(backend: str = "hix") -> AttackResult:
         # Redirect every page the GPU would read for host buffers.
         if app.secure:
             source_pa = app._end.region.paddr + BULK_OFFSET  # noqa: SLF001
+            # A well-formed frame, so the device gets as far as its tag
+            # check: valid magic and length, and the session's next
+            # bulk-upload nonce (counter 1; nonces are public), but
+            # sealed under a key the adversary made up.
+            forged = make_suite(machine.config.suite_name,
+                                b"\xA5" * KEY_LEN)
+            adversary.write_physical(trap, seal_blob(
+                forged, NonceSequence(CH_BULK_H2D), b"\xEE" * len(payload)))
         else:
             source_pa = machine._gdev_staging_pa
         for offset in range(0, 1 << 16, 4096):

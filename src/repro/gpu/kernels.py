@@ -12,7 +12,8 @@ Two kernel families ship with the device:
   used by the microbenchmarks and examples.
 * ``hix.*`` — the in-GPU OCB-AES kernels of Section 4.4.2 that decrypt
   data after a host-to-device copy and encrypt it before a device-to-host
-  copy, keyed by the context's session key.
+  copy, keyed by the context's session key: one scatter kernel and one
+  gather kernel, each handling one sealed blob of one or more chunks.
 
 Workload modules (Rodinia) register additional kernels at import time.
 """
@@ -24,12 +25,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.crypto.blob import (
-    open_blob,
-    open_blob_chunks,
-    seal_blob,
-    seal_blob_chunks,
-)
+from repro.crypto.blob import open_blob_chunks, seal_blob_chunks
 from repro.errors import KernelNotFound
 
 KernelFn = Callable[["SimGpu", "GpuContext", List], None]  # noqa: F821
@@ -136,48 +132,18 @@ def _memset32(dev, ctx, params) -> None:
 # HIX in-GPU cryptography kernels (Section 4.4.2)
 # ---------------------------------------------------------------------------
 
-@_GLOBAL.kernel("hix.aead_decrypt")
-def _aead_decrypt(dev, ctx, params) -> None:
-    """Decrypt a sealed blob in device memory: (src, src_len, dst).
-
-    The blob was copied verbatim from inter-enclave shared memory (the
-    single-copy path); this kernel authenticates and decrypts it with the
-    context's session key, leaving plaintext at *dst*.  A tag failure
-    raises, which the engine surfaces as a device fault — the abort the
-    paper's DMA-attack analysis calls for.
-    """
-    src_ptr, src_len, dst_ptr = params
-    blob = dev.read_ctx(ctx, src_ptr.addr, src_len)
-    suite = dev.suite_for_context(ctx)
-    plaintext = open_blob(suite, blob, associated_data=_ctx_aad(ctx),
-                          replay_guard=dev.replay_guard_for(ctx))
-    dev.write_ctx(ctx, dst_ptr.addr, plaintext)
-
-
-@_GLOBAL.kernel("hix.aead_encrypt")
-def _aead_encrypt(dev, ctx, params) -> None:
-    """Encrypt device memory into a sealed blob: (src, src_len, dst).
-
-    Writes ``u64 blob_len | blob`` at *dst*; the driver then copies the
-    blob out to shared memory (device-to-host single-copy path).
-    """
-    src_ptr, src_len, dst_ptr = params
-    plaintext = dev.read_ctx(ctx, src_ptr.addr, src_len)
-    suite = dev.suite_for_context(ctx)
-    blob = seal_blob(suite, dev.nonce_sequence_for(ctx), plaintext,
-                     associated_data=_ctx_aad(ctx))
-    dev.write_ctx(ctx, dst_ptr.addr, struct.pack("<Q", len(blob)) + blob)
-
-
 @_GLOBAL.kernel("hix.aead_decrypt_scatter")
 def _aead_decrypt_scatter(dev, ctx, params) -> None:
-    """Open one batched blob and scatter its chunks to many destinations.
+    """Open one sealed blob and scatter its chunks to their destinations.
 
     Parameters: ``(src, src_len, n, dst_0, len_0, ..., dst_n-1, len_n-1)``.
-    The blob seals the concatenation of *n* chunks under a single nonce
-    and tag (the batch fast path), so one authentication and one
-    decryption pass serve the whole batch; each recovered chunk is then
-    written to its own destination pointer.
+    The blob was copied verbatim from inter-enclave shared memory (the
+    single-copy path) and seals the concatenation of *n* chunks under a
+    single nonce and tag, so one authentication and one decryption pass
+    serve the whole transfer; each recovered chunk is then written to
+    its own destination pointer.  A tag failure raises, which the engine
+    surfaces as a device fault — the abort the paper's DMA-attack
+    analysis calls for.
     """
     src_ptr, src_len, count = params[0], int(params[1]), int(params[2])
     pairs = params[3:3 + 2 * count]
@@ -193,7 +159,7 @@ def _aead_decrypt_scatter(dev, ctx, params) -> None:
 
 @_GLOBAL.kernel("hix.aead_encrypt_gather")
 def _aead_encrypt_gather(dev, ctx, params) -> None:
-    """Gather many device ranges into one sealed batched blob.
+    """Gather device ranges into one sealed blob.
 
     Parameters: ``(dst, n, src_0, len_0, ..., src_n-1, len_n-1)``.
     Writes ``u64 blob_len | blob`` at *dst*, where the blob seals the

@@ -1,13 +1,17 @@
 """Integration tests: the sealed batch protocol (fused seal/open frames).
 
-The batch ops (``memcpy_htod_batch`` / ``memcpy_dtoh_batch`` /
-``launch_batch``) coalesce consecutive same-session requests into one
-sealed frame — one AEAD call and one chunk-buffer pass for the whole
-run — while charging each item the exact analytic virtual time the
-scalar call sequence would have charged.  These tests pin both halves
-on every TEE backend: functional equivalence (bytes land where the
-scalar calls would put them, downloads return the same plaintext) and
-charge parity on the per-item analytic categories.
+Every sealed transfer and launch travels as a batch op
+(``memcpy_htod_batch`` / ``memcpy_dtoh_batch`` / ``launch_batch``); a
+scalar ``cuMemcpyHtoD`` / ``cuMemcpyDtoH`` / ``cuLaunchKernel`` is a
+one-item batch.  A batch coalesces consecutive same-session items into
+one sealed frame — one AEAD call and one chunk-buffer pass for the
+whole run — and splits an item larger than one frame into frame-sized
+pieces, while charging each item the exact analytic virtual time the
+scalar call sequence charges.  These tests pin both halves on every TEE
+backend: functional equivalence (bytes land where the scalar calls
+would put them, downloads return the same plaintext) and charge parity
+on the per-item analytic categories, zero-length and oversized items
+included.
 """
 
 import numpy as np
@@ -123,6 +127,13 @@ class TestBatchFunctionalEquivalence:
         assert (out[:512] == 0x22222222).all()
         assert (out[512:1024] == 0x11111111).all()
 
+    def test_zero_length_download_sends_one_request(self, secure_app):
+        ptr = secure_app.cuMemAlloc(1)
+        nonces = secure_app._crypto.request_nonces  # noqa: SLF001
+        before = nonces.counter
+        assert secure_app.cuMemcpyDtoH(ptr, 0) == b""
+        assert nonces.counter == before + 1
+
     def test_empty_batch_is_noop(self, secure_machine, secure_app):
         before = secure_machine.clock.now
         secure_app.cuMemcpyHtoDBatch([])
@@ -139,7 +150,7 @@ class TestBatchChargeParity:
         app = machine.secure_session(machine.boot_secure(), "parity-user")
         app.cuCtxCreate()
         payloads = _chunks(sizes)
-        ptrs = [app.cuMemAlloc(n) for n in sizes]
+        ptrs = [app.cuMemAlloc(max(n, 1)) for n in sizes]
         if op == "d2h":
             for ptr, payload in zip(ptrs, payloads):
                 app.cuMemcpyHtoD(ptr, payload)
@@ -172,7 +183,9 @@ class TestBatchChargeParity:
     @pytest.mark.parametrize("backend", backend_names())
     @pytest.mark.parametrize("op", ["h2d", "d2h", "launch"])
     def test_parity(self, op, backend):
-        sizes = [4096, 128, 65536, 1024]
+        # A zero-length item, and one larger than the default 4 MiB
+        # region's bulk frame, which goes out in two pieces.
+        sizes = [4096, 128, 0, 65536, 5 << 20, 1024]
         scalar = self._charges(backend, False, sizes, op)
         batch = self._charges(backend, True, sizes, op)
         for category in PARITY_CATEGORIES:

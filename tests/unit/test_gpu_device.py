@@ -212,9 +212,10 @@ class TestGpuCrypto:
         sealed = seal_blob(suite, NonceSequence(BULK_H2D_CHANNEL),
                            b"secret payload!!", b"hix-bulk-ctx-1")
         gpu.write_ctx(ctx, 0x20000, sealed)
-        cubin = CubinImage(["hix.aead_decrypt"]).to_bytes()
+        cubin = CubinImage(["hix.aead_decrypt_scatter"]).to_bytes()
         gpu.write_ctx(ctx, 0x30000, cubin)
-        params = pack_params([DevPtr(0x20000), len(sealed), DevPtr(0x40000)])
+        params = pack_params([DevPtr(0x20000), len(sealed), 1,
+                              DevPtr(0x40000), 16])
         gpu.write_ctx(ctx, 0x38000, params)
         _exec(gpu, encode_command(
             CommandOpcode.LAUNCH, 1,
@@ -227,9 +228,9 @@ class TestGpuCrypto:
               encode_command(CommandOpcode.MAP, 1, (0x10000, 0x8000,
                                                     256 * 1024)))
         ctx = gpu.contexts[1]
-        cubin = CubinImage(["hix.aead_encrypt"]).to_bytes()
+        cubin = CubinImage(["hix.aead_encrypt_gather"]).to_bytes()
         gpu.write_ctx(ctx, 0x10000, cubin)
-        params = pack_params([DevPtr(0x20000), 16, DevPtr(0x28000)])
+        params = pack_params([DevPtr(0x28000), 1, DevPtr(0x20000), 16])
         gpu.write_ctx(ctx, 0x18000, params)
         _exec(gpu, encode_command(CommandOpcode.MAP, 1,
                                   (0x20000, 0x20000, 0x10000)))

@@ -6,7 +6,6 @@ from repro.evalkit.harness import (
     GDEV,
     HIX,
     _CountingApi,
-    per_launch_overhead,
     run_multiuser,
     user_segments,
 )
@@ -55,14 +54,12 @@ class TestCountingApi:
 class TestPerLaunchOverhead:
     def test_hix_launch_cheaper(self):
         costs = CostModel()
-        assert (per_launch_overhead(costs, HIX)
-                < per_launch_overhead(costs, GDEV))
+        assert costs.launch_overhead(HIX) < costs.launch_overhead(GDEV)
 
     def test_scales_with_launch_cost(self):
         base = CostModel()
         slow = base.with_overrides(kernel_launch_gdev=1e-3)
-        assert (per_launch_overhead(slow, GDEV)
-                > per_launch_overhead(base, GDEV))
+        assert slow.launch_overhead(GDEV) > base.launch_overhead(GDEV)
 
 
 class TestUserSegments:

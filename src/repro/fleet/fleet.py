@@ -65,6 +65,9 @@ class FleetMachine:
         self.weight = 1.0
         self.healthy = True
         self.draining = False
+        #: The last :meth:`snapshot`; ``None`` once the fleet books this
+        #: machine.
+        self._snapshot: Optional[MachineStatus] = None
 
     def drain_estimate(self) -> float:
         """How long this machine's queued backlog needs to drain.
@@ -84,7 +87,26 @@ class FleetMachine:
             total += len(client.queue) * per_request
         return total + self.lite_est_seconds
 
+    def snapshot(self) -> MachineStatus:
+        """:meth:`status`, reused while nothing it reads has changed.
+
+        Without a full-crypto client, a machine's status moves only when
+        the fleet books it (a placement or its rollback drops the
+        snapshot) or one of ``weight``, ``healthy`` and ``draining`` is
+        written (compared against the snapshot).  A client's admission,
+        submits and runs move the session table, queues, memory and
+        served means, so a machine hosting one is rebuilt on every call.
+        """
+        cached = self._snapshot
+        if (cached is None or self.engine.clients
+                or cached.weight != self.weight
+                or cached.healthy != self.healthy
+                or cached.draining != self.draining):
+            cached = self._snapshot = self.status()
+        return cached
+
     def status(self) -> MachineStatus:
+        """A fresh snapshot of everything the router reads."""
         table = self.engine.table
         in_use = sum(record.memory_in_use for record in table.tenants)
         return MachineStatus(
@@ -233,6 +255,10 @@ class Fleet:
     def place(self, spec: SessionSpec) -> FleetMachine:
         """Route *spec* through the placement policy; book its costs.
 
+        The router sees each machine's :meth:`FleetMachine.snapshot`,
+        equal to a fresh status; after booking, only the chosen
+        machine's changed, so only its snapshot is dropped.
+
         Every decision lands in the registry as a per-policy outcome
         counter (``fleet.placement.<policy>.placed`` / ``.rejected``),
         so a dashboard can tell a router that is admitting from one
@@ -241,7 +267,8 @@ class Fleet:
         registry = obs_metrics.registry()
         policy = self.router.policy_name
         try:
-            index = self.router.place(spec, self.statuses())
+            index = self.router.place(
+                spec, [machine.snapshot() for machine in self.machines])
         except Exception:
             registry.counter(f"fleet.placement.{policy}.rejected").inc()
             raise
@@ -252,6 +279,7 @@ class Fleet:
             chosen.lite_est_seconds += spec.est_seconds
         else:
             chosen.est_seconds += spec.est_seconds
+        chosen._snapshot = None
         return chosen
 
     def add_session(self, name: str,
@@ -268,6 +296,7 @@ class Fleet:
         except Exception:
             chosen.reserved_bytes -= spec.memory_bytes
             chosen.est_seconds -= spec.est_seconds
+            chosen._snapshot = None
             self.router.forget(name)
             obs_metrics.registry().counter(
                 f"fleet.placement.{self.router.policy_name}"

@@ -48,6 +48,7 @@ paths cross-checkable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from typing import (
@@ -98,6 +99,7 @@ from repro.serve.report import (
     ServeReport,
     TenantReport,
     build_tenant_report,
+    lane_events,
     report_totals,
 )
 from repro.serve.resilience import (
@@ -119,7 +121,6 @@ from repro.serve.resilience import (
 from repro.serve.scheduler import FifoScheduler, Scheduler, make_scheduler
 from repro.serve.session import SessionTable, TenantQuota, TenantRecord
 from repro.sim.engine import EventClock, LaneRun, TenantLane, WorkUnit
-from repro.sim.trace import TraceEvent
 
 #: Clock categories that occupy the GPU execution engine exclusively.
 #: Everything else (ipc, copy pipelines, launches, mmio, session setup,
@@ -824,6 +825,8 @@ class ServeEngine:
         #: Timing memo for the fast path; shared across tenants of one
         #: engine (they share the session configuration the key tokens).
         self.memo = RequestTimingMemo()
+        #: The memo's ``(hits, misses)`` when the current run started.
+        self._memo_mark = (0, 0)
 
     def _memo_token(self, crypto_eff: float):
         """Everything that parameterizes what an identical request charges."""
@@ -963,6 +966,7 @@ class ServeEngine:
         # (Re)bind the memo to this run's timing configuration — any
         # cost-model or session-config change invalidates cached splits.
         self.memo.configure(self._memo_token(self._crypto_eff))
+        self._memo_mark = (self.memo.hits, self.memo.misses)
 
         self._lane_names = []
         self._lane_name_set = set()
@@ -1026,11 +1030,6 @@ class ServeEngine:
         gpu_busy = sum(t.gpu_busy for t in result.timelines)
         gpu_utilization = (gpu_busy / result.makespan
                            if result.makespan > 0.0 else 0.0)
-        lane_events: Dict[str, List[TraceEvent]] = {
-            name: [] for name in lane_names}
-        for tenant, event in result.events:
-            lane_events[lane_names[tenant]].append(event)
-
         tenants: List[TenantReport] = []
         for index, client in enumerate(self._lane_clients):
             timeline = result.timelines[index]
@@ -1060,7 +1059,8 @@ class ServeEngine:
             context_switches=result.context_switches,
             gpu_utilization=gpu_utilization,
             tenants=tenants,
-            lanes=lane_events,
+            lane_source=functools.partial(lane_events, lane_names,
+                                          result.log),
         )
         if self.telemetry is not None:
             self.telemetry.finalize(report.makespan)
@@ -1099,6 +1099,10 @@ class ServeEngine:
             if total:
                 registry.counter(name).inc(total)
         registry.counter("serve.ctx_switches").inc(report.context_switches)
+        # The run's memo hits and misses: whether the fast path engaged.
+        hits, misses = self._memo_mark
+        registry.counter("serve.memo.hits").inc(self.memo.hits - hits)
+        registry.counter("serve.memo.misses").inc(self.memo.misses - misses)
         registry.gauge("serve.makespan_seconds").set(report.makespan)
         registry.gauge("serve.gpu_utilization").set(report.gpu_utilization)
         gpu_hist = registry.histogram("serve.request_gpu_seconds")

@@ -14,6 +14,7 @@ iterate it), and :func:`merge_reports` is the fleet-level merge that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.serve.queues import (
@@ -25,6 +26,7 @@ from repro.serve.queues import (
     SHED,
     TIMEOUT,
 )
+from repro.sim.engine import LaneCharge
 from repro.sim.trace import TraceEvent, render_lanes
 
 
@@ -105,16 +107,36 @@ def build_tenant_report(client, name: str, timeline,
     )
 
 
+def lane_events(names: Sequence[str], log: Sequence[LaneCharge]
+                ) -> Dict[str, List[TraceEvent]]:
+    """Each named lane's trace events, from a run's flat lane log."""
+    lanes: Dict[str, List[TraceEvent]] = {name: [] for name in names}
+    for index, start, seconds, category in log:
+        lanes[names[index]].append(TraceEvent(start, seconds, category))
+    return lanes
+
+
 @dataclass
 class ServeReport:
-    """Outcome of one :meth:`ServeEngine.run`."""
+    """Outcome of one :meth:`ServeEngine.run`.
+
+    :attr:`lanes` (each lane's trace events, for :meth:`render`) is
+    built by *lane_source* the first time it is read, then cached: the
+    report keeps the run's flat lane log, and a fleet's thousands of
+    lite lanes never pay for events nobody draws.
+    """
 
     scheduler: str
     makespan: float
     context_switches: int
     gpu_utilization: float
     tenants: List[TenantReport]
-    lanes: Dict[str, List[TraceEvent]] = field(default_factory=dict)
+    lane_source: Callable[[], Dict[str, List[TraceEvent]]] = field(
+        default=dict, repr=False, compare=False)
+
+    @cached_property
+    def lanes(self) -> Dict[str, List[TraceEvent]]:
+        return self.lane_source()
 
     def tenant(self, name: str) -> TenantReport:
         for report in self.tenants:
@@ -165,7 +187,9 @@ def merge_reports(reports: Sequence[ServeReport],
     fleet.  Tenant rows and lane tracks keep their per-machine identity
     via *rename* (default ``"{label}/{name}"``); per-machine reports
     themselves are left untouched, unprefixed — that is what keeps a
-    1-machine fleet bit-identical to a bare engine run.
+    1-machine fleet bit-identical to a bare engine run.  The merged
+    lanes are the machines' own event lists under the renamed keys,
+    assembled when first read.
     """
     if labels is None:
         labels = [f"m{index}" for index in range(len(reports))]
@@ -175,15 +199,15 @@ def merge_reports(reports: Sequence[ServeReport],
     makespan = max((r.makespan for r in reports), default=0.0)
     gpu_busy = sum(t.gpu_busy for r in reports for t in r.tenants)
     engines = max(len(reports), 1)
-    tenants: List[TenantReport] = []
-    lanes: Dict[str, List[TraceEvent]] = {}
-    for label, report in zip(labels, reports):
-        for row in report.tenants:
-            merged = TenantReport(**{**row.__dict__,
-                                     "name": rename(label, row.name)})
-            tenants.append(merged)
-        for name, events in report.lanes.items():
-            lanes[rename(label, name)] = events
+    parts = list(zip(labels, reports))
+    tenants = [TenantReport(**{**row.__dict__,
+                               "name": rename(label, row.name)})
+               for label, report in parts for row in report.tenants]
+
+    def lanes() -> Dict[str, List[TraceEvent]]:
+        return {rename(label, name): events for label, report in parts
+                for name, events in report.lanes.items()}
+
     return ServeReport(
         scheduler=scheduler or (reports[0].scheduler if reports else ""),
         makespan=makespan,
@@ -191,5 +215,5 @@ def merge_reports(reports: Sequence[ServeReport],
         gpu_utilization=(gpu_busy / (makespan * engines)
                          if makespan > 0.0 else 0.0),
         tenants=tenants,
-        lanes=lanes,
+        lane_source=lanes,
     )

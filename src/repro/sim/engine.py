@@ -87,7 +87,6 @@ from typing import (
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import STATE as _OBS
-from repro.sim.trace import TraceEvent
 
 #: Engine-free dispatch decisions pop before same-time normal events:
 #: the slots they hand out were promised at earlier pops (the oracle's
@@ -101,13 +100,15 @@ PRIO_REDISPATCH = 2
 
 
 class Event:
-    """One scheduled entry in the kernel heap.
+    """One scheduled step, handed to its callback when it pops.
 
     A plain slotted object rather than a dataclass: the kernel allocates
     one per scheduled step and :class:`EventClock` recycles drained
-    entries through a freelist, so construction, comparison, and reuse
-    stay allocation-free on the hot path.  ``fn`` is the callback the
-    heap invokes; it is cleared when the entry is recycled.
+    entries through a freelist, so construction and reuse stay
+    allocation-free on the hot path.  The heap itself orders
+    ``(time, priority, seq, event)`` tuples, compared in C; ``seq`` is
+    unique per entry, so the event is never compared.  ``fn`` is the
+    callback the heap invokes; it is cleared when the entry is recycled.
     """
 
     __slots__ = ("time", "priority", "seq", "fn")
@@ -118,13 +119,6 @@ class Event:
         self.priority = priority
         self.seq = seq
         self.fn = fn
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Event(time={self.time!r}, priority={self.priority!r}, "
@@ -144,7 +138,7 @@ class EventClock:
 
     def __init__(self) -> None:
         self.now: float = 0
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._free: List[Event] = []
         self._seq = itertools.count()
         self._listeners: List[Callable[[float, float, str], None]] = []
@@ -165,12 +159,13 @@ class EventClock:
     def schedule(self, time: float, fn: Callable[[Event], None], *,
                  priority: int = PRIO_NORMAL,
                  seq: Optional[int] = None) -> Event:
-        """Schedule ``fn(event)`` at ``time``; returns the heap entry.
+        """Schedule ``fn(event)`` at ``time``; returns the event.
 
         ``seq`` defaults to a fresh allocation; passing a pre-allocated
-        seq is how continuations keep their arrival-order rank.
+        seq is how continuations keep their arrival-order rank.  Either
+        way no two heap entries share a seq.
 
-        The returned entry is recycled once its callback has run; do not
+        The returned event is recycled once its callback has run; do not
         retain it past the callback.
         """
         if seq is None:
@@ -184,7 +179,7 @@ class EventClock:
             event.fn = fn
         else:
             event = Event(time, priority, seq, fn)
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         return event
 
     def run(self) -> float:
@@ -193,7 +188,7 @@ class EventClock:
         free = self._free
         processed = 0
         while heap:
-            event = heapq.heappop(heap)
+            event = heapq.heappop(heap)[3]
             self.now = event.time
             event.fn(event)
             event.fn = None
@@ -208,8 +203,10 @@ class EventClock:
 
     def charge(self, start: float, seconds: float, category: str) -> None:
         """Report ``seconds`` of ``category`` work starting at ``start``."""
-        for listener in list(self._listeners):
-            listener(start, seconds, category)
+        if self._listeners:
+            # A copy: a listener may detach itself mid-charge.
+            for listener in list(self._listeners):
+                listener(start, seconds, category)
 
     def add_listener(self,
                      listener: Callable[[float, float, str], None]) -> None:
@@ -392,7 +389,10 @@ class Resource:
         self._expiry_counter = registry.counter("engine.deadline_expiries")
 
     def queue(self, lane: int) -> Deque[Visit]:
-        return self._queues.setdefault(lane, deque())
+        queue = self._queues.get(lane)
+        if queue is None:
+            queue = self._queues[lane] = deque()
+        return queue
 
     def _push_head(self, visit: Visit) -> None:
         heapq.heappush(self._head_heap, (visit.ready, visit.seq, visit))
@@ -541,7 +541,7 @@ class WorkUnit:
 
     ``idle=True`` marks the unit as pure waiting (retry backoff): it
     advances the lane's timeline by ``host_seconds`` and is recorded as
-    a ``backoff`` trace event, but does not count as host work and may
+    a ``backoff`` lane charge, but does not count as host work and may
     not carry a GPU visit.
     """
 
@@ -582,6 +582,10 @@ class LaneTimeline:
     waits: float = 0.0
 
 
+#: One positive lane charge: ``(lane index, start, seconds, category)``.
+LaneCharge = Tuple[int, float, float, str]
+
+
 @dataclass
 class LaneResult:
     """Outcome of :func:`run_lanes`."""
@@ -592,7 +596,9 @@ class LaneResult:
     served: List[int]
     timed_out: List[int]
     stall_seconds: List[float]           # host blocked on the inflight cap
-    events: List[Tuple[int, TraceEvent]] = field(default_factory=list)
+    #: Every positive lane charge in charge order, as flat tuples; the
+    #: serving report builds per-lane trace events from it on demand.
+    log: List[LaneCharge] = field(default_factory=list)
     processes: List[Process] = field(default_factory=list)
 
 
@@ -638,7 +644,7 @@ class LaneRun:
         self.kernel = kernel
         self.ctx_switch_cost = ctx_switch_cost
         self._states: List[_LaneState] = []
-        self._lane_events: List[Tuple[int, TraceEvent]] = []
+        self._lane_log: List[LaneCharge] = []
         self._lane_names: List[str] = []
         self.engine = Resource(kernel, ctx_switch_cost, scheduler,
                                on_serve=self._on_serve)
@@ -675,8 +681,7 @@ class LaneRun:
     def _record(self, tenant: int, start: float, seconds: float,
                 category: str) -> None:
         if seconds > 0.0:
-            self._lane_events.append(
-                (tenant, TraceEvent(start, seconds, category)))
+            self._lane_log.append((tenant, start, seconds, category))
             self.kernel.charge(start, seconds, category)
             tracer = _OBS.tracer
             if tracer is not None:
@@ -799,7 +804,7 @@ class LaneRun:
             served=[s.served for s in states],
             timed_out=[s.timed_out for s in states],
             stall_seconds=[s.stall for s in states],
-            events=self._lane_events,
+            log=self._lane_log,
             processes=[s.process for s in states])
 
 
@@ -813,7 +818,7 @@ def run_lanes(lanes: Sequence[TenantLane], scheduler,
     virtual time (so a serving engine's streams execute sealed requests
     at production time), all GPU visits arbitrate through one
     :class:`Resource` under *scheduler*, and the accounting —
-    timelines, waits, stalls, context switches, per-lane trace events —
+    timelines, waits, stalls, context switches, the per-lane charge log —
     preserves the retired implementations' semantics.
     """
     kernel = kernel if kernel is not None else EventClock()

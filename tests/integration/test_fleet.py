@@ -147,6 +147,25 @@ class TestLiteSessions:
         assert served[0] == served[1]
         assert report.makespan > 0.0
 
+    def test_merged_lanes_are_each_machines_lanes(self):
+        fleet = _fleet(machines=2)
+        for i in range(2):
+            submit_victim_stream(fleet.add_session(f"user{i}"),
+                                 rounds=2, seed=0)
+        fleet.add_lite_sessions(LiteProfile.from_workload(MatrixAdd(2048)),
+                                4)
+        report = fleet.run()
+        merged = report.merged.lanes  # read first: built from the machines'
+        assert list(merged) == [f"m{i}/{name}"
+                                for i, machine in enumerate(report.reports)
+                                for name in machine.lanes]
+        for i, machine in enumerate(report.reports):
+            assert list(machine.lanes) == [t.name for t in machine.tenants]
+            assert len(machine.lanes) == 3  # one full, two lite sessions
+            for name, events in machine.lanes.items():
+                assert events
+                assert merged[f"m{i}/{name}"] == events
+
     def test_coalesced_profile_preserves_totals(self):
         profile = LiteProfile.from_workload(MatrixAdd(2048))
         folded = profile.coalesced(4)

@@ -16,6 +16,7 @@ from repro.evalkit.serve_sweep import (
     serve_figure,
     serve_run,
 )
+from repro.obs import metrics as obs_metrics
 from repro.serve import ServeEngine, TenantQuota
 from repro.serve.jobs import submit_workload
 from repro.system import Machine, MachineConfig
@@ -80,6 +81,22 @@ class TestServeEngineEndToEnd:
         # Both tenants' engine seconds agree: identical work, one device.
         assert report.tenant("alice").gpu_busy == pytest.approx(
             report.tenant("bob").gpu_busy, rel=1e-6)
+
+    def test_memo_hits_and_misses_published_per_run(self, machine):
+        obs_metrics.reset_registry()
+        engine = ServeEngine(machine, default_quota=SWEEP_QUOTA)
+        clients = [engine.add_tenant(name) for name in ("alice", "bob")]
+        for _ in range(2):
+            for client in clients:
+                submit_workload(client, _workload("nn"), INFLATION,
+                                machine.costs)
+            engine.run()
+        stats = engine.memo.stats()
+        assert stats["hits"] > 0 and stats["misses"] > 0
+        registry = obs_metrics.registry()
+        assert registry.counter("serve.memo.hits").value == stats["hits"]
+        assert registry.counter("serve.memo.misses").value \
+            == stats["misses"]
 
     def test_memory_quota_denies_but_session_survives(self, machine):
         tight = TenantQuota(device_memory_bytes=4096, max_queue_depth=16)

@@ -68,6 +68,9 @@ def _serve_capture(backend):
                        request.host_seconds, request.gpu_seconds]
                       for request in client.requests]
                      for client in engine.clients],
+        "lanes": {name: [[event.start, event.duration, event.category]
+                         for event in events]
+                  for name, events in report.lanes.items()},
     }
 
 
@@ -89,6 +92,7 @@ class TestHixBitIdenticalToPreRefactor:
         assert capture["gpu_utilization"] == golden["gpu_utilization"]
         assert capture["tenants"] == golden["tenants"]
         assert capture["requests"] == golden["requests"]
+        assert capture["lanes"] == golden["lanes"]
 
     def test_attack_matrix_verdict_strings(self, backend_golden):
         backend, goldens = backend_golden

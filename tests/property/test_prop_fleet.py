@@ -1,6 +1,6 @@
 """Property pins for the fleet tier.
 
-Two structural guarantees:
+Three structural guarantees:
 
 * **1-machine transparency** — a fleet of one machine with full-crypto
   sessions is bit-for-bit the bare ``ServeEngine.run()``: same report,
@@ -15,15 +15,23 @@ Two structural guarantees:
   virtual timeline identically: the lite fleet's makespan equals the
   full run's, exactly.  This is what makes 100k-session lite sweeps
   trustworthy stand-ins for full-crypto populations.
+
+* **exact placement snapshots** — ``Fleet.place`` hands the router
+  each machine's reused ``snapshot()``; under any interleaving of
+  admissions, submits, runs and flag writes, every router call sees
+  snapshots equal to fresh ``status()`` builds, and every session lands
+  where a fleet that polls every machine per placement puts it.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import BackpressureError, PlacementError
 from repro.fleet import Fleet, LiteProfile
 from repro.fleet.router import POLICY_NAMES
 from repro.serve import ServeEngine
 from repro.serve.jobs import submit_workload
 from repro.system import Machine, MachineConfig
+from repro.workloads import MatrixAdd
 from repro.workloads.base import Workload
 
 REPORT_FIELDS = ("scheduler", "makespan", "context_switches",
@@ -166,3 +174,83 @@ class TestLiteChargeParity:
         assert abs(folded.total_seconds()
                    - profile.total_seconds()) < 1e-12
         assert abs(folded.gpu_seconds() - profile.gpu_seconds()) < 1e-12
+
+
+LITE_PROFILES = (LiteProfile.from_workload(MatrixAdd(2048)),
+                 LiteProfile.from_workload(MatrixAdd(1024)))
+FLAG_WRITES = (("weight", 0.5), ("weight", 2.0), ("healthy", False),
+               ("healthy", True), ("draining", True), ("draining", False))
+#: One fleet operation: a kind, weighted toward admissions and submits,
+#: and two small integers that pick its arguments.
+fleet_ops = st.lists(
+    st.tuples(st.sampled_from(("session", "session", "submit", "submit",
+                               "lite", "lite", "run", "flag")),
+              st.integers(min_value=0, max_value=5),
+              st.integers(min_value=0, max_value=5)),
+    min_size=4, max_size=20)
+
+
+def _drive(machines, policy, ops, mode):
+    """Apply *ops* to a fresh fleet; return each op's outcome and the
+    final placements.
+
+    Every router call must see snapshots equal to fresh statuses.
+    *mode* ``"reuse"`` places as shipped; ``"probe"`` also checks every
+    machine's snapshot against a fresh status after each op (so a
+    missed invalidation shows at the op that caused it); ``"poll"``
+    builds every status fresh at every placement: the reference.
+    """
+    fleet = Fleet(machines=machines, scheduler="fifo", policy=policy,
+                  machine_config=MachineConfig(data_inflation=65536.0),
+                  max_tenants=2, seed=0)
+    if mode == "poll":
+        for machine in fleet.machines:
+            machine.snapshot = machine.status
+    place = fleet.router.place
+
+    def checked_place(spec, statuses):
+        assert statuses == [machine.status() for machine in fleet.machines]
+        return place(spec, statuses)
+
+    fleet.router.place = checked_place
+    clients, outcomes = [], []
+    for index, (kind, a, b) in enumerate(ops):
+        outcome = None
+        try:
+            if kind == "session":
+                clients.append(fleet.add_session(
+                    f"s{index}", memory_bytes=(0, MB, 6 * MB)[a % 3],
+                    est_seconds=b * 1e-3))
+                outcome = fleet.router.machine_of(f"s{index}")
+            elif kind == "submit" and clients:
+                fn = ((lambda api: api.cuMemAlloc(4096)) if b % 2
+                      else (lambda api: None))
+                clients[a % len(clients)].submit(f"r{index}", fn)
+            elif kind == "lite":
+                outcome = fleet.add_lite_session(
+                    f"l{index}", LITE_PROFILES[a % 2],
+                    memory_bytes=(0, MB)[b % 2]).index
+            elif kind == "run":
+                outcome = fleet.run().makespan
+            elif kind == "flag":
+                attr, value = FLAG_WRITES[b]
+                setattr(fleet.machines[a % machines], attr, value)
+        except (PlacementError, BackpressureError) as exc:
+            outcome = (str(exc), getattr(exc, "retry_after", None))
+        outcomes.append(outcome)
+        if mode == "probe":
+            assert [machine.snapshot() for machine in fleet.machines] \
+                == [machine.status() for machine in fleet.machines], op
+    return outcomes, {name: placement.machine for name, placement
+                      in fleet.router.placements.items()}
+
+
+class TestPlacementSnapshotsAreExact:
+    @given(machines=st.integers(min_value=1, max_value=4),
+           policy=policies, ops=fleet_ops)
+    @settings(max_examples=30, deadline=None)
+    def test_snapshots_equal_fresh_status_and_polling(self, machines,
+                                                      policy, ops):
+        polled = _drive(machines, policy, ops, "poll")
+        assert _drive(machines, policy, ops, "reuse") == polled
+        assert _drive(machines, policy, ops, "probe") == polled

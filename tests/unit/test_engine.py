@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim.engine import (
     BLOCK,
-    Event,
     EventClock,
     PRIO_DISPATCH,
     PRIO_NORMAL,
@@ -20,12 +19,29 @@ from repro.sim.engine import (
 )
 
 
+def pop_order(*entries):
+    """Names of ``(name, time, priority, seq)`` entries in heap pop order."""
+    clock = EventClock()
+    order = []
+    for name, time, priority, seq in entries:
+        clock.schedule(time, lambda e, name=name: order.append(name),
+                       priority=priority, seq=seq)
+    clock.run()
+    return order
+
+
 class TestEventOrdering:
     def test_orders_by_time_then_priority_then_seq(self):
-        assert Event(1.0, PRIO_NORMAL, 0) < Event(2.0, PRIO_DISPATCH, 1)
-        assert Event(1.0, PRIO_DISPATCH, 5) < Event(1.0, PRIO_NORMAL, 0)
-        assert Event(1.0, PRIO_NORMAL, 0) < Event(1.0, PRIO_REDISPATCH, 1)
-        assert Event(1.0, PRIO_NORMAL, 0) < Event(1.0, PRIO_NORMAL, 1)
+        # Each pair is scheduled in reverse, so insertion order never
+        # decides.
+        assert pop_order(("b", 2.0, PRIO_DISPATCH, 1),
+                         ("a", 1.0, PRIO_NORMAL, 0)) == ["a", "b"]
+        assert pop_order(("b", 1.0, PRIO_NORMAL, 0),
+                         ("a", 1.0, PRIO_DISPATCH, 5)) == ["a", "b"]
+        assert pop_order(("b", 1.0, PRIO_REDISPATCH, 1),
+                         ("a", 1.0, PRIO_NORMAL, 0)) == ["a", "b"]
+        assert pop_order(("b", 1.0, PRIO_NORMAL, 1),
+                         ("a", 1.0, PRIO_NORMAL, 0)) == ["a", "b"]
 
     def test_heap_pop_order(self):
         clock = EventClock()

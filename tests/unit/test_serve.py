@@ -262,7 +262,7 @@ class TestMultiplex:
         lanes = [TenantLane(units=[WorkUnit(0.5, 1.0)]),
                  TenantLane(units=[WorkUnit(0.5, 1.0)])]
         result = run_lanes(lanes, FifoScheduler(), 0.1)
-        kinds = {event.category for _, event in result.events}
+        kinds = {category for _, _, _, category in result.log}
         assert kinds == {"host", "gpu", "ctx_switch"}
 
     def test_bad_scheduler_rejected(self):

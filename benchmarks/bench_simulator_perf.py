@@ -52,6 +52,29 @@ def test_perf_fast_suite_open_64k(benchmark):
     benchmark(open_blob, suite, blob)
 
 
+# A request or reply frame, and the largest sealed-io transfer: the two
+# ends of the sealed path, beside the 64 KiB pair above.
+_FRAME_SIZES = pytest.mark.parametrize("size", [256, 1 << 20],
+                                       ids=["256b", "1m"])
+
+
+@pytest.mark.benchmark(group="simulator")
+@_FRAME_SIZES
+def test_perf_fast_suite_seal(benchmark, size):
+    suite = FastAuthSuite(bytes(16))
+    nonces = NonceSequence(1)
+    payload = bytes(size)
+    benchmark(seal_blob, suite, nonces, payload)
+
+
+@pytest.mark.benchmark(group="simulator")
+@_FRAME_SIZES
+def test_perf_fast_suite_open(benchmark, size):
+    suite = FastAuthSuite(bytes(16))
+    blob = seal_blob(suite, NonceSequence(1), bytes(size))
+    benchmark(open_blob, suite, blob)
+
+
 @pytest.mark.benchmark(group="simulator")
 def test_perf_reference_ocb_seal_1k(benchmark):
     suite = OcbAesSuite(bytes(16))

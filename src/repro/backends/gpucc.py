@@ -54,7 +54,7 @@ from repro.core.key_exchange import (
 )
 from repro.core.runtime import SealedClient
 from repro.core.service import SealedService, ServiceSession
-from repro.crypto.blob import open_blob_chunks, seal_blob_chunks, sealed_size
+from repro.crypto.blob import sealed_size
 from repro.crypto.kdf import hkdf_sha256, hmac_sha256
 from repro.errors import AttestationError, CertChainError, ProtocolError
 from repro.gpu.bios import bios_hash
@@ -236,25 +236,18 @@ class CcEngine:
                      gpu_vas: Sequence[int], lengths: Sequence[int]) -> None:
         """Open one fused frame and scatter its chunks to their targets."""
         crypto = self.session_crypto(ctx_id)
-        ctx = self._ctx(ctx_id)
-        sealed = self._device.read_ctx(ctx, src_va, blob_len)
-        chunks = open_blob_chunks(crypto.bulk_suite, sealed, list(lengths),
-                                  associated_data=self._bulk_aad(ctx_id),
-                                  replay_guard=crypto.bulk_h2d_guard)
-        for gpu_va, chunk in zip(gpu_vas, chunks):
-            self._device.write_ctx(ctx, gpu_va, chunk)
+        self._device.open_scatter(self._ctx(ctx_id), src_va, blob_len,
+                                  gpu_vas, lengths, crypto.bulk_suite,
+                                  crypto.bulk_h2d_guard,
+                                  self._bulk_aad(ctx_id))
 
     def seal_gather(self, ctx_id: int, gpu_vas: Sequence[int],
                     lengths: Sequence[int], dst_va: int) -> None:
         """Gather chunks from VRAM and seal them as one fused frame."""
         crypto = self.session_crypto(ctx_id)
-        ctx = self._ctx(ctx_id)
-        chunks = [self._device.read_ctx(ctx, gpu_va, nbytes)
-                  for gpu_va, nbytes in zip(gpu_vas, lengths)]
-        blob = seal_blob_chunks(crypto.bulk_suite, crypto.bulk_d2h_nonces,
-                                chunks,
-                                associated_data=self._bulk_aad(ctx_id))
-        self._device.write_ctx(ctx, dst_va, blob)
+        self._device.seal_gather(self._ctx(ctx_id), gpu_vas, lengths, dst_va,
+                                 crypto.bulk_suite, crypto.bulk_d2h_nonces,
+                                 self._bulk_aad(ctx_id))
 
 
 # ---------------------------------------------------------------------------

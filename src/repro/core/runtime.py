@@ -74,14 +74,15 @@ def _as_buffer(data: HostBuffer) -> memoryview:
     """A flat byte view of the caller's buffer — zero-copy when possible.
 
     C-contiguous numpy arrays and bytes-like objects are viewed in
-    place; only non-contiguous arrays pay a copy.
+    place; only non-contiguous arrays pay a copy.  The view is always
+    unsigned bytes, so it can be copied into a frame by slice assignment.
     """
     if isinstance(data, np.ndarray):
         if not data.flags.c_contiguous:
             data = np.ascontiguousarray(data)
         return memoryview(data).cast("B")
     view = memoryview(data)
-    if view.ndim != 1 or view.format not in ("B", "b", "c"):
+    if view.format != "B" or view.ndim != 1:
         view = view.cast("B")
     return view
 

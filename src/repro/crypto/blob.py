@@ -34,11 +34,13 @@ def sealed_size(plaintext_len: int) -> int:
 
 
 def seal_blob(suite: AeadSuite, nonces: NonceSequence, plaintext: bytes,
-              associated_data: bytes = b"") -> bytes:
+              associated_data: bytes = b"") -> bytearray:
     """Encrypt *plaintext* into a framed blob with a fresh nonce.
 
     *plaintext* may be any flat bytes-like object; a memoryview slice of
-    the caller's buffer is sealed in place, without a copy.
+    the caller's buffer is read in place, without a copy.  The AEAD
+    writes the ciphertext straight into the frame, the one buffer the
+    seal allocates.
     """
     tracer = _OBS.tracer
     if tracer is None:
@@ -48,15 +50,30 @@ def seal_blob(suite: AeadSuite, nonces: NonceSequence, plaintext: bytes,
 
 
 def _seal_blob(suite: AeadSuite, nonces: NonceSequence, plaintext: bytes,
-               associated_data: bytes = b"") -> bytes:
+               associated_data: bytes = b"") -> bytearray:
     nonce = nonces.next()
-    ciphertext, tag = suite.seal(nonce, plaintext, associated_data)
-    return _HEADER.pack(_MAGIC, nonce, tag, len(ciphertext)) + ciphertext
+    size = len(plaintext)
+    frame = bytearray(HEADER_LEN + size + TAG_LEN)
+    view = memoryview(frame)
+    suite.seal(nonce, plaintext, associated_data, view[HEADER_LEN:])
+    return _close_frame(frame, view, nonce, size)
+
+
+def _close_frame(frame: bytearray, view: memoryview, nonce: bytes,
+                 size: int) -> bytearray:
+    """Finish a frame the AEAD filled as ``header space | ciphertext |
+    tag``: pack the header, moving the tag into its slot, and trim the
+    frame to :func:`sealed_size`."""
+    end = HEADER_LEN + size
+    _HEADER.pack_into(frame, 0, _MAGIC, nonce, frame[end:], size)
+    view.release()
+    del frame[end:]
+    return frame
 
 
 def seal_blob_chunks(suite: AeadSuite, nonces: NonceSequence,
                      chunks: Sequence[bytes],
-                     associated_data: bytes = b"") -> bytes:
+                     associated_data: bytes = b"") -> bytearray:
     """Batch variant of :func:`seal_blob`: one frame, one AEAD call."""
     tracer = _OBS.tracer
     if tracer is None:
@@ -68,10 +85,13 @@ def seal_blob_chunks(suite: AeadSuite, nonces: NonceSequence,
 
 def _seal_blob_chunks(suite: AeadSuite, nonces: NonceSequence,
                       chunks: Sequence[bytes],
-                      associated_data: bytes = b"") -> bytes:
+                      associated_data: bytes = b"") -> bytearray:
     nonce = nonces.next()
-    ciphertext, tag = suite.seal_chunks(nonce, chunks, associated_data)
-    return _HEADER.pack(_MAGIC, nonce, tag, len(ciphertext)) + ciphertext
+    size = sum(len(chunk) for chunk in chunks)
+    frame = bytearray(HEADER_LEN + size + TAG_LEN)
+    view = memoryview(frame)
+    suite.seal_chunks(nonce, chunks, associated_data, view[HEADER_LEN:])
+    return _close_frame(frame, view, nonce, size)
 
 
 def open_blob_chunks(suite: AeadSuite, raw: bytes, lengths: Sequence[int],
@@ -99,14 +119,33 @@ def _open_blob_chunks(suite: AeadSuite, raw: bytes, lengths: Sequence[int],
                       replay_guard: Optional[ReplayGuard] = None
                       ) -> List[bytes]:
     nonce, tag, ciphertext = parse_blob(raw)
-    if replay_guard is not None:
-        replay_guard.check(nonce)
-    return suite.open_chunks(nonce, ciphertext, tag, lengths,
-                             associated_data)
+    return _open_if_fresh(replay_guard, nonce, suite.open_chunks, nonce,
+                          ciphertext, tag, lengths, associated_data)
 
 
-def parse_blob(raw: bytes) -> Tuple[bytes, bytes, bytes]:
-    """Split a frame into (nonce, tag, ciphertext); raises on bad framing."""
+def _open_if_fresh(replay_guard: Optional[ReplayGuard], nonce: bytes,
+                   opener, *args):
+    """``opener(*args)`` for a frame whose nonce *replay_guard* admits.
+
+    A stale nonce is refused before the tag is checked; a frame that
+    then fails to open leaves the guard as it was, so a forged counter
+    never locks genuine frames out.
+    """
+    if replay_guard is None:
+        return opener(*args)
+    replay_guard.check(nonce)
+    try:
+        return opener(*args)
+    except IntegrityError:
+        replay_guard.forget(nonce)
+        raise
+
+
+def parse_blob(raw: bytes) -> Tuple[bytes, bytes, memoryview]:
+    """Split a frame into (nonce, tag, ciphertext); raises on bad framing.
+
+    The ciphertext is a view of *raw*, not a copy.
+    """
     if len(raw) < HEADER_LEN:
         raise IntegrityError("sealed blob shorter than its header")
     magic, nonce, tag, ct_len = _HEADER.unpack_from(raw)
@@ -114,7 +153,7 @@ def parse_blob(raw: bytes) -> Tuple[bytes, bytes, bytes]:
         raise IntegrityError("sealed blob magic mismatch (corrupted frame)")
     if len(raw) < HEADER_LEN + ct_len:
         raise IntegrityError("sealed blob truncated")
-    return nonce, tag, bytes(raw[HEADER_LEN:HEADER_LEN + ct_len])
+    return nonce, tag, memoryview(raw)[HEADER_LEN:HEADER_LEN + ct_len]
 
 
 def open_blob(suite: AeadSuite, raw: bytes, associated_data: bytes = b"",
@@ -130,6 +169,5 @@ def open_blob(suite: AeadSuite, raw: bytes, associated_data: bytes = b"",
 def _open_blob(suite: AeadSuite, raw: bytes, associated_data: bytes = b"",
                replay_guard: Optional[ReplayGuard] = None) -> bytes:
     nonce, tag, ciphertext = parse_blob(raw)
-    if replay_guard is not None:
-        replay_guard.check(nonce)
-    return suite.open(nonce, ciphertext, tag, associated_data)
+    return _open_if_fresh(replay_guard, nonce, suite.open, nonce, ciphertext,
+                          tag, associated_data)

@@ -52,9 +52,14 @@ class ReplayGuard:
     def __init__(self, channel_id: int = 0) -> None:
         self._channel_id = channel_id
         self._highest_seen = 0
+        self._before_last = 0
 
     def check(self, nonce: bytes) -> None:
-        """Accept *nonce* if strictly newer than anything seen; else raise."""
+        """Accept *nonce* if strictly newer than anything seen; else raise.
+
+        A receiver checks before it authenticates the frame, and calls
+        :meth:`forget` if the frame then fails to open.
+        """
         if len(nonce) != NONCE_LEN:
             raise ReplayError(f"malformed nonce of length {len(nonce)}")
         channel = int.from_bytes(nonce[:4], "big")
@@ -66,4 +71,12 @@ class ReplayGuard:
             raise ReplayError(
                 f"replayed or stale nonce counter {counter} "
                 f"(highest seen {self._highest_seen})")
+        self._before_last = self._highest_seen
         self._highest_seen = counter
+
+    def forget(self, nonce: bytes) -> None:
+        """Undo the :meth:`check` that admitted *nonce*: its frame failed
+        to open, so its counter (which anyone can forge) must not raise
+        the bar for genuine frames."""
+        if self._highest_seen == int.from_bytes(nonce[4:], "big"):
+            self._highest_seen = self._before_last

@@ -31,7 +31,7 @@ import hashlib
 import hmac
 import os
 from abc import ABC, abstractmethod
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,8 +95,15 @@ class AeadSuite(ABC):
 
     @abstractmethod
     def seal(self, nonce: bytes, plaintext: bytes,
-             associated_data: bytes = b"") -> Tuple[bytes, bytes]:
-        """Encrypt; return ``(ciphertext, tag)``."""
+             associated_data: bytes = b"",
+             out=None) -> Optional[Tuple[bytes, bytes]]:
+        """Encrypt; return ``(ciphertext, tag)``.
+
+        With *out*, a writable buffer of exactly ``len(plaintext) +
+        TAG_LEN`` bytes, the ciphertext and then the tag are written
+        into it instead and nothing is returned.  *out* may begin at the
+        plaintext's own first byte (sealing in place).
+        """
 
     @abstractmethod
     def open(self, nonce: bytes, ciphertext: bytes, tag: bytes,
@@ -106,7 +113,8 @@ class AeadSuite(ABC):
     # -- batched chunk interface ------------------------------------------
 
     def seal_chunks(self, nonce: bytes, chunks: Sequence[bytes],
-                    associated_data: bytes = b"") -> Tuple[bytes, bytes]:
+                    associated_data: bytes = b"",
+                    out=None) -> Optional[Tuple[bytes, bytes]]:
         """Encrypt many chunks through a *single* AEAD call.
 
         The chunks are concatenated in one buffer pass and sealed as one
@@ -116,18 +124,27 @@ class AeadSuite(ABC):
         boundaries from an out-of-band length table (carried inside the
         sealed request that announces the batch), via
         :meth:`open_chunks`.  A single chunk is sealed as is, without
-        a copy.
+        a copy.  With *out* (as for :meth:`seal`, sized for all the
+        chunks), the chunks are copied into it and sealed in place.
         """
         if len(chunks) == 1:
-            return self.seal(nonce, chunks[0], associated_data)
-        return self.seal(nonce, b"".join(chunks), associated_data)
+            return self.seal(nonce, chunks[0], associated_data, out)
+        if out is None:
+            return self.seal(nonce, b"".join(chunks), associated_data)
+        size = 0
+        for chunk in chunks:
+            end = size + len(chunk)
+            out[size:end] = chunk
+            size = end
+        return self.seal(nonce, out[:size], associated_data, out)
 
     def open_chunks(self, nonce: bytes, ciphertext: bytes, tag: bytes,
                     lengths: Sequence[int],
                     associated_data: bytes = b"") -> List[bytes]:
         """Verify once, decrypt once, split into the original chunks.
 
-        A single chunk is the plaintext itself, returned without a copy.
+        A single chunk is the plaintext itself; several are views of it.
+        Neither is a copy.
         """
         plaintext = self.open(nonce, ciphertext, tag, associated_data)
         if len(plaintext) != sum(lengths):
@@ -140,7 +157,7 @@ class AeadSuite(ABC):
         chunks: List[bytes] = []
         offset = 0
         for length in lengths:
-            chunks.append(bytes(view[offset:offset + length]))
+            chunks.append(view[offset:offset + length])
             offset += length
         return chunks
 
@@ -161,22 +178,23 @@ class OcbAesSuite(AeadSuite):
         self._ocb = OCB_AES128(key, tag_len=TAG_LEN)
         self._hw = _AESOCB3(key) if _AESOCB3 is not None else None
 
-    def seal(self, nonce, plaintext, associated_data=b""):
+    def seal(self, nonce, plaintext, associated_data=b"", out=None):
+        sealed = bytearray(len(plaintext) + TAG_LEN) if out is None else out
         if self._hw is not None and 12 <= len(nonce) <= 15:
-            sealed = self._hw.encrypt(bytes(nonce), plaintext,
-                                      bytes(associated_data))
-            return sealed[:-TAG_LEN], sealed[-TAG_LEN:]
-        return self._ocb.encrypt(nonce, plaintext, associated_data)
+            self._hw.encrypt_into(bytes(nonce), plaintext,
+                                  bytes(associated_data), sealed)
+        else:
+            ciphertext, tag = self._ocb.encrypt(nonce, plaintext,
+                                                associated_data)
+            sealed[:len(ciphertext)] = ciphertext
+            sealed[len(ciphertext):] = tag
+        return _split(sealed) if out is None else None
 
     def open(self, nonce, ciphertext, tag, associated_data=b""):
         if (self._hw is not None and 12 <= len(nonce) <= 15
                 and len(tag) == TAG_LEN):
-            try:
-                return self._hw.decrypt(bytes(nonce),
-                                        bytes(ciphertext) + bytes(tag),
-                                        bytes(associated_data))
-            except _InvalidTag:
-                raise IntegrityError("OCB tag verification failed") from None
+            return _open_into(self._hw, "OCB", nonce, ciphertext, tag,
+                              associated_data)
         return self._ocb.decrypt(nonce, ciphertext, tag, associated_data)
 
 
@@ -271,27 +289,24 @@ class FastAuthSuite(AeadSuite):
             key=self._key, digest_size=16).digest()
         return np.random.Philox(key=np.frombuffer(seed, dtype=np.uint64))
 
-    def _xor_stream(self, nonce: bytes, data) -> bytes:
-        """XOR *data* with the nonce-keyed keystream (seal == open)."""
+    def _xor_stream(self, nonce: bytes, data, out) -> None:
+        """Write *data* XOR the nonce-keyed keystream into *out*
+        (seal == open); *out* may be *data*'s own buffer."""
         length = len(data)
         if length < _PHILOX_MIN:
-            return _fast_xor(data, self._keystream(nonce, length))
+            out[:] = _fast_xor(data, self._keystream(nonce, length))
+            return
         generator = self._philox(nonce)
         in_arr = np.frombuffer(memoryview(data), dtype=np.uint8)
-        if length <= _KEYSTREAM_BLOCK:
-            stream = generator.random_raw((length + 7) >> 3).view(np.uint8)
-            return np.bitwise_xor(in_arr, stream[:length]).tobytes()
-        # Large payloads stream the counter keystream in bounded blocks,
-        # so a multi-MB seal holds at most one block of keystream.
-        out = bytearray(length)
         out_arr = np.frombuffer(memoryview(out), dtype=np.uint8)
+        # The counter keystream is generated in bounded blocks, so a
+        # multi-MB seal holds at most one block of keystream.
         for start in range(0, length, _KEYSTREAM_BLOCK):
             stop = min(start + _KEYSTREAM_BLOCK, length)
             chunk = stop - start
             stream = generator.random_raw((chunk + 7) >> 3).view(np.uint8)
             np.bitwise_xor(in_arr[start:stop], stream[:chunk],
                            out=out_arr[start:stop])
-        return bytes(out)
 
     def _tag(self, nonce: bytes, ciphertext, associated_data) -> bytes:
         mac = self._mac_inner.copy()
@@ -317,28 +332,56 @@ class FastAuthSuite(AeadSuite):
         outer.update(mac.digest())
         return outer.digest()[:TAG_LEN]
 
-    def seal(self, nonce, plaintext, associated_data=b""):
+    def seal(self, nonce, plaintext, associated_data=b"", out=None):
+        sealed = bytearray(len(plaintext) + TAG_LEN) if out is None else out
         if self._hw is not None and len(nonce) == NONCE_LEN:
-            sealed = self._hw.encrypt(bytes(nonce), plaintext,
-                                      bytes(associated_data))
-            return sealed[:-TAG_LEN], sealed[-TAG_LEN:]
-        ciphertext = self._xor_stream(nonce, plaintext)
-        return ciphertext, self._tag(nonce, ciphertext, associated_data)
+            self._hw.encrypt_into(bytes(nonce), plaintext,
+                                  bytes(associated_data), sealed)
+        else:
+            view = memoryview(sealed)
+            size = len(view) - TAG_LEN
+            self._xor_stream(nonce, plaintext, view[:size])
+            view[size:] = self._tag(nonce, view[:size], associated_data)
+        return _split(sealed) if out is None else None
 
     def open(self, nonce, ciphertext, tag, associated_data=b""):
         if (self._hw is not None and len(nonce) == NONCE_LEN
                 and len(tag) == TAG_LEN):
-            try:
-                return self._hw.decrypt(bytes(nonce),
-                                        bytes(ciphertext) + bytes(tag),
-                                        bytes(associated_data))
-            except _InvalidTag:
-                raise IntegrityError(
-                    "fast-auth tag verification failed") from None
+            return _open_into(self._hw, "fast-auth", nonce, ciphertext, tag,
+                              associated_data)
         expected = self._tag(nonce, ciphertext, associated_data)
         if not hmac.compare_digest(expected, tag):
             raise IntegrityError("fast-auth tag verification failed")
-        return self._xor_stream(nonce, ciphertext)
+        plaintext = bytearray(len(ciphertext))
+        self._xor_stream(nonce, ciphertext, plaintext)
+        return plaintext
+
+
+def _split(sealed: bytearray) -> Tuple[bytes, bytes]:
+    """``(ciphertext, tag)`` of a ``ciphertext || tag`` buffer."""
+    return bytes(sealed[:-TAG_LEN]), bytes(sealed[-TAG_LEN:])
+
+
+def _open_into(engine, name: str, nonce, ciphertext, tag,
+               associated_data) -> bytearray:
+    """Open with an AES-NI engine in one buffer.
+
+    ``ciphertext || tag`` is assembled once and the plaintext is
+    decrypted over its ciphertext bytes, so the buffer the tag was
+    checked in is the one returned.  A failed check discards it.
+    """
+    size = len(ciphertext)
+    data = bytearray().join((ciphertext, tag))
+    view = memoryview(data)
+    try:
+        engine.decrypt_into(bytes(nonce), data, bytes(associated_data),
+                            view[:size])
+    except _InvalidTag:
+        raise IntegrityError(f"{name} tag verification failed") from None
+    finally:
+        view.release()
+    del data[size:]
+    return data
 
 
 def _fast_xor(data, stream: bytes) -> bytes:

@@ -10,8 +10,9 @@ a kernel can only touch VRAM reachable through its context's mappings.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import PageFault
 
@@ -19,29 +20,104 @@ GPU_PAGE_SIZE = 4096
 
 
 class GpuPageTable:
-    """GPU virtual -> VRAM physical, page-granular."""
+    """GPU virtual -> VRAM physical, page-granular, held as runs.
+
+    Each run maps virtual pages ``[start, end)`` to consecutive VRAM
+    pages from ``base``; runs are sorted and never overlap.  A mapping
+    punches its window out of older runs, so every page resolves exactly
+    as in a table with one entry per page, but a mapping costs one entry
+    whatever its size and a range translates one run at a time.
+    """
 
     def __init__(self) -> None:
-        self._entries: Dict[int, int] = {}
+        self._starts: List[int] = []
+        self._runs: List[Tuple[int, int, int]] = []  # (start, end, base)
 
     def map_range(self, gpu_va: int, vram_pa: int, nbytes: int) -> None:
         if gpu_va % GPU_PAGE_SIZE or vram_pa % GPU_PAGE_SIZE:
             raise ValueError("GPU mappings must be page-aligned")
         pages = -(-nbytes // GPU_PAGE_SIZE)
-        for i in range(pages):
-            self._entries[gpu_va // GPU_PAGE_SIZE + i] = (
-                vram_pa // GPU_PAGE_SIZE + i)
+        if pages <= 0:
+            return
+        start = gpu_va // GPU_PAGE_SIZE
+        index = self._punch(start, start + pages)
+        self._starts.insert(index, start)
+        self._runs.insert(index,
+                          (start, start + pages, vram_pa // GPU_PAGE_SIZE))
 
     def unmap_range(self, gpu_va: int, nbytes: int) -> None:
         pages = -(-nbytes // GPU_PAGE_SIZE)
-        for i in range(pages):
-            self._entries.pop(gpu_va // GPU_PAGE_SIZE + i, None)
+        if pages > 0:
+            start = gpu_va // GPU_PAGE_SIZE
+            self._punch(start, start + pages)
+
+    def _punch(self, low: int, high: int) -> int:
+        """Unmap pages ``[low, high)``; return where a run starting at
+        *low* now belongs."""
+        starts, runs = self._starts, self._runs
+        first = bisect_left(starts, low)
+        if first and runs[first - 1][1] > low:
+            first -= 1
+        last = bisect_left(starts, high)
+        if first == last:
+            return first
+        kept = []
+        start, _, base = runs[first]
+        if start < low:
+            kept.append((start, low, base))
+        start, end, base = runs[last - 1]
+        if end > high:
+            kept.append((high, end, base + high - start))
+        runs[first:last] = kept
+        starts[first:last] = [run[0] for run in kept]
+        return first + (1 if kept and kept[0][0] < low else 0)
 
     def translate(self, gpu_va: int) -> int:
-        ppn = self._entries.get(gpu_va // GPU_PAGE_SIZE)
-        if ppn is None:
-            raise PageFault(f"GPU va {gpu_va:#x} unmapped in this context")
-        return ppn * GPU_PAGE_SIZE + gpu_va % GPU_PAGE_SIZE
+        page = gpu_va // GPU_PAGE_SIZE
+        index = bisect_right(self._starts, page) - 1
+        if index >= 0:
+            start, end, base = self._runs[index]
+            if page < end:
+                return (base + page - start) * GPU_PAGE_SIZE \
+                    + gpu_va % GPU_PAGE_SIZE
+        raise PageFault(f"GPU va {gpu_va:#x} unmapped in this context")
+
+    def translate_range(self, gpu_va: int,
+                        nbytes: int) -> Iterator[Tuple[int, int]]:
+        """Yield (vram_pa, chunk) pieces covering [gpu_va, gpu_va+nbytes).
+
+        Neighbouring runs that are contiguous in VRAM (the common case —
+        the driver maps allocations contiguously) merge into one piece,
+        so copy loops touch VRAM once per extent.  An unmapped page
+        raises :class:`PageFault` naming its first address in the range;
+        the piece being built when it is reached is not yielded.
+        """
+        runs = self._runs
+        addr = gpu_va
+        end = gpu_va + nbytes
+        index = bisect_right(self._starts, addr // GPU_PAGE_SIZE) - 1
+        piece_pa = -1
+        piece_len = 0
+        while addr < end:
+            page = addr // GPU_PAGE_SIZE
+            if not 0 <= index < len(runs) or not (
+                    runs[index][0] <= page < runs[index][1]):
+                raise PageFault(f"GPU va {addr:#x} unmapped in this context")
+            start, stop, base = runs[index]
+            stop_va = min(end, stop * GPU_PAGE_SIZE)
+            vram_pa = (base + page - start) * GPU_PAGE_SIZE \
+                + addr % GPU_PAGE_SIZE
+            if piece_pa + piece_len == vram_pa:
+                piece_len += stop_va - addr
+            else:
+                if piece_len:
+                    yield piece_pa, piece_len
+                piece_pa, piece_len = vram_pa, stop_va - addr
+            addr = stop_va
+            index += 1
+        if piece_len:
+            yield piece_pa, piece_len
+
 
 @dataclass
 class GpuContext:
@@ -52,34 +128,3 @@ class GpuContext:
     session_key: Optional[bytes] = None   # set by the KEY_EXCHANGE command
     kernels_launched: int = 0
     dh_private_seed: Optional[bytes] = None
-
-    def translate_range(self, gpu_va: int, nbytes: int):
-        """Yield (vram_pa, chunk) pieces covering [gpu_va, gpu_va+nbytes).
-
-        Physically-contiguous pages (the common case — the driver maps
-        allocations contiguously in VRAM) are coalesced into single runs
-        so copy loops touch VRAM once per extent, not once per page.
-        """
-        entries = self.page_table._entries
-        addr = gpu_va
-        end = gpu_va + nbytes
-        run_pa = -1
-        run_len = 0
-        while addr < end:
-            offset = addr & (GPU_PAGE_SIZE - 1)
-            chunk = GPU_PAGE_SIZE - offset
-            if addr + chunk > end:
-                chunk = end - addr
-            ppn = entries.get(addr // GPU_PAGE_SIZE)
-            if ppn is None:
-                raise PageFault(f"GPU va {addr:#x} unmapped in this context")
-            vram_pa = ppn * GPU_PAGE_SIZE + offset
-            if run_pa + run_len == vram_pa:
-                run_len += chunk
-            else:
-                if run_len:
-                    yield run_pa, run_len
-                run_pa, run_len = vram_pa, chunk
-            addr += chunk
-        if run_len:
-            yield run_pa, run_len

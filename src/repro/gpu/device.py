@@ -16,9 +16,11 @@ Section 5.5's DMA-attack analysis requires.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
+from repro.crypto.blob import open_blob_chunks, seal_blob_chunks
 from repro.crypto.dh import DiffieHellman
+from repro.crypto.kdf import hkdf_sha256
 from repro.crypto.nonce import NonceSequence, ReplayGuard
 from repro.crypto.suite import AeadSuite, make_suite
 from repro.errors import (
@@ -280,27 +282,56 @@ class SimGpu(PcieFunction):
     # -- context-relative memory (what kernels and the copy engine use) --------------
 
     def read_ctx(self, ctx: GpuContext, gpu_va: int, nbytes: int) -> bytes:
-        out = bytearray(nbytes)
-        view = memoryview(out)
-        pos = 0
-        for vram_pa, chunk in ctx.translate_range(gpu_va, nbytes):
-            self.vram.read_into(vram_pa, view[pos:pos + chunk])
-            pos += chunk
-        return bytes(out)
+        # A range contiguous in VRAM (the common case) is one piece, read
+        # with one copy; join returns a lone piece as it is.
+        read = self.vram.read
+        return b"".join([read(vram_pa, chunk) for vram_pa, chunk
+                         in ctx.page_table.translate_range(gpu_va, nbytes)])
 
     def write_ctx(self, ctx: GpuContext, gpu_va: int, data) -> None:
         view = memoryview(data)
         if view.ndim != 1 or view.format not in ("B", "b", "c"):
             view = view.cast("B")
         offset = 0
-        for vram_pa, chunk in ctx.translate_range(gpu_va, view.nbytes):
+        for vram_pa, chunk in ctx.page_table.translate_range(gpu_va,
+                                                             view.nbytes):
             self.vram.write(vram_pa, view[offset:offset + chunk])
             offset += chunk
 
     def zero_ctx(self, ctx: GpuContext, gpu_va: int, nbytes: int) -> None:
         """Cleanse a context range without materializing VRAM pages."""
-        for vram_pa, chunk in ctx.translate_range(gpu_va, nbytes):
+        for vram_pa, chunk in ctx.page_table.translate_range(gpu_va, nbytes):
             self.vram.zero(vram_pa, chunk)
+
+    # -- sealed frames in VRAM (both backends' device-side AEAD) -----------------------
+
+    def open_scatter(self, ctx: GpuContext, src_va: int, src_len: int,
+                     gpu_vas: Sequence[int], lengths: Sequence[int],
+                     suite: AeadSuite, replay_guard: ReplayGuard,
+                     associated_data: bytes) -> None:
+        """Open the sealed frame at *src_va* and scatter its chunks.
+
+        The frame seals the concatenation of ``len(lengths)`` chunks
+        under one nonce and tag: one freshness check, one
+        authentication and one decryption pass serve the whole
+        transfer, then chunk *i* is written at ``gpu_vas[i]``.  Tag and
+        replay failures raise before anything is written.
+        """
+        chunks = open_blob_chunks(suite, self.read_ctx(ctx, src_va, src_len),
+                                  lengths, associated_data=associated_data,
+                                  replay_guard=replay_guard)
+        for gpu_va, chunk in zip(gpu_vas, chunks):
+            self.write_ctx(ctx, gpu_va, chunk)
+
+    def seal_gather(self, ctx: GpuContext, gpu_vas: Sequence[int],
+                    lengths: Sequence[int], dst_va: int, suite: AeadSuite,
+                    nonces: NonceSequence, associated_data: bytes) -> None:
+        """Gather ``lengths[i]`` bytes from each ``gpu_vas[i]`` and write
+        them at *dst_va* as one sealed frame (one nonce, one tag)."""
+        chunks = [self.read_ctx(ctx, gpu_va, nbytes)
+                  for gpu_va, nbytes in zip(gpu_vas, lengths)]
+        self.write_ctx(ctx, dst_va, seal_blob_chunks(
+            suite, nonces, chunks, associated_data=associated_data))
 
     # -- copy engine ------------------------------------------------------------------
 
@@ -372,17 +403,16 @@ class SimGpu(PcieFunction):
         self.write_ctx(ctx, resp_va, reply)
 
     def suite_for_context(self, ctx: GpuContext) -> AeadSuite:
+        """The context's bulk suite, derived once per session key (the
+        key exchange, the key's only writer, drops the cached one)."""
         if ctx.session_key is None:
             raise CryptoError(f"context {ctx.ctx_id} has no session key")
         suite = self._suites.get(ctx.ctx_id)
-        if suite is None or suite.key != self._bulk_key(ctx):
-            suite = make_suite(self._suite_name, self._bulk_key(ctx))
+        if suite is None:
+            suite = make_suite(self._suite_name, hkdf_sha256(
+                ctx.session_key, info=b"bulk", length=16))
             self._suites[ctx.ctx_id] = suite
         return suite
-
-    def _bulk_key(self, ctx: GpuContext) -> bytes:
-        from repro.crypto.kdf import hkdf_sha256
-        return hkdf_sha256(ctx.session_key, info=b"bulk", length=16)
 
     def nonce_sequence_for(self, ctx: GpuContext) -> NonceSequence:
         seq = self._nonce_seqs.get(ctx.ctx_id)

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.crypto.blob import open_blob_chunks, seal_blob_chunks
+from repro.crypto.blob import sealed_size
 from repro.errors import KernelNotFound
 
 KernelFn = Callable[["SimGpu", "GpuContext", List], None]  # noqa: F821
@@ -139,22 +139,18 @@ def _aead_decrypt_scatter(dev, ctx, params) -> None:
     Parameters: ``(src, src_len, n, dst_0, len_0, ..., dst_n-1, len_n-1)``.
     The blob was copied verbatim from inter-enclave shared memory (the
     single-copy path) and seals the concatenation of *n* chunks under a
-    single nonce and tag, so one authentication and one decryption pass
-    serve the whole transfer; each recovered chunk is then written to
-    its own destination pointer.  A tag failure raises, which the engine
+    single nonce and tag (:meth:`SimGpu.open_scatter`), keyed by the
+    context's session key.  A tag failure raises, which the engine
     surfaces as a device fault — the abort the paper's DMA-attack
     analysis calls for.
     """
     src_ptr, src_len, count = params[0], int(params[1]), int(params[2])
     pairs = params[3:3 + 2 * count]
-    blob = dev.read_ctx(ctx, src_ptr.addr, src_len)
-    lengths = [int(pairs[2 * index + 1]) for index in range(count)]
-    suite = dev.suite_for_context(ctx)
-    chunks = open_blob_chunks(suite, blob, lengths,
-                              associated_data=_ctx_aad(ctx),
-                              replay_guard=dev.replay_guard_for(ctx))
-    for index, chunk in enumerate(chunks):
-        dev.write_ctx(ctx, pairs[2 * index].addr, chunk)
+    dev.open_scatter(ctx, src_ptr.addr, src_len,
+                     [pairs[2 * index].addr for index in range(count)],
+                     [int(pairs[2 * index + 1]) for index in range(count)],
+                     dev.suite_for_context(ctx), dev.replay_guard_for(ctx),
+                     _ctx_aad(ctx))
 
 
 @_GLOBAL.kernel("hix.aead_encrypt_gather")
@@ -163,19 +159,18 @@ def _aead_encrypt_gather(dev, ctx, params) -> None:
 
     Parameters: ``(dst, n, src_0, len_0, ..., src_n-1, len_n-1)``.
     Writes ``u64 blob_len | blob`` at *dst*, where the blob seals the
-    concatenation of the *n* source ranges with a single nonce and tag;
-    the driver DMAs it out and the user runtime splits it with the
-    length table it announced in the request.
+    concatenation of the *n* source ranges with a single nonce and tag
+    (:meth:`SimGpu.seal_gather`); the driver DMAs it out and the user
+    runtime splits it with the length table it announced in the request.
     """
     dst_ptr, count = params[0], int(params[1])
     pairs = params[2:2 + 2 * count]
-    chunks = [dev.read_ctx(ctx, pairs[2 * index].addr,
-                           int(pairs[2 * index + 1]))
-              for index in range(count)]
-    suite = dev.suite_for_context(ctx)
-    blob = seal_blob_chunks(suite, dev.nonce_sequence_for(ctx), chunks,
-                            associated_data=_ctx_aad(ctx))
-    dev.write_ctx(ctx, dst_ptr.addr, struct.pack("<Q", len(blob)) + blob)
+    lengths = [int(pairs[2 * index + 1]) for index in range(count)]
+    dev.seal_gather(ctx, [pairs[2 * index].addr for index in range(count)],
+                    lengths, dst_ptr.addr + 8, dev.suite_for_context(ctx),
+                    dev.nonce_sequence_for(ctx), _ctx_aad(ctx))
+    dev.write_ctx(ctx, dst_ptr.addr,
+                  struct.pack("<Q", sealed_size(sum(lengths))))
 
 
 def _ctx_aad(ctx) -> bytes:

@@ -8,7 +8,7 @@ Fast path: storage is bucketed in 64 KiB *extents* (16 architectural
 pages), so a page-spanning access costs one or two Python-level slice
 operations instead of one per 4 KiB page.  The common case — an access
 that stays inside one extent — avoids all intermediate allocations,
-multi-extent accesses fill one preallocated buffer, and
+a multi-extent read copies each extent's piece once into its result, and
 :meth:`PhysicalMemory.read_into` / :meth:`PhysicalMemory.views` give
 callers zero-copy scatter-gather access.  ``zero()`` really drops
 fully-covered resident extents instead of materializing zeroes through
@@ -69,30 +69,35 @@ class PhysicalMemory:
                 f"[0, {self._size:#x})")
 
     def read(self, paddr: int, length: int) -> bytes:
-        """Read *length* bytes starting at physical address *paddr*."""
+        """Read *length* bytes starting at physical address *paddr*.
+
+        The bytes are copied once, straight from the extents into the
+        result.
+        """
         self._check(paddr, length)
         index, offset = divmod(paddr, _EXTENT_SIZE)
         if offset + length <= _EXTENT_SIZE:
-            # Single-extent fast path: one slice, no assembly buffer.
             extent = self._extents.get(index)
             if extent is None:
                 return _ZERO_EXTENT[:length]
-            return bytes(extent[offset:offset + length])
-        out = bytearray(length)
-        self._fill(paddr, memoryview(out))
-        return bytes(out)
+            return bytes(memoryview(extent)[offset:offset + length])
+        return b"".join(self._pieces(paddr, length))
 
     def read_into(self, paddr: int, buf: Buffer) -> None:
         """Read ``len(buf)`` bytes at *paddr* directly into *buf* (zero-copy)."""
         view = memoryview(buf)
         self._check(paddr, view.nbytes)
-        self._fill(paddr, view)
+        pos = 0
+        for piece in self._pieces(paddr, view.nbytes):
+            view[pos:pos + len(piece)] = piece
+            pos += len(piece)
         self.zero_copy_bytes += view.nbytes
 
-    def _fill(self, paddr: int, view: memoryview) -> None:
-        pos = 0
-        remaining = view.nbytes
+    def _pieces(self, paddr: int, length: int) -> Iterator[memoryview]:
+        """Views of [paddr, paddr+length), extent by extent; unwritten
+        ranges are views of the shared zero extent."""
         addr = paddr
+        remaining = length
         while remaining:
             index, offset = divmod(addr, _EXTENT_SIZE)
             chunk = _EXTENT_SIZE - offset
@@ -100,9 +105,8 @@ class PhysicalMemory:
                 chunk = remaining
             extent = self._extents.get(index)
             src = _ZERO_EXTENT if extent is None else extent
-            view[pos:pos + chunk] = memoryview(src)[offset:offset + chunk]
+            yield memoryview(src)[offset:offset + chunk]
             addr += chunk
-            pos += chunk
             remaining -= chunk
 
     def views(self, paddr: int, length: int) -> Iterator[memoryview]:
@@ -113,19 +117,9 @@ class PhysicalMemory:
         them before the next write to the range.
         """
         self._check(paddr, length)
-        addr = paddr
-        remaining = length
-        while remaining:
-            index, offset = divmod(addr, _EXTENT_SIZE)
-            chunk = _EXTENT_SIZE - offset
-            if chunk > remaining:
-                chunk = remaining
-            extent = self._extents.get(index)
-            src = _ZERO_EXTENT if extent is None else extent
-            self.zero_copy_bytes += chunk
-            yield memoryview(src).toreadonly()[offset:offset + chunk]
-            addr += chunk
-            remaining -= chunk
+        for piece in self._pieces(paddr, length):
+            self.zero_copy_bytes += len(piece)
+            yield piece.toreadonly()
 
     def write(self, paddr: int, data: Buffer) -> None:
         """Write *data* (any buffer-protocol object) starting at *paddr*."""

@@ -29,6 +29,20 @@ originals moved here the same way:
   :class:`repro.osmodel.kernel.FrameAllocator` must hand out the same
   frames and raise the same errors.
 
+The sealed transfer path was made to touch each byte once per hop; the
+representations it retired moved here the same way:
+
+* :class:`OracleGpuPageTable` — the GPU page table with one dict entry
+  per 4 KiB page, and the per-page ``translate_range`` walk that lived
+  on ``GpuContext``.  :class:`repro.gpu.context.GpuPageTable` (sorted
+  runs) must translate every address and range the same way, fault
+  included.
+* :func:`oracle_seal_blob` / :func:`oracle_seal_blob_chunks` — the
+  frame builders that concatenated a packed header and the ciphertext
+  the suite returned.  :func:`repro.crypto.blob.seal_blob` and
+  :func:`~repro.crypto.blob.seal_blob_chunks` (which seal into the
+  frame) must produce the same bytes.
+
 These are test fixtures, not public API — do not import them from
 production code.
 """
@@ -42,7 +56,8 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.multiuser import Segment
-from repro.errors import EpcError, ReproError
+from repro.crypto.blob import _HEADER, _MAGIC
+from repro.errors import EpcError, PageFault, ReproError
 from repro.hw.phys_mem import PAGE_SIZE
 from repro.sgx.epc import EpcmEntry, PageType
 from repro.sim.engine import LaneTimeline as UserTimeline
@@ -372,3 +387,75 @@ class OracleScanFrameAllocator:
 
     def free(self, paddr: int) -> None:
         self._free.append(paddr)
+
+
+GPU_PAGE_SIZE = 4096
+
+
+class OracleGpuPageTable:
+    """The retired per-page ``GpuPageTable``, verbatim apart from naming;
+    :meth:`translate_range` is the retired ``GpuContext.translate_range``
+    reading this table."""
+
+    def __init__(self) -> None:
+        self._entries: Dict[int, int] = {}
+
+    def map_range(self, gpu_va: int, vram_pa: int, nbytes: int) -> None:
+        if gpu_va % GPU_PAGE_SIZE or vram_pa % GPU_PAGE_SIZE:
+            raise ValueError("GPU mappings must be page-aligned")
+        pages = -(-nbytes // GPU_PAGE_SIZE)
+        for i in range(pages):
+            self._entries[gpu_va // GPU_PAGE_SIZE + i] = (
+                vram_pa // GPU_PAGE_SIZE + i)
+
+    def unmap_range(self, gpu_va: int, nbytes: int) -> None:
+        pages = -(-nbytes // GPU_PAGE_SIZE)
+        for i in range(pages):
+            self._entries.pop(gpu_va // GPU_PAGE_SIZE + i, None)
+
+    def translate(self, gpu_va: int) -> int:
+        ppn = self._entries.get(gpu_va // GPU_PAGE_SIZE)
+        if ppn is None:
+            raise PageFault(f"GPU va {gpu_va:#x} unmapped in this context")
+        return ppn * GPU_PAGE_SIZE + gpu_va % GPU_PAGE_SIZE
+
+    def translate_range(self, gpu_va: int, nbytes: int):
+        entries = self._entries
+        addr = gpu_va
+        end = gpu_va + nbytes
+        run_pa = -1
+        run_len = 0
+        while addr < end:
+            offset = addr & (GPU_PAGE_SIZE - 1)
+            chunk = GPU_PAGE_SIZE - offset
+            if addr + chunk > end:
+                chunk = end - addr
+            ppn = entries.get(addr // GPU_PAGE_SIZE)
+            if ppn is None:
+                raise PageFault(f"GPU va {addr:#x} unmapped in this context")
+            vram_pa = ppn * GPU_PAGE_SIZE + offset
+            if run_pa + run_len == vram_pa:
+                run_len += chunk
+            else:
+                if run_len:
+                    yield run_pa, run_len
+                run_pa, run_len = vram_pa, chunk
+            addr += chunk
+        if run_len:
+            yield run_pa, run_len
+
+
+def oracle_seal_blob(suite, nonces, plaintext: bytes,
+                     associated_data: bytes = b"") -> bytes:
+    """The retired ``_seal_blob``, verbatim apart from naming."""
+    nonce = nonces.next()
+    ciphertext, tag = suite.seal(nonce, plaintext, associated_data)
+    return _HEADER.pack(_MAGIC, nonce, tag, len(ciphertext)) + ciphertext
+
+
+def oracle_seal_blob_chunks(suite, nonces, chunks: Sequence[bytes],
+                            associated_data: bytes = b"") -> bytes:
+    """The retired ``_seal_blob_chunks``, verbatim apart from naming."""
+    nonce = nonces.next()
+    ciphertext, tag = suite.seal_chunks(nonce, chunks, associated_data)
+    return _HEADER.pack(_MAGIC, nonce, tag, len(ciphertext)) + ciphertext

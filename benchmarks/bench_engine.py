@@ -10,7 +10,7 @@ FIFO, backpressured lanes, and the pipelined-copy process pair.
 import pytest
 
 from repro.sim.engine import EventClock, TenantLane, WorkUnit, run_lanes
-from repro.sim.pipeline import pipelined_time_events
+from tests.property.oracles import pipelined_time_events
 
 MB = 1 << 20
 GB = 1 << 30

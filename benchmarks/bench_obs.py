@@ -27,8 +27,8 @@ def _tracer_state():
 def _hix_machine():
     from repro.system import Machine, MachineConfig
     machine = Machine(MachineConfig())
-    service = machine.boot_hix()
-    api = machine.hix_session(service, "bench").cuCtxCreate()
+    service = machine.boot_secure()
+    api = machine.secure_session(service, "bench").cuCtxCreate()
     buf = api.cuMemAlloc(64 * 1024)
     payload = b"\xab" * (64 * 1024)
     return machine, api, buf, payload

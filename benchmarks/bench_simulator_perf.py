@@ -99,8 +99,8 @@ def test_perf_gdev_memcpy_roundtrip_64k(benchmark):
 @pytest.mark.benchmark(group="simulator")
 def test_perf_hix_secure_memcpy_roundtrip_64k(benchmark):
     machine = Machine(MachineConfig())
-    service = machine.boot_hix()
-    app = machine.hix_session(service).cuCtxCreate()
+    service = machine.boot_secure()
+    app = machine.secure_session(service).cuCtxCreate()
     buf = app.cuMemAlloc(64 * 1024)
     data = np.arange(16 * 1024, dtype=np.int32)
 
@@ -125,10 +125,10 @@ def test_perf_kernel_launch(benchmark):
 def test_perf_hix_session_setup(benchmark):
     """Attestation + 3-party DH (dominated by 2048-bit modular exps)."""
     machine = Machine(MachineConfig())
-    service = machine.boot_hix()
+    service = machine.boot_secure()
 
     def session():
-        app = machine.hix_session(service, "bench-user")
+        app = machine.secure_session(service, "bench-user")
         app.cuCtxCreate()
         app.cuCtxDestroy()
 

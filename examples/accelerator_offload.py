@@ -22,8 +22,8 @@ def main():
     machine = Machine(MachineConfig(num_gpus=1, num_accelerators=1))
     accel = machine.accelerators[0]
 
-    gpu_service = machine.boot_hix(device=machine.gpu)
-    accel_service = machine.boot_hix(device=accel)
+    gpu_service = machine.boot_secure(device=machine.gpu)
+    accel_service = machine.boot_secure(device=accel)
     print("device enclaves booted:")
     print(f"  GPU   {machine.gpu.bdf} class={machine.gpu.config.class_code:#08x} "
           f"firmware={gpu_service.bios_measurement.hex()[:16]}...")
@@ -31,8 +31,8 @@ def main():
           f"firmware={accel_service.bios_measurement.hex()[:16]}...")
 
     # The same trusted-runtime API drives both devices.
-    with machine.hix_session(gpu_service, "gpu-user") as gpu_app, \
-            machine.hix_session(accel_service, "accel-user") as accel_app:
+    with machine.secure_session(gpu_service, "gpu-user") as gpu_app, \
+            machine.secure_session(accel_service, "accel-user") as accel_app:
         x = np.arange(1024, dtype=np.int32)
         for label, app, factor in (("GPU", gpu_app, 3),
                                    ("accelerator", accel_app, 7)):

@@ -34,12 +34,12 @@ def tenant_job(api, tenant_id):
 
 def main():
     machine = Machine()
-    service = machine.boot_hix()
+    service = machine.boot_secure()
 
     print("=== three tenants, one GPU, one GPU enclave ===")
     tenants = {}
     for tenant_id in (1, 2, 3):
-        api = machine.hix_session(service, f"tenant-{tenant_id}")
+        api = machine.secure_session(service, f"tenant-{tenant_id}")
         api.cuCtxCreate()
         buf, result = tenant_job(api, tenant_id)
         tenants[tenant_id] = (api, buf)

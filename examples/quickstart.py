@@ -45,12 +45,12 @@ def compute(api, label, machine):
 def main():
     # --- HIX: GPU enclave owns the GPU; everything is attested/sealed ---
     machine = Machine()
-    service = machine.boot_hix()
+    service = machine.boot_secure()
     print("GPU enclave booted:")
     print(f"  enclave measurement : {service.measurement.hex()[:32]}...")
     print(f"  GPU BIOS measurement: {service.bios_measurement.hex()[:32]}...")
     print(f"  PCIe MMIO lockdown  : {machine.root_complex.lockdown_enabled}")
-    hix_app = machine.hix_session(service, "quickstart")
+    hix_app = machine.secure_session(service, "quickstart")
     hix_seconds = compute(hix_app, "HIX ", machine)
 
     # --- Gdev baseline: same computation, no protection ------------------

@@ -113,8 +113,8 @@ def main():
 
     # --- HIX ----------------------------------------------------------------
     machine = Machine()
-    service = machine.boot_hix()
-    app = machine.hix_session(service, "clinic")
+    service = machine.boot_secure()
+    app = machine.secure_session(service, "clinic")
     snoop_hits.clear()
 
     def snoop_hix(api):

@@ -10,10 +10,10 @@ Quickstart::
 
     from repro import Machine
 
-    machine = Machine()
-    service = machine.boot_hix()          # GPU enclave takes the GPU
-    app = machine.hix_session(service)    # user enclave + trusted runtime
-    app.cuCtxCreate()                     # attestation + 3-party DH
+    machine = Machine()                      # backend="hix" by default
+    service = machine.boot_secure()          # GPU enclave takes the GPU
+    app = machine.secure_session(service)    # user enclave + trusted runtime
+    app.cuCtxCreate()                        # attestation + 3-party DH
     buf = app.cuMemAlloc(4096)
     app.cuMemcpyHtoD(buf, b"secret" * 100)
 

@@ -5,7 +5,6 @@ Importing this package registers the built-in backends; select one via
 """
 
 from repro.backends.base import (
-    DEFAULT_REGION_SIZE,
     TeeBackend,
     backend_names,
     get_backend,
@@ -15,7 +14,6 @@ from repro.backends.hix import HixBackend
 from repro.backends.gpucc import GpuCcBackend
 
 __all__ = [
-    "DEFAULT_REGION_SIZE",
     "TeeBackend",
     "backend_names",
     "get_backend",

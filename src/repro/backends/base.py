@@ -21,16 +21,16 @@ space.  It owns four things:
 Everything else is shared.  Every backend's user runtime is a thin
 subclass of :class:`~repro.core.runtime.SealedClient` (names plus the
 attested handshake) and every service a thin subclass of
-:class:`~repro.core.service.SealedService` (boot, hello and the four
-bulk-memcpy handlers), so everything above — the serving layer, the
-fleet router, evalkit — is backend-agnostic.
+:class:`~repro.core.service.SealedService` (boot, hello, and how the
+device opens and seals a staged frame).  The backend builds both
+(:meth:`TeeBackend.boot`, :meth:`TeeBackend.create_session`), so
+everything above — :class:`~repro.system.Machine`, the serving layer,
+the fleet router, evalkit — is backend-agnostic.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
-
-DEFAULT_REGION_SIZE = 4 * (1 << 20)
 
 #: A copy pipeline: (stage bandwidths, stage setup latencies), in
 #: data-flow order.
@@ -53,15 +53,17 @@ class TeeBackend:
 
     # -- lifecycle ------------------------------------------------------
 
-    def boot(self, machine, region_size: int = DEFAULT_REGION_SIZE,
-             device=None):
-        """Boot the machine-side service for this backend."""
+    def boot(self, machine, device=None):
+        """Build and boot this backend's machine-side service on
+        *machine* for *device* (default: the machine's first GPU)."""
         raise NotImplementedError
 
     def create_session(self, machine, service, name: str = "app",
-                       check_identity: bool = True,
                        channel_queue_depth=None):
-        """Attest and key-exchange one tenant session; return its api."""
+        """A tenant's client runtime on *service*, expecting the
+        vendor-published identity; its ``cuCtxCreate`` attests and
+        keys the session.  *channel_queue_depth* bounds both
+        notification queues (``None``: unbounded)."""
         raise NotImplementedError
 
     # -- cost terms -----------------------------------------------------
@@ -99,7 +101,7 @@ class TeeBackend:
 
     def multiuser_efficiency(self, costs) -> float:
         """Derate of the backend's GPU-side crypto stage under sharing."""
-        return costs.aead_multiuser_efficiency(self.name)
+        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TeeBackend {self.name}>"

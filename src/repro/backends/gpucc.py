@@ -18,15 +18,20 @@ trust boundary onto the die:
   suppressed — see :meth:`repro.gpu.device.SimGpu._key_exchange`).
 * **Sealed path** — bulk data crosses the host as ciphertext through an
   unprotected *bounce buffer* the driver DMAs from; the on-die AEAD
-  engine (:class:`CcEngine`) seals/opens it next to the copy engines.
-  No crypto kernels occupy the SMs and no trusted MMIO aperture exists:
-  the CC firewall disables BAR1 outright.
+  engine seals/opens it next to the copy engines with the session the
+  device keeps per context (:meth:`repro.gpu.device.SimGpu.open_scatter`,
+  :meth:`~repro.gpu.device.SimGpu.seal_gather`).  No crypto kernels
+  occupy the SMs — no kernel launches, no ``gpu_dispatch`` charges — and
+  no trusted MMIO aperture exists: the CC firewall disables BAR1
+  outright.  Tag failures raise :class:`~repro.errors.IntegrityError`
+  straight to the caller (the user sees the detection); no device fault
+  is queued, so a tampered transfer cannot poison the next submission.
 
 The user runtime and the driver's request loop are the ones every
 backend shares (:class:`~repro.core.runtime.SealedClient`,
 :class:`~repro.core.service.SealedService`); this module adds the
-handshake, the bounce-buffer memcpy handlers, boot into CC mode, the
-engine and the cost terms.
+handshake, the engine calls on staged frames, boot into CC mode and the
+cost terms.
 
 Simulation conventions: MAC-as-signature — ``hmac(k, body)`` stands in
 for a public-key signature by ``k``'s owner, and carrying the "public"
@@ -39,32 +44,28 @@ extraction, so holding key bytes in Python objects models on-die SRAM.
 from __future__ import annotations
 
 import logging
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from repro.backends.base import DEFAULT_REGION_SIZE, TeeBackend, register
+from repro.backends.base import TeeBackend, register
 from repro.core import protocol
 from repro.core.channel import ChannelEnd
 from repro.core.key_exchange import (
     DiffieHellman,
-    SessionCrypto,
-    build_session_crypto,
     derive_key,
     dh_bytes_to_int,
     int_to_dh_bytes,
 )
 from repro.core.runtime import SealedClient
 from repro.core.service import SealedService, ServiceSession
-from repro.crypto.blob import sealed_size
 from repro.crypto.kdf import hkdf_sha256, hmac_sha256
+from repro.crypto.session import SessionCrypto
 from repro.errors import AttestationError, CertChainError, ProtocolError
 from repro.gpu.bios import bios_hash
-from repro.gpu.commands import CommandOpcode, encode_command
 from repro.gpu.device import SimGpu
 from repro.gpu.regs import REG_RESET, RESET_MAGIC
 from repro.osmodel.driver_stub import map_gpu_mmio
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.process import Process
-from repro.pcie.root_complex import RootComplex
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
 
@@ -167,90 +168,6 @@ def verify_attestation_report(k_att: bytes, report: dict,
 
 
 # ---------------------------------------------------------------------------
-# The on-die AEAD engine
-# ---------------------------------------------------------------------------
-
-class CcEngine:
-    """Fixed-function AEAD engine beside the copy engines.
-
-    Holds per-context session crypto in on-die SRAM (Python objects,
-    per the simulation convention above) and handles one sealed frame
-    per transfer in VRAM: :meth:`open_scatter` authenticates an upload
-    once and scatters its chunks to their destinations,
-    :meth:`seal_gather` gathers a download's ranges and seals them as
-    one frame.  Unlike HIX's ``hix.*`` crypto kernels this never
-    occupies the SMs — no kernel launches, no ``gpu_dispatch`` charges.
-
-    Tag failures raise :class:`~repro.errors.IntegrityError` straight to
-    the caller (the user sees the detection); no device fault is queued,
-    so a tampered transfer cannot poison the next submission.
-    """
-
-    def __init__(self, device: SimGpu, suite_name: str = "fast-auth") -> None:
-        self._device = device
-        self._suite_name = suite_name
-        self._crypto: Dict[int, SessionCrypto] = {}
-
-    def _ctx(self, ctx_id: int):
-        try:
-            return self._device.contexts[ctx_id]
-        except KeyError:
-            raise ProtocolError(f"no GPU context {ctx_id}") from None
-
-    def register(self, ctx_id: int) -> None:
-        """Latch the context's exchanged key into engine session state."""
-        ctx = self._ctx(ctx_id)
-        if ctx.session_key is None:
-            raise ProtocolError(
-                f"context {ctx_id} has no session key (key exchange "
-                "did not complete)")
-        self._crypto[ctx_id] = build_session_crypto(ctx.session_key,
-                                                    self._suite_name)
-
-    def session_crypto(self, ctx_id: int) -> SessionCrypto:
-        """The session state the engine holds for *ctx_id*.
-
-        The service's request loop pins it before dispatch, so the
-        engine still seals the acknowledgment of a request that tears
-        the session down (ctx destroy, shutdown).
-        """
-        crypto = self._crypto.get(ctx_id)
-        if crypto is None:
-            raise ProtocolError(
-                f"engine holds no session for context {ctx_id}")
-        return crypto
-
-    def forget(self, ctx_id: int) -> None:
-        self._crypto.pop(ctx_id, None)
-
-    def reset(self) -> None:
-        self._crypto.clear()
-
-    @staticmethod
-    def _bulk_aad(ctx_id: int) -> bytes:
-        return b"gpucc-bulk-ctx-%d" % ctx_id
-
-    # -- bulk path ------------------------------------------------------
-
-    def open_scatter(self, ctx_id: int, src_va: int, blob_len: int,
-                     gpu_vas: Sequence[int], lengths: Sequence[int]) -> None:
-        """Open one fused frame and scatter its chunks to their targets."""
-        crypto = self.session_crypto(ctx_id)
-        self._device.open_scatter(self._ctx(ctx_id), src_va, blob_len,
-                                  gpu_vas, lengths, crypto.bulk_suite,
-                                  crypto.bulk_h2d_guard,
-                                  self._bulk_aad(ctx_id))
-
-    def seal_gather(self, ctx_id: int, gpu_vas: Sequence[int],
-                    lengths: Sequence[int], dst_va: int) -> None:
-        """Gather chunks from VRAM and seal them as one fused frame."""
-        crypto = self.session_crypto(ctx_id)
-        self._device.seal_gather(self._ctx(ctx_id), gpu_vas, lengths, dst_va,
-                                 crypto.bulk_suite, crypto.bulk_d2h_nonces,
-                                 self._bulk_aad(ctx_id))
-
-
-# ---------------------------------------------------------------------------
 # The untrusted kernel-mode driver (service side)
 # ---------------------------------------------------------------------------
 
@@ -260,18 +177,13 @@ class GpuCcService(SealedService):
     The same request loop as the HIX GPU enclave — so the serving layer
     is backend-agnostic — but with the trust inverted: this process
     relays ciphertext it cannot open.  The loop's open and seal steps
-    use keys held by the on-die engine, and every security property is
+    use the session the device holds for the context (on-die SRAM, per
+    the simulation convention above), and every security property is
     enforced by the device (CC firewall, on-die engine, certified
     attestation).
     """
 
     label = "GPU-CC driver"
-
-    def __init__(self, kernel: Kernel, root_complex: RootComplex,
-                 gpu: SimGpu, suite_name: str = "fast-auth",
-                 region_size: int = DEFAULT_REGION_SIZE) -> None:
-        super().__init__(kernel, root_complex, gpu, suite_name, region_size)
-        self.engine: Optional[CcEngine] = None
 
     # ------------------------------------------------------------------ boot
 
@@ -288,7 +200,6 @@ class GpuCcService(SealedService):
         # drops contexts; CC mode is sticky across reset by design).
         self.driver.channel.reg_write(REG_RESET, RESET_MAGIC)
         self.driver = self._new_driver()
-        self.engine = CcEngine(self._gpu, self._suite_name)
         self.alive = True
         logger.info("GPU-CC driver up: device=%s cc_mode=%s",
                     self._gpu.bdf, self._gpu.cc_mode)
@@ -309,21 +220,15 @@ class GpuCcService(SealedService):
         a_value = dh_bytes_to_int(a_bytes)
 
         ctx = self.driver.create_context(end.user_process)
-        resp_va = self.driver.malloc(ctx, 512)
         # Two-party DH: both blob slots carry the user's A, so the device
         # derives K = KDF(A^g).  In CC mode its reply holds only C = g^g
         # (the A^g half is suppressed on-die), so this relay learns
-        # nothing it can derive the key from.
-        self.driver.channel.submit([encode_command(
-            CommandOpcode.KEY_EXCHANGE, ctx.ctx_id, (resp_va,),
-            blob=int_to_dh_bytes(a_value) + int_to_dh_bytes(a_value))])
-        # No trusted aperture exists under the firewall: bounce the reply
-        # out through the ordinary DMA staging path (it's public data).
-        reply_raw = self.driver.memcpy_d2h(ctx, resp_va, 512)
-        self.driver.free(ctx, resp_va, cleanse=True)
+        # nothing it can derive the key from.  No trusted aperture exists
+        # under the firewall: the reply comes back by DMA (public data).
+        reply_raw = self._device_key_exchange(
+            ctx, int_to_dh_bytes(a_value) + int_to_dh_bytes(a_value))
         c_bytes = reply_raw[:256]
 
-        self.engine.register(ctx.ctx_id)
         cert = issue_device_cert(self._gpu)
         report = device_attestation_report(self._gpu, ctx.ctx_id,
                                            c_bytes, a_bytes)
@@ -341,41 +246,29 @@ class GpuCcService(SealedService):
         }))
 
     def _session_crypto(self, session: ServiceSession) -> SessionCrypto:
-        return self.engine.session_crypto(session.ctx.ctx_id)
+        """The session the device holds for the context.
 
-    # ------------------------------------------- bounce-buffer secure memcpy
+        The request loop pins it before dispatch, so the acknowledgment
+        of a request that tears the context down (ctx destroy,
+        shutdown) still seals.
+        """
+        crypto = self._gpu.context(session.ctx.ctx_id).crypto
+        if crypto is None:
+            raise ProtocolError(
+                f"device holds no session for context {session.ctx.ctx_id}")
+        return crypto
 
-    def _memcpy_htod_batch(self, session: ServiceSession, gpu_vas: list,
-                           lengths: list, blob_len: int) -> dict:
-        """Bounce region -> VRAM staging (ciphertext), then on-die open."""
-        staging_va = self.driver.malloc(session.ctx, blob_len)
-        self._dma_from_region(session, staging_va, blob_len)
-        self.engine.open_scatter(session.ctx.ctx_id, staging_va, blob_len,
-                                 gpu_vas, lengths)
-        self.driver.free(session.ctx, staging_va)
-        return {"ok": True, "plaintext_len": sum(lengths)}
+    # ------------------------------------------------- staged-frame crypto
 
-    def _memcpy_dtoh_batch(self, session: ServiceSession, gpu_vas: list,
-                           lengths: list) -> dict:
-        """On-die seal into VRAM staging, then staging -> bounce region."""
-        blob_len = sealed_size(sum(lengths))
-        staging_va = self.driver.malloc(session.ctx, blob_len)
-        self.engine.seal_gather(session.ctx.ctx_id, gpu_vas, lengths,
-                                staging_va)
-        self._dma_to_region(session, staging_va, blob_len)
-        self.driver.free(session.ctx, staging_va, cleanse=True)
-        return {"ok": True, "blob_len": blob_len}
+    def _open_staged(self, session: ServiceSession, staging_va: int,
+                     blob_len: int, gpu_vas: list, lengths: list) -> None:
+        self._gpu.open_scatter(self._gpu.context(session.ctx.ctx_id),
+                               staging_va, blob_len, gpu_vas, lengths)
 
-    # ------------------------------------------------------------- termination
-
-    def _close_session(self, session: ServiceSession) -> None:
-        super()._close_session(session)
-        self.engine.forget(session.ctx.ctx_id)
-
-    def graceful_shutdown(self) -> None:
-        """Tear down sessions, scrub the device, drop engine state."""
-        super().graceful_shutdown()
-        self.engine.reset()
+    def _seal_staged(self, session: ServiceSession, gpu_vas: list,
+                     lengths: list, staging_va: int) -> None:
+        self._gpu.seal_gather(self._gpu.context(session.ctx.ctx_id),
+                              gpu_vas, lengths, staging_va)
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +336,22 @@ class GpuCcBackend(TeeBackend):
     mmio_lockdown = False      # no TGMR; the CC firewall disables BAR1
     termination_protection = False  # killing the driver is plain DoS
 
-    def boot(self, machine, region_size: int = DEFAULT_REGION_SIZE,
-             device=None):
-        return machine.boot_gpucc(region_size=region_size, device=device)
+    def boot(self, machine, device=None) -> GpuCcService:
+        return GpuCcService(machine.kernel, machine.root_complex,
+                            device or machine.gpu,
+                            suite_name=machine.config.suite_name).boot()
 
     def create_session(self, machine, service, name: str = "app",
-                       check_identity: bool = True,
-                       channel_queue_depth=None):
-        return machine.gpucc_session(service, name=name,
-                                     check_identity=check_identity,
-                                     channel_queue_depth=channel_queue_depth)
+                       channel_queue_depth=None) -> GpuCcApi:
+        # The user runs in a CPU TEE (no SGX enclave is loaded) and pins
+        # the device's attested firmware hash against the value the
+        # vendor publishes for that device model.
+        return GpuCcApi(machine.kernel, machine.kernel.create_process(name),
+                        service, clock=machine.clock, costs=machine.costs,
+                        expected_fw_hash=machine.expected_bios_hash_for(
+                            service.device),
+                        suite_name=machine.config.suite_name,
+                        channel_queue_depth=channel_queue_depth)
 
     def session_costs(self, costs):
         return costs.gpucc_task_init, costs.gpucc_session_setup
@@ -482,6 +381,9 @@ class GpuCcBackend(TeeBackend):
     def device_crypto(self, costs):
         # The fixed-function on-die engine: no kernel dispatch.
         return costs.gpucc_engine_latency, costs.gpucc_engine_bandwidth
+
+    def multiuser_efficiency(self, costs) -> float:
+        return costs.gpucc_aead_multiuser_efficiency
 
 
 BACKEND = register(GpuCcBackend())

@@ -76,14 +76,10 @@ def submit_queue_flood(client: TenantClient, floods: int = 32,
         except BackpressureError:
             plan.backpressured += 1
 
-    previous_recover = client.on_recover
-
     def recover(api, nbytes: int = nbytes):
-        if previous_recover is not None:
-            previous_recover(api)
         state["dptr"] = api.cuMemAlloc(nbytes)
 
-    client.on_recover = recover
+    client.on_recover.append(recover)
     return plan
 
 
@@ -146,15 +142,11 @@ def submit_timeout_surf(client: TenantClient, surfs: int = 6,
         except BackpressureError:
             plan.backpressured += 1
 
-    previous_recover = client.on_recover
-
     def recover(api):
-        if previous_recover is not None:
-            previous_recover(api)
         state["dptr"] = api.cuMemAlloc(4096)
         state["module"] = api.cuModuleLoad(["builtin.memset32"])
 
-    client.on_recover = recover
+    client.on_recover.append(recover)
     return plan
 
 

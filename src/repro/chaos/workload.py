@@ -140,13 +140,9 @@ def submit_victim_stream(client: TenantClient, rounds: int = 4,
 
     plan.submitted.append(client.submit(f"{client.name}:cleanup", cleanup))
 
-    previous_recover = client.on_recover
-
     def recover(api, nbytes: int = nbytes):
-        if previous_recover is not None:
-            previous_recover(api)
         state["dptr"] = api.cuMemAlloc(nbytes)
         state["module"] = api.cuModuleLoad(["builtin.memset32"])
 
-    client.on_recover = recover
+    client.on_recover.append(recover)
     return plan

@@ -22,7 +22,9 @@ from repro.hw.phys_mem import PAGE_SIZE
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.process import Process
 
-# Shared-region layout.
+# Shared-region layout: request and reply areas, then the bulk area,
+# which bounds one sealed bulk frame.
+REGION_SIZE = 4 << 20
 REQUEST_OFFSET = 0x0000
 REQUEST_AREA = 0x8000
 REPLY_OFFSET = REQUEST_AREA

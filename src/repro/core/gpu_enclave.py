@@ -17,7 +17,8 @@ then sealed requests (malloc/free/memcpy/module-load/launch/teardown),
 maintaining one GPU context and one session key per user (Section 4.5).
 The request loop is the one every backend shares
 (:class:`~repro.core.service.SealedService`); this module adds boot,
-the attested hello and the crypto-kernel memcpy handlers.
+the attested hello and the crypto kernels that open and seal staged
+frames.
 """
 
 from __future__ import annotations
@@ -30,20 +31,17 @@ from repro.core import protocol
 from repro.core.channel import ChannelEnd
 from repro.core.key_exchange import (
     DiffieHellman,
-    SessionCrypto,
     bind_report_data,
-    build_session_crypto,
     check_binding,
     derive_key,
     dh_bytes_to_int,
     int_to_dh_bytes,
 )
 from repro.core.service import SealedService, ServiceSession
-from repro.crypto.blob import sealed_size
+from repro.crypto.session import SessionCrypto, build_session_crypto
 from repro.errors import AttestationError, ProtocolError
 from repro.gdev.driver import GdevModule
 from repro.gpu.bios import bios_hash, is_valid_rom
-from repro.gpu.commands import CommandOpcode, encode_command
 from repro.gpu.device import SimGpu
 from repro.gpu.module import CubinImage, DevPtr
 from repro.gpu.regs import REG_RESET, RESET_MAGIC, ROM_SIZE
@@ -88,13 +86,14 @@ class GpuEnclaveService(SealedService):
     label = "GPU enclave"
     enclave_mode = True
     via_mmio = True
+    #: the gather kernel writes ``u64 blob_len`` ahead of its frame
+    gather_prefix = 8
 
     def __init__(self, kernel: Kernel, sgx: SgxUnit,
                  root_complex: RootComplex, gpu: SimGpu,
                  expected_bios_hash: bytes,
-                 suite_name: str = "fast-auth",
-                 region_size: int = 4 << 20) -> None:
-        super().__init__(kernel, root_complex, gpu, suite_name, region_size)
+                 suite_name: str = "fast-auth") -> None:
+        super().__init__(kernel, root_complex, gpu, suite_name)
         self._sgx = sgx
         self._expected_bios_hash = expected_bios_hash
         self.enclave = None
@@ -160,13 +159,8 @@ class GpuEnclaveService(SealedService):
         ctx = self.driver.create_context(end.user_process)
         dh_e = DiffieHellman(seed=b"gpu-enclave-%d" % ctx.ctx_id)
         b_value = dh_e.raise_value(a_value)
-        resp_va = self.driver.malloc(ctx, 512)
-        self.driver.channel.submit([encode_command(
-            CommandOpcode.KEY_EXCHANGE, ctx.ctx_id, (resp_va,),
-            blob=int_to_dh_bytes(a_value) + int_to_dh_bytes(b_value))])
-        reply_raw = self.driver.channel.aperture_read(
-            self.driver.vram_pa_of(ctx, resp_va), 512)
-        self.driver.free(ctx, resp_va, cleanse=True)
+        reply_raw = self._device_key_exchange(
+            ctx, int_to_dh_bytes(a_value) + int_to_dh_bytes(b_value))
         c_value = dh_bytes_to_int(reply_raw[:256])    # g^g
         d_value = dh_bytes_to_int(reply_raw[256:])    # g^(ug)
         session_key = derive_key(dh_e.raise_value(d_value))
@@ -196,44 +190,20 @@ class GpuEnclaveService(SealedService):
     def _session_crypto(self, session: Session) -> SessionCrypto:
         return session.crypto
 
-    # ----------------------------------------------- single-copy secure memcpy
+    # ------------------------------------------------- staged-frame crypto
 
-    def _memcpy_htod_batch(self, session: Session, gpu_vas: list,
-                           lengths: list, blob_len: int) -> dict:
-        """Shared memory -> GPU (ciphertext), then in-GPU open (§4.4.2).
-
-        One DMA and one kernel per frame: the frame in shared memory
-        seals the concatenation of its items' chunks under one
-        nonce/tag; the scatter kernel authenticates it once and
-        distributes the plaintext chunks to their per-item destinations.
-        """
-        staging_va = self.driver.malloc(session.ctx, blob_len)
-        self._dma_from_region(session, staging_va, blob_len)
-        params = [DevPtr(staging_va), blob_len, len(gpu_vas)]
-        for gpu_va, length in zip(gpu_vas, lengths):
-            params.append(DevPtr(gpu_va))
-            params.append(length)
+    def _open_staged(self, session: Session, staging_va: int, blob_len: int,
+                     gpu_vas: list, lengths: list) -> None:
         self.driver.launch(
             session.ctx, session.crypto_module, "hix.aead_decrypt_scatter",
-            params, via_mmio=True)
-        self.driver.free(session.ctx, staging_va)
-        return {"ok": True, "plaintext_len": sum(lengths)}
+            [DevPtr(staging_va), blob_len, *_ranges(gpu_vas, lengths)],
+            via_mmio=True)
 
-    def _memcpy_dtoh_batch(self, session: Session, gpu_vas: list,
-                           lengths: list) -> dict:
-        """In-GPU gather-and-seal, then GPU -> shared memory (ciphertext)."""
-        blob_len = sealed_size(sum(lengths))
-        staging_va = self.driver.malloc(session.ctx, 8 + blob_len)
-        params = [DevPtr(staging_va), len(gpu_vas)]
-        for gpu_va, length in zip(gpu_vas, lengths):
-            params.append(DevPtr(gpu_va))
-            params.append(length)
+    def _seal_staged(self, session: Session, gpu_vas: list, lengths: list,
+                     staging_va: int) -> None:
         self.driver.launch(
             session.ctx, session.crypto_module, "hix.aead_encrypt_gather",
-            params, via_mmio=True)
-        self._dma_to_region(session, staging_va + 8, blob_len)
-        self.driver.free(session.ctx, staging_va, cleanse=True)
-        return {"ok": True, "blob_len": blob_len}
+            [DevPtr(staging_va), *_ranges(gpu_vas, lengths)], via_mmio=True)
 
     # ------------------------------------------------------------- termination
 
@@ -241,6 +211,14 @@ class GpuEnclaveService(SealedService):
         """Abort work, cleanse the GPU, return it to the OS (Section 4.2.3)."""
         super().graceful_shutdown()
         self._sgx.egdestroy(self.enclave.enclave_id)
+
+
+def _ranges(gpu_vas: list, lengths: list) -> list:
+    """Crypto-kernel parameters for device ranges: ``n, va_0, len_0, ...``."""
+    params = [len(gpu_vas)]
+    for gpu_va, length in zip(gpu_vas, lengths):
+        params += (DevPtr(gpu_va), length)
+    return params
 
 
 # -- report (de)serialization over the untrusted channel ----------------------

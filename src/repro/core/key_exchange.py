@@ -19,59 +19,17 @@ GPU enclave, GPU):
    (attested).
 5. user:        K = KDF(E^u).
 
-All three parties then derive the same request/reply/bulk subkeys from K
-via HKDF (:func:`repro.crypto.kdf.derive_channel_keys`).
+All three parties then expand K into the same request/reply/bulk
+subkeys, nonce channels and replay guards
+(:func:`repro.crypto.session.build_session_crypto`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Dict
 
 from repro.crypto.dh import DiffieHellman, derive_key
-from repro.crypto.kdf import derive_channel_keys
-from repro.crypto.nonce import NonceSequence, ReplayGuard
-from repro.crypto.suite import AeadSuite, make_suite
-from repro.core import protocol
 from repro.errors import AttestationError
-
-
-@dataclass
-class SessionCrypto:
-    """One party's derived cryptographic state for a session."""
-
-    session_key: bytes
-    request_suite: AeadSuite
-    reply_suite: AeadSuite
-    bulk_suite: AeadSuite
-    request_nonces: NonceSequence
-    reply_nonces: NonceSequence
-    bulk_h2d_nonces: NonceSequence
-    bulk_d2h_nonces: NonceSequence
-    request_guard: ReplayGuard
-    reply_guard: ReplayGuard
-    bulk_h2d_guard: ReplayGuard
-    bulk_d2h_guard: ReplayGuard
-
-
-def build_session_crypto(session_key: bytes, suite_name: str) -> SessionCrypto:
-    """Expand a session key into suites, nonces, and replay guards."""
-    keys: Dict[str, bytes] = derive_channel_keys(session_key)
-    return SessionCrypto(
-        session_key=session_key,
-        request_suite=make_suite(suite_name, keys["request"]),
-        reply_suite=make_suite(suite_name, keys["reply"]),
-        bulk_suite=make_suite(suite_name, keys["bulk"]),
-        request_nonces=NonceSequence(protocol.CH_REQUEST),
-        reply_nonces=NonceSequence(protocol.CH_REPLY),
-        bulk_h2d_nonces=NonceSequence(protocol.CH_BULK_H2D),
-        bulk_d2h_nonces=NonceSequence(protocol.CH_BULK_D2H),
-        request_guard=ReplayGuard(protocol.CH_REQUEST),
-        reply_guard=ReplayGuard(protocol.CH_REPLY),
-        bulk_h2d_guard=ReplayGuard(protocol.CH_BULK_H2D),
-        bulk_d2h_guard=ReplayGuard(protocol.CH_BULK_D2H),
-    )
 
 
 def bind_report_data(*values: bytes) -> bytes:
@@ -101,8 +59,6 @@ def dh_bytes_to_int(raw: bytes) -> int:
 
 
 __all__ = [
-    "SessionCrypto",
-    "build_session_crypto",
     "bind_report_data",
     "check_binding",
     "int_to_dh_bytes",

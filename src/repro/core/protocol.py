@@ -1,11 +1,10 @@
-"""Inter-enclave protocol: request/reply encoding and channel constants.
+"""Inter-enclave protocol: request/reply encoding and error codes.
 
 Control messages are small JSON-encoded dictionaries sealed with the
 session's *request*/*reply* subkeys; bulk data travels separately as
-sealed blobs under the *bulk* subkey (single-copy path).  Each direction
-has its own nonce channel so one session key can never produce a nonce
-collision, and receivers run replay guards — the "incrementing nonce ...
-to prevent replay attacks" of Section 5.5.
+sealed blobs under the *bulk* subkey (single-copy path).  The subkeys,
+nonce channels and replay guards of each direction are
+:class:`repro.crypto.session.SessionCrypto`'s.
 """
 
 from __future__ import annotations
@@ -19,12 +18,6 @@ from repro.errors import (
     ProtocolError,
     UnknownOperation,
 )
-
-# Nonce channel ids (must match repro.gpu.device for the bulk channels).
-CH_BULK_H2D = 1   # user enclave -> GPU (sealed blobs through shared memory)
-CH_BULK_D2H = 2   # GPU -> user enclave
-CH_REQUEST = 3    # user enclave -> GPU enclave control messages
-CH_REPLY = 4      # GPU enclave -> user enclave control messages
 
 REQUEST_AAD = b"hix-request"
 REPLY_AAD = b"hix-reply"

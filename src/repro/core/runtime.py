@@ -34,9 +34,7 @@ from repro.core.gpu_enclave import (
 )
 from repro.core.key_exchange import (
     DiffieHellman,
-    SessionCrypto,
     bind_report_data,
-    build_session_crypto,
     check_binding,
     derive_key,
     dh_bytes_to_int,
@@ -50,6 +48,7 @@ from repro.crypto.blob import (
     seal_blob_chunks,
     sealed_size,
 )
+from repro.crypto.session import SessionCrypto, build_session_crypto, bulk_aad
 from repro.errors import (
     AttestationError,
     CertChainError,
@@ -199,7 +198,7 @@ class SealedClient:
         session_key, ctx_id = self._handshake(end)
         self._crypto = build_session_crypto(session_key, self._suite_name)
         self._ctx_id = ctx_id
-        self._bulk_ad = b"%s-bulk-ctx-%d" % (self.name.encode(), ctx_id)
+        self._bulk_ad = bulk_aad(self.name, ctx_id)
         self._end = end
         return self
 

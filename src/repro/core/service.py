@@ -2,12 +2,15 @@
 
 A backend's service is whatever answers a user's sealed requests: HIX's
 GPU enclave (:mod:`repro.core.gpu_enclave`) or GPU-CC's untrusted
-driver (:mod:`repro.backends.gpucc`).  Both run the same loop — take a
+driver (:mod:`repro.backends.gpucc`).  Both run the same loop: take a
 notification, open the sealed request, dispatch it to the Gdev-derived
-driver, seal the reply — so it lives here once.  A subclass supplies
-boot, the hello handshake, the two bulk-memcpy handlers, where a
-session's :class:`~repro.core.key_exchange.SessionCrypto` lives, and
-what shutdown tears down.
+driver, seal the reply.  Both move a bulk frame the same way, by DMA
+between the shared region and a VRAM staging buffer that the device
+opens or seals, and run the device's leg of the key exchange the same
+way.  All three live here once.  A subclass supplies boot, the hello
+handshake, how the device opens and seals a staged frame, where a
+session's :class:`~repro.crypto.session.SessionCrypto` lives, and what
+shutdown tears down.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ from repro.core.channel import (
     BULK_OFFSET,
     ChannelEnd,
     MessageQueue,
+    REGION_SIZE,
     REPLY_OFFSET,
     SharedMemoryRegion,
 )
-from repro.core.key_exchange import SessionCrypto
-from repro.crypto.blob import open_blob, seal_blob
+from repro.crypto.blob import open_blob, seal_blob, sealed_size
+from repro.crypto.session import SessionCrypto
 from repro.errors import DriverError, GpuUnavailable, ProtocolError
 from repro.gdev.driver import GdevContextHandle, GdevDriver, GdevModule
 from repro.gpu.commands import CommandOpcode, encode_command
@@ -57,16 +61,19 @@ class SealedService:
     label = "?"
     #: does the service touch the shared region from enclave mode?
     enclave_mode = False
-    #: are module images and launch parameters written over MMIO?
+    #: are module images, launch parameters and the key-exchange reply
+    #: moved over the trusted MMIO aperture (else by DMA)?
     via_mmio = False
+    #: bytes the device writes ahead of a download's sealed frame in
+    #: its staging buffer
+    gather_prefix = 0
 
     def __init__(self, kernel: Kernel, root_complex: RootComplex,
-                 gpu: SimGpu, suite_name: str, region_size: int) -> None:
+                 gpu: SimGpu, suite_name: str) -> None:
         self._kernel = kernel
         self._root_complex = root_complex
         self._gpu = gpu
         self._suite_name = suite_name
-        self._region_size = region_size
 
         self.process: Optional[Process] = None
         self.driver: Optional[GdevDriver] = None
@@ -95,7 +102,7 @@ class SealedService:
         raises :class:`~repro.errors.QueueFullError` on send, which the
         serving layer surfaces as backpressure.
         """
-        region = SharedMemoryRegion(self._kernel, self._region_size)
+        region = SharedMemoryRegion(self._kernel, REGION_SIZE)
         region.attach(user_process)
         region.attach(self.process)
         return ChannelEnd(
@@ -127,6 +134,25 @@ class SealedService:
     def _admit(self, session: ServiceSession) -> None:
         self.sessions[session.session_id] = session
         session.end.session_id = session.session_id
+
+    def _device_key_exchange(self, ctx: GdevContextHandle,
+                             blob: bytes) -> bytes:
+        """Run the device's leg of the key exchange for *ctx*.
+
+        *blob* is the 512-byte ``KEY_EXCHANGE`` input; returns the
+        device's 512-byte reply, read back over the trusted aperture or
+        by DMA (:attr:`via_mmio`).
+        """
+        resp_va = self.driver.malloc(ctx, 512)
+        self.driver.channel.submit([encode_command(
+            CommandOpcode.KEY_EXCHANGE, ctx.ctx_id, (resp_va,), blob=blob)])
+        if self.via_mmio:
+            reply = self.driver.channel.aperture_read(
+                self.driver.vram_pa_of(ctx, resp_va), 512)
+        else:
+            reply = self.driver.memcpy_d2h(ctx, resp_va, 512)
+        self.driver.free(ctx, resp_va, cleanse=True)
+        return reply
 
     # ----------------------------------------------------------- request loop
 
@@ -215,21 +241,59 @@ class SealedService:
                 via_mmio=self.via_mmio)
         return {"ok": True}
 
-    # ----------------------------------------------- bulk-area DMA helpers
+    # ---------------------------------------------- single-copy secure memcpy
 
-    def _dma_from_region(self, session: ServiceSession, dst_va: int,
-                         nbytes: int) -> None:
-        """DMA the sealed blob in the bulk area to VRAM at *dst_va*."""
-        self.driver.channel.submit([encode_command(
-            CommandOpcode.MEMCPY_H2D, session.ctx.ctx_id,
-            (session.end.region.paddr + BULK_OFFSET, dst_va, nbytes))])
+    def _memcpy_htod_batch(self, session: ServiceSession, gpu_vas: list,
+                           lengths: list, blob_len: int) -> dict:
+        """Shared memory -> VRAM staging (ciphertext), then device open.
 
-    def _dma_to_region(self, session: ServiceSession, src_va: int,
-                       nbytes: int) -> None:
-        """DMA a sealed blob at *src_va* in VRAM out to the bulk area."""
-        self.driver.channel.submit([encode_command(
-            CommandOpcode.MEMCPY_D2H, session.ctx.ctx_id,
-            (src_va, session.end.region.paddr + BULK_OFFSET, nbytes))])
+        One DMA and one device-side open per frame (§4.4.2): the frame
+        seals the concatenation of its items' chunks under one
+        nonce/tag, so the device authenticates it once and distributes
+        the plaintext chunks to their per-item destinations.  The
+        staging buffer is freed whether or not the frame opens.
+        """
+        staging_va = self.driver.malloc(session.ctx, blob_len)
+        try:
+            self.driver.channel.submit([encode_command(
+                CommandOpcode.MEMCPY_H2D, session.ctx.ctx_id,
+                (session.end.region.paddr + BULK_OFFSET, staging_va,
+                 blob_len))])
+            self._open_staged(session, staging_va, blob_len, gpu_vas,
+                              lengths)
+        finally:
+            self.driver.free(session.ctx, staging_va)
+        return {"ok": True, "plaintext_len": sum(lengths)}
+
+    def _memcpy_dtoh_batch(self, session: ServiceSession, gpu_vas: list,
+                           lengths: list) -> dict:
+        """Device gather-and-seal into VRAM staging, then staging ->
+        shared memory (ciphertext); the staging buffer is cleansed and
+        freed either way."""
+        blob_len = sealed_size(sum(lengths))
+        staging_va = self.driver.malloc(session.ctx,
+                                        self.gather_prefix + blob_len)
+        try:
+            self._seal_staged(session, gpu_vas, lengths, staging_va)
+            self.driver.channel.submit([encode_command(
+                CommandOpcode.MEMCPY_D2H, session.ctx.ctx_id,
+                (staging_va + self.gather_prefix,
+                 session.end.region.paddr + BULK_OFFSET, blob_len))])
+        finally:
+            self.driver.free(session.ctx, staging_va, cleanse=True)
+        return {"ok": True, "blob_len": blob_len}
+
+    def _open_staged(self, session: ServiceSession, staging_va: int,
+                     blob_len: int, gpu_vas: list, lengths: list) -> None:
+        """Have the device open the frame at *staging_va* and scatter
+        its chunks to *gpu_vas*."""
+        raise NotImplementedError
+
+    def _seal_staged(self, session: ServiceSession, gpu_vas: list,
+                     lengths: list, staging_va: int) -> None:
+        """Have the device gather *gpu_vas* and seal them as one frame
+        at ``staging_va + gather_prefix``."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------- termination
 

@@ -17,6 +17,9 @@ This package implements all of that from scratch:
 * :mod:`repro.crypto.dh` — finite-field Diffie-Hellman (RFC 3526 group).
 * :mod:`repro.crypto.nonce` — incrementing nonces and replay windows.
 * :mod:`repro.crypto.kdf` — HKDF-SHA256 key derivation and MAC helpers.
+* :mod:`repro.crypto.session` — one party's session state (subkeys,
+  nonce channels, replay guards) and the bulk-frame associated data,
+  shared by the user runtime, the GPU enclave and the device.
 """
 
 from repro.crypto.aes import AES128

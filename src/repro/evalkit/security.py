@@ -31,9 +31,9 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from repro.core.channel import BULK_OFFSET
-from repro.core.protocol import CH_BULK_H2D
 from repro.crypto.blob import seal_blob
 from repro.crypto.nonce import NonceSequence
+from repro.crypto.session import CH_BULK_H2D
 from repro.crypto.suite import KEY_LEN, make_suite
 from repro.errors import (
     AttestationError,
@@ -232,7 +232,7 @@ def attack_read_runtime_secrets(backend: str = "hix") -> AttackResult:
 
     if backend == "hix":
         machine = _machine()
-        service = machine.boot_hix()
+        service = machine.boot_secure()
         adversary = machine.adversary()
         try:
             adversary.read_enclave_memory(service.process,
@@ -275,11 +275,11 @@ def attack_kill_and_reclaim(backend: str = "hix") -> AttackResult:
 
     if backend == "hix":
         machine = _machine()
-        service = machine.boot_hix()
+        service = machine.boot_secure()
         adversary = machine.adversary()
         adversary.kill_process(service.process)
         try:
-            machine.boot_hix()
+            machine.boot_secure()
             hix = SUCCEEDS
         except GpuAlreadyOwned:
             hix = blocked("GECS keeps GPU bound until cold boot")
@@ -295,8 +295,8 @@ def attack_kill_and_reclaim(backend: str = "hix") -> AttackResult:
         victim.cuMemcpyHtoD(buf, _SECRET)
         adversary = machine.adversary()
         adversary.kill_process(service.process)
-        thief_service = machine.boot_gpucc()
-        thief = machine.gpucc_session(thief_service, "thief").cuCtxCreate()
+        thief_service = machine.boot_secure()
+        thief = machine.secure_session(thief_service, "thief").cuCtxCreate()
         grabbed = thief.cuMemAlloc(len(_SECRET))
         recovered = bytes(thief.cuMemcpyDtoH(grabbed, len(_SECRET)))
         hix = (SUCCEEDS if recovered == _SECRET
@@ -320,7 +320,7 @@ def attack_map_mmio(backend: str = "hix") -> AttackResult:
 
     if backend == "hix":
         machine = _machine()
-        service = machine.boot_hix()
+        service = machine.boot_secure()
         bar0_pa = service.driver.channel.regions["bar0"].paddr
         adversary = machine.adversary()
         try:
@@ -486,7 +486,6 @@ def attack_redirect_dma(backend: str = "hix") -> AttackResult:
 
 def attack_emulated_gpu(backend: str = "hix") -> AttackResult:
     """Substitute a software-emulated GPU."""
-    from repro.core.gpu_enclave import GpuEnclaveService
     from repro.gdev.driver import GdevDriver
 
     machine = _machine()
@@ -502,11 +501,8 @@ def attack_emulated_gpu(backend: str = "hix") -> AttackResult:
         adversary = machine.adversary()
         fake = adversary.plant_emulated_gpu(machine.root_port, Bdf(1, 1, 0))
         fake.connect_dma(machine.dma)
-        service = GpuEnclaveService(machine.kernel, machine.sgx,
-                                    machine.root_complex, fake,
-                                    machine.expected_bios_hash_for(machine.gpu))
         try:
-            service.boot()
+            machine.boot_secure(device=fake)
             hix = SUCCEEDS
         except NotAGpu:
             hix = blocked("EGCREATE: root complex reports non-physical "
@@ -515,16 +511,13 @@ def attack_emulated_gpu(backend: str = "hix") -> AttackResult:
         # The untrusted GPU-CC driver happily boots the fake — nothing
         # stops it.  The user catches the substitution at session setup:
         # the fake's device certificate cannot chain to the vendor root.
-        from repro.backends.gpucc import GpuCcService
-
         machine = _machine(backend)
         adversary = machine.adversary()
         fake = adversary.plant_emulated_gpu(machine.root_port, Bdf(1, 1, 0))
         fake.connect_dma(machine.dma)
-        service = GpuCcService(machine.kernel, machine.root_complex,
-                               fake).boot()
+        service = machine.boot_secure(device=fake)
         try:
-            machine.gpucc_session(service).cuCtxCreate()
+            machine.secure_session(service).cuCtxCreate()
             hix = SUCCEEDS
         except CertChainError:
             hix = detected("device certificate does not chain to the "
@@ -549,7 +542,7 @@ def attack_tampered_bios(backend: str = "hix") -> AttackResult:
         adversary = machine.adversary()
         adversary.flash_gpu_bios(machine.gpu)
         try:
-            machine.boot_hix()
+            machine.boot_secure()
             hix = SUCCEEDS
         except AttestationError:
             hix = detected("GPU BIOS failed measurement at enclave init")

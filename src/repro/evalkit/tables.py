@@ -57,7 +57,7 @@ def table1() -> TableData:
 def table2(machine: Optional[Machine] = None) -> TableData:
     """HIX TCB breakdown (paper Table 2), checked against a live machine."""
     machine = machine or Machine()
-    service = machine.boot_hix()
+    service = machine.boot_secure()
     live = {
         "epc": machine.sgx.epc.free_pages >= 0,
         "walker": machine.mmu._validator is not None,  # noqa: SLF001

@@ -14,6 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
+from repro.crypto.session import SessionCrypto
 from repro.errors import PageFault
 
 GPU_PAGE_SIZE = 4096
@@ -121,10 +122,16 @@ class GpuPageTable:
 
 @dataclass
 class GpuContext:
-    """One GPU context: address space + per-context session key slot."""
+    """One GPU context: address space + the device's side of its session.
+
+    The KEY_EXCHANGE command sets the session key and the session state
+    the device opens and seals the context's bulk frames with; both die
+    with the context (destroy or device reset).
+    """
 
     ctx_id: int
     page_table: GpuPageTable = field(default_factory=GpuPageTable)
-    session_key: Optional[bytes] = None   # set by the KEY_EXCHANGE command
+    session_key: Optional[bytes] = None
+    crypto: Optional[SessionCrypto] = None
     kernels_launched: int = 0
     dh_private_seed: Optional[bytes] = None

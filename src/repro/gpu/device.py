@@ -6,11 +6,13 @@ GPU BIOS, and the copy engine issues DMA upstream through the (untrusted)
 IOMMU.  Command execution is synchronous with the doorbell write, which
 matches the Gdev prototype's MMIO-polling synchronization.
 
-The device also implements the GPU's role in HIX: it participates in the
-three-party Diffie-Hellman exchange (KEY_EXCHANGE command), holds one
-session key per context, and runs the ``hix.*`` crypto kernels against
-that key.  A failed integrity check during a crypto kernel is recorded as
-a *device fault* the driver observes when it polls — the abort behaviour
+The device also implements the GPU's role in the sealed session: it
+participates in the Diffie-Hellman exchange (KEY_EXCHANGE command),
+keeps one session per context (:attr:`GpuContext.crypto`), and opens
+and seals bulk frames in VRAM with it — from HIX's ``hix.*`` crypto
+kernels or, in confidential-computing mode, from GPU-CC's on-die engine
+path.  A failed integrity check during a crypto kernel is recorded as a
+*device fault* the driver observes when it polls — the abort behaviour
 Section 5.5's DMA-attack analysis requires.
 """
 
@@ -20,9 +22,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.crypto.blob import open_blob_chunks, seal_blob_chunks
 from repro.crypto.dh import DiffieHellman
-from repro.crypto.kdf import hkdf_sha256
-from repro.crypto.nonce import NonceSequence, ReplayGuard
-from repro.crypto.suite import AeadSuite, make_suite
+from repro.crypto.session import SessionCrypto, build_session_crypto, bulk_aad
 from repro.errors import (
     CryptoError,
     DriverError,
@@ -42,10 +42,6 @@ from repro.pcie.device import Bdf, PcieFunction
 
 VENDOR_NVIDIA = 0x10DE
 DEVICE_GTX580 = 0x1080
-
-# Nonce channel ids for bulk-data directions (shared with core.protocol).
-BULK_H2D_CHANNEL = 1
-BULK_D2H_CHANNEL = 2
 
 
 class SimGpu(PcieFunction):
@@ -88,9 +84,6 @@ class SimGpu(PcieFunction):
         self._faults: List[str] = []
         self.reset_count = 0
         self.context_switches = 0
-        self._suites: Dict[int, AeadSuite] = {}
-        self._nonce_seqs: Dict[int, NonceSequence] = {}
-        self._replay_guards: Dict[int, ReplayGuard] = {}
 
     # -- wiring -----------------------------------------------------------------
 
@@ -203,9 +196,6 @@ class SimGpu(PcieFunction):
         self._fifo = bytearray(regs.FIFO_SIZE)
         self._aperture_base = 0
         self._faults.clear()
-        self._suites.clear()
-        self._nonce_seqs.clear()
-        self._replay_guards.clear()
         self.reset_count += 1
 
     # -- command execution -----------------------------------------------------------
@@ -229,7 +219,7 @@ class SimGpu(PcieFunction):
                     f"{command.opcode.name} in ctx {command.ctx_id}: {exc}")
                 break
 
-    def _context(self, ctx_id: int) -> GpuContext:
+    def context(self, ctx_id: int) -> GpuContext:
         try:
             return self.contexts[ctx_id]
         except KeyError:
@@ -244,14 +234,11 @@ class SimGpu(PcieFunction):
             return
         if op is CommandOpcode.CTX_DESTROY:
             self.contexts.pop(command.ctx_id, None)
-            self._suites.pop(command.ctx_id, None)
-            self._nonce_seqs.pop(command.ctx_id, None)
-            self._replay_guards.pop(command.ctx_id, None)
             if self._engine_ctx == command.ctx_id:
                 self._engine_ctx = None
             return
 
-        ctx = self._context(command.ctx_id)
+        ctx = self.context(command.ctx_id)
         if op is CommandOpcode.MAP:
             gpu_va, vram_pa, nbytes = command.args
             ctx.page_table.map_range(gpu_va, vram_pa, nbytes)
@@ -305,33 +292,44 @@ class SimGpu(PcieFunction):
 
     # -- sealed frames in VRAM (both backends' device-side AEAD) -----------------------
 
+    def _session(self, ctx: GpuContext) -> SessionCrypto:
+        if ctx.crypto is None:
+            raise CryptoError(f"context {ctx.ctx_id} has no session key")
+        return ctx.crypto
+
+    def _bulk_aad(self, ctx: GpuContext) -> bytes:
+        return bulk_aad("gpucc" if self.cc_mode else "hix", ctx.ctx_id)
+
     def open_scatter(self, ctx: GpuContext, src_va: int, src_len: int,
-                     gpu_vas: Sequence[int], lengths: Sequence[int],
-                     suite: AeadSuite, replay_guard: ReplayGuard,
-                     associated_data: bytes) -> None:
+                     gpu_vas: Sequence[int], lengths: Sequence[int]) -> None:
         """Open the sealed frame at *src_va* and scatter its chunks.
 
         The frame seals the concatenation of ``len(lengths)`` chunks
-        under one nonce and tag: one freshness check, one
-        authentication and one decryption pass serve the whole
-        transfer, then chunk *i* is written at ``gpu_vas[i]``.  Tag and
-        replay failures raise before anything is written.
+        under one nonce and tag with the context's session: one
+        freshness check, one authentication and one decryption pass
+        serve the whole transfer, then chunk *i* is written at
+        ``gpu_vas[i]``.  Tag and replay failures raise before anything
+        is written.
         """
-        chunks = open_blob_chunks(suite, self.read_ctx(ctx, src_va, src_len),
-                                  lengths, associated_data=associated_data,
-                                  replay_guard=replay_guard)
+        crypto = self._session(ctx)
+        chunks = open_blob_chunks(crypto.bulk_suite,
+                                  self.read_ctx(ctx, src_va, src_len),
+                                  lengths, associated_data=self._bulk_aad(ctx),
+                                  replay_guard=crypto.bulk_h2d_guard)
         for gpu_va, chunk in zip(gpu_vas, chunks):
             self.write_ctx(ctx, gpu_va, chunk)
 
     def seal_gather(self, ctx: GpuContext, gpu_vas: Sequence[int],
-                    lengths: Sequence[int], dst_va: int, suite: AeadSuite,
-                    nonces: NonceSequence, associated_data: bytes) -> None:
+                    lengths: Sequence[int], dst_va: int) -> None:
         """Gather ``lengths[i]`` bytes from each ``gpu_vas[i]`` and write
-        them at *dst_va* as one sealed frame (one nonce, one tag)."""
+        them at *dst_va* as one frame sealed with the context's session
+        (one nonce, one tag)."""
+        crypto = self._session(ctx)
         chunks = [self.read_ctx(ctx, gpu_va, nbytes)
                   for gpu_va, nbytes in zip(gpu_vas, lengths)]
         self.write_ctx(ctx, dst_va, seal_blob_chunks(
-            suite, nonces, chunks, associated_data=associated_data))
+            crypto.bulk_suite, crypto.bulk_d2h_nonces, chunks,
+            associated_data=self._bulk_aad(ctx)))
 
     # -- copy engine ------------------------------------------------------------------
 
@@ -372,7 +370,7 @@ class SimGpu(PcieFunction):
         spec.fn(self, ctx, params)
         ctx.kernels_launched += 1
 
-    # -- session keys (the GPU's role in the 3-party DH, Section 4.4.1) -------------------
+    # -- session keys (the GPU's role in the DH exchange, Section 4.4.1) ------------------
 
     def _device_dh(self, ctx_id: int) -> DiffieHellman:
         return DiffieHellman(seed=self._device_secret + ctx_id.to_bytes(4, "big"))
@@ -380,9 +378,10 @@ class SimGpu(PcieFunction):
     def _key_exchange(self, ctx: GpuContext, resp_va: int, blob: bytes) -> None:
         """Blob: 256-byte A = g^u || 256-byte B = g^(ue).
 
-        The GPU derives the session key from B^g and replies (written to
-        *resp_va* in device memory) with C = g^g || A^g, from which the
-        GPU enclave and user enclave complete their copies of g^(uge).
+        The GPU derives the session key from B^g, expands it into the
+        context's session, and replies (written to *resp_va* in device
+        memory) with C = g^g || A^g, from which the GPU enclave and user
+        enclave complete their copies of g^(uge).
         """
         if len(blob) != 512:
             raise ProtocolError("KEY_EXCHANGE blob must be 512 bytes")
@@ -390,7 +389,7 @@ class SimGpu(PcieFunction):
         b_value = int.from_bytes(blob[256:], "big")
         dh = self._device_dh(ctx.ctx_id)
         ctx.session_key = dh.shared_secret(b_value)[:16]
-        self._suites.pop(ctx.ctx_id, None)
+        ctx.crypto = build_session_crypto(ctx.session_key, self._suite_name)
         if self.cc_mode:
             # Two-party exchange (GPU-CC): the reply carries only the
             # device's public value C = g^g.  The A^g half would let the
@@ -401,29 +400,3 @@ class SimGpu(PcieFunction):
             reply = (dh.public_value.to_bytes(256, "big")
                      + dh.raise_value(a_value).to_bytes(256, "big"))
         self.write_ctx(ctx, resp_va, reply)
-
-    def suite_for_context(self, ctx: GpuContext) -> AeadSuite:
-        """The context's bulk suite, derived once per session key (the
-        key exchange, the key's only writer, drops the cached one)."""
-        if ctx.session_key is None:
-            raise CryptoError(f"context {ctx.ctx_id} has no session key")
-        suite = self._suites.get(ctx.ctx_id)
-        if suite is None:
-            suite = make_suite(self._suite_name, hkdf_sha256(
-                ctx.session_key, info=b"bulk", length=16))
-            self._suites[ctx.ctx_id] = suite
-        return suite
-
-    def nonce_sequence_for(self, ctx: GpuContext) -> NonceSequence:
-        seq = self._nonce_seqs.get(ctx.ctx_id)
-        if seq is None:
-            seq = NonceSequence(channel_id=BULK_D2H_CHANNEL)
-            self._nonce_seqs[ctx.ctx_id] = seq
-        return seq
-
-    def replay_guard_for(self, ctx: GpuContext) -> ReplayGuard:
-        guard = self._replay_guards.get(ctx.ctx_id)
-        if guard is None:
-            guard = ReplayGuard(channel_id=BULK_H2D_CHANNEL)
-            self._replay_guards[ctx.ctx_id] = guard
-        return guard

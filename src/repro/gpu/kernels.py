@@ -3,8 +3,9 @@
 A "kernel" is a Python function dispatched by the compute engine when a
 LAUNCH command names it (via the cubin image resident in VRAM).  Kernels
 see the device through a narrow API — context-relative reads and writes
-plus the per-context session key — so they behave like real GPU code:
-they can only touch memory mapped in their own context.
+plus opening and sealing frames under the context's session — so they
+behave like real GPU code: they can only touch memory mapped in their
+own context.
 
 Two kernel families ship with the device:
 
@@ -12,8 +13,8 @@ Two kernel families ship with the device:
   used by the microbenchmarks and examples.
 * ``hix.*`` — the in-GPU OCB-AES kernels of Section 4.4.2 that decrypt
   data after a host-to-device copy and encrypt it before a device-to-host
-  copy, keyed by the context's session key: one scatter kernel and one
-  gather kernel, each handling one sealed blob of one or more chunks.
+  copy with the context's session: one scatter kernel and one gather
+  kernel, each handling one sealed blob of one or more chunks.
 
 Workload modules (Rodinia) register additional kernels at import time.
 """
@@ -139,8 +140,8 @@ def _aead_decrypt_scatter(dev, ctx, params) -> None:
     Parameters: ``(src, src_len, n, dst_0, len_0, ..., dst_n-1, len_n-1)``.
     The blob was copied verbatim from inter-enclave shared memory (the
     single-copy path) and seals the concatenation of *n* chunks under a
-    single nonce and tag (:meth:`SimGpu.open_scatter`), keyed by the
-    context's session key.  A tag failure raises, which the engine
+    single nonce and tag (:meth:`SimGpu.open_scatter`), under the
+    context's session.  A tag failure raises, which the engine
     surfaces as a device fault — the abort the paper's DMA-attack
     analysis calls for.
     """
@@ -148,9 +149,7 @@ def _aead_decrypt_scatter(dev, ctx, params) -> None:
     pairs = params[3:3 + 2 * count]
     dev.open_scatter(ctx, src_ptr.addr, src_len,
                      [pairs[2 * index].addr for index in range(count)],
-                     [int(pairs[2 * index + 1]) for index in range(count)],
-                     dev.suite_for_context(ctx), dev.replay_guard_for(ctx),
-                     _ctx_aad(ctx))
+                     [int(pairs[2 * index + 1]) for index in range(count)])
 
 
 @_GLOBAL.kernel("hix.aead_encrypt_gather")
@@ -167,12 +166,6 @@ def _aead_encrypt_gather(dev, ctx, params) -> None:
     pairs = params[2:2 + 2 * count]
     lengths = [int(pairs[2 * index + 1]) for index in range(count)]
     dev.seal_gather(ctx, [pairs[2 * index].addr for index in range(count)],
-                    lengths, dst_ptr.addr + 8, dev.suite_for_context(ctx),
-                    dev.nonce_sequence_for(ctx), _ctx_aad(ctx))
+                    lengths, dst_ptr.addr + 8)
     dev.write_ctx(ctx, dst_ptr.addr,
                   struct.pack("<Q", sealed_size(sum(lengths))))
-
-
-def _ctx_aad(ctx) -> bytes:
-    """Bind bulk blobs to their GPU context id."""
-    return b"hix-bulk-ctx-%d" % ctx.ctx_id

@@ -6,9 +6,9 @@ The Chrome trace-event format (the JSON object form, ``{"traceEvents":
 
 * ``pid 1`` — *tenant lanes*: the virtual-time schedule, one thread
   per tenant lane (spans carrying both ``tenant`` and ``lane`` attrs —
-  what :func:`repro.sim.engine.run_lanes` emits).  These tracks
-  reproduce the interleaving :func:`repro.sim.trace.render_lanes` draws
-  in ASCII.
+  what the discrete-event kernel's lane runs in :mod:`repro.sim.engine`
+  emit to an enabled tracer).  These tracks reproduce the interleaving
+  :func:`repro.sim.trace.render_lanes` draws in ASCII.
 * ``pid 2`` — *hardware resources*: one thread per span category (mmu,
   pcie, dma, aead, sgx, engine, clock-charge categories, ...) for spans
   with no tenant attribute.
@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span
 
 __all__ = [
-    "lane_spans", "chrome_trace", "chrome_to_spans",
+    "chrome_trace", "chrome_to_spans",
     "spans_to_jsonl", "spans_from_jsonl",
     "write_chrome", "write_jsonl", "write_metrics",
 ]
@@ -45,25 +45,6 @@ _PROCESS_NAMES = {
     HARDWARE_PID: "hardware resources",
     PRODUCTION_PID: "tenant production",
 }
-
-
-def lane_spans(lanes: Dict[str, Sequence]) -> List[Span]:
-    """Lift ``render_lanes``-style lanes into tenant-attributed spans.
-
-    *lanes* maps lane name -> iterable of trace events (anything with
-    ``start``/``duration``/``category``, i.e.
-    :class:`repro.sim.trace.TraceEvent`).  The resulting spans carry
-    ``tenant`` and ``lane`` attributes so :func:`chrome_trace` places
-    them on per-tenant schedule tracks.
-    """
-    spans: List[Span] = []
-    for name, events in lanes.items():
-        for event in events:
-            spans.append(Span(event.category, event.category,
-                              start=event.start,
-                              end=event.start + event.duration,
-                              attrs={"tenant": name, "lane": True}))
-    return spans
 
 
 def _flatten(roots: Iterable[Span]) -> List[Span]:
@@ -87,11 +68,10 @@ def chrome_trace(spans: Iterable[Span],
                  metrics: Optional[MetricsRegistry] = None) -> Dict:
     """Build a Chrome trace-event JSON object from a span forest.
 
-    *spans* are root spans (children are walked).  Pass completed lanes
-    through :func:`lane_spans` first to get per-tenant schedule tracks.
-    A metrics registry snapshot, when given, rides along under the
-    top-level ``metrics`` key (ignored by viewers, kept by reimport
-    tooling).
+    *spans* are root spans (children are walked); the lane spans of a
+    traced run land on per-tenant schedule tracks.  A metrics registry
+    snapshot, when given, rides along under the top-level ``metrics``
+    key (ignored by viewers, kept by reimport tooling).
     """
     flat = _flatten(spans)
     ids = {id(span): index for index, span in enumerate(flat)}

@@ -280,10 +280,11 @@ class TenantClient:
         #: Bumped on every session re-establishment after a fault; each
         #: executed request is stamped with the epoch it ran under.
         self.session_epoch = 0
-        #: Called with the (guarded) API after a session recovery so the
-        #: workload can re-provision device state (allocations, modules)
-        #: that died with the old enclave context.
-        self.on_recover: Optional[Callable[[Any], None]] = None
+        #: Called in installation order with the (guarded) API after a
+        #: session recovery, one hook per workload submitted to this
+        #: tenant, so each can re-provision device state (allocations,
+        #: modules) that died with the old enclave context.
+        self.on_recover: List[Callable[[Any], None]] = []
         # Served-time accounting feeding the queue-drain retry-after hint.
         self.served_seconds = 0.0
         self.served_count = 0
@@ -477,14 +478,15 @@ class _TenantStream:
         # Published only now: faults read ``client.api`` at fault time.
         self.api = client.api = _GuardedApi(api, engine.table, client.record,
                                             engine._alloc_tokens)
-        if client.reprovision_on_start and client.on_recover is not None:
+        if client.reprovision_on_start and client.on_recover:
             # Migrated-in session: device state stayed behind (cleansed)
-            # on the source machine, so the workload's recovery hook
-            # re-provisions it against the fresh session.
+            # on the source machine, so the workloads' recovery hooks
+            # re-provision it against the fresh session.
             with _ChargeRecorder(machine.clock) as charged:
                 with _span("serve.session-reprovision", "serve",
                            tenant=client.name):
-                    client.on_recover(self.api)
+                    for hook in client.on_recover:
+                        hook(self.api)
             yield self._serial_unit(charged, "reprovision")
 
     def _shed(self, request: ServeRequest,
@@ -641,8 +643,8 @@ class _TenantStream:
                 self.api._api = api
                 client.session_epoch += 1
                 engine.memo.invalidate("session re-established after fault")
-                if client.on_recover is not None:
-                    client.on_recover(self.api)
+                for hook in client.on_recover:
+                    hook(self.api)
         obs_metrics.registry().counter("serve.retry.session_recoveries").inc()
         audit_log().record(
             "serve.session_recovered", client.name, time=self.kernel.now,
@@ -990,7 +992,7 @@ class ServeEngine:
     def receive_migration(self, name: str, requests: List[ServeRequest],
                           session_epoch: int,
                           quota: Optional[TenantQuota] = None,
-                          on_recover: Optional[Callable[[Any], None]] = None,
+                          on_recover: Sequence[Callable[[Any], None]] = (),
                           ) -> TenantClient:
         """Admit a drained-out session mid-run and start serving it.
 
@@ -1009,7 +1011,7 @@ class ServeEngine:
             raise RuntimeError("receive_migration requires a started run")
         client = self.add_tenant(name, quota)
         client.session_epoch = session_epoch
-        client.on_recover = on_recover
+        client.on_recover = list(on_recover)
         client.reprovision_on_start = True
         for request in requests:
             request.outcome = PENDING

@@ -153,16 +153,12 @@ def submit_workload(client: TenantClient, workload: Workload,
 
     submitted.append(client.submit(f"{workload.name}:cleanup", cleanup))
 
-    previous_recover = client.on_recover
-
     def recover(api, nbytes: int = buffer_bytes):
         # Session re-established after a fault: the old device buffer
         # and module died with the enclave context (cleansed), so the
         # remaining requests' closures need fresh handles in ``state``.
-        if previous_recover is not None:
-            previous_recover(api)
         state["dptr"] = api.cuMemAlloc(nbytes)
         state["module"] = api.cuModuleLoad(["builtin.memset32"])
 
-    client.on_recover = recover
+    client.on_recover.append(recover)
     return submitted

@@ -29,7 +29,6 @@ from repro.sim.engine import (
 )
 from repro.sim.pipeline import (
     pipelined_time,
-    pipelined_time_events,
     pipelined_times,
     serial_time,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "WorkUnit",
     "run_lanes",
     "pipelined_time",
-    "pipelined_time_events",
     "pipelined_times",
     "serial_time",
 ]

@@ -155,12 +155,6 @@ class CostModel:
         EENTER/EEXIT pair drops out; everything else is identical."""
         return 2 * self.msgqueue_hop + 2 * self.cpu_aead_setup_latency
 
-    def aead_multiuser_efficiency(self, backend: str = "hix") -> float:
-        """Multi-user derate of the backend's GPU-side crypto stage."""
-        if backend == "gpucc":
-            return self.gpucc_aead_multiuser_efficiency
-        return self.gpu_aead_multiuser_efficiency
-
     def launch_overhead(self, mode: str) -> float:
         """Driver-visible cost of one kernel launch, beyond GPU compute.
 

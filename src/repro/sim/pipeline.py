@@ -6,17 +6,12 @@ slower stage and the faster stage hides behind it.  These helpers compute
 the makespan of a k-stage chunked pipeline, which the secure memcpy path
 uses to charge simulated time.
 
-Two evaluations of the same model live here.
-:func:`pipelined_time` is the closed form — what the HIX runtime
-charges, kept as the charge source so figure outputs stay bit-identical
-across the kernel unification.  :func:`pipelined_time_events` executes
-the pipeline on the shared discrete-event kernel
-(:mod:`repro.sim.engine`): each chunk is a :class:`~repro.sim.engine.Process`
-acquiring the stage :class:`~repro.sim.engine.Resource`\\ s in order.
-The two are the *same* makespan — exactly equal in exact (Fraction)
-arithmetic, where float rounding cannot intrude; the property suite
-pins that identity, which is what licenses the runtime to keep charging
-the closed form.
+:func:`pipelined_time` is the closed form the runtime charges.  The
+property suite pins it against the same pipeline executed on the
+discrete-event kernel (``tests/property/oracles.py``): the two makespans
+are exactly equal in exact (Fraction) arithmetic, where float rounding
+cannot intrude, which is what licenses the runtime to keep charging the
+closed form.
 """
 
 from __future__ import annotations
@@ -24,8 +19,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-from repro.sim.engine import Acquire, EventClock, Process, Resource, Visit, Wait
 
 
 def serial_time(nbytes: float, stage_bandwidths: Sequence[float],
@@ -118,61 +111,3 @@ def pipelined_times(nbytes: Sequence[float],
     single = setup + serial
     multi = (setup + fill) + (num_chunks - 1) * bottleneck
     return np.where(num_chunks <= 1, single, multi)
-
-
-def pipelined_time_events(nbytes: float, stage_bandwidths: Sequence[float],
-                          chunk_bytes: float,
-                          stage_latencies: Sequence[float] = ()) -> float:
-    """:func:`pipelined_time`, executed on the discrete-event kernel.
-
-    Each chunk is a kernel :class:`~repro.sim.engine.Process` that
-    acquires the stage :class:`~repro.sim.engine.Resource`\\ s in order;
-    stage latencies are setup paid once, so every chunk enters stage 0
-    after a single ``sum(stage_latencies)`` wait.  With uniform per-chunk
-    service times the cascade closes to exactly
-    ``setup + sum(t_i) + (n - 1) * max(t_i)`` — the closed form — and
-    the single-chunk case degenerates to the serial pass over the actual
-    byte count, again matching :func:`pipelined_time` term for term.
-
-    The identity is exact in exact arithmetic: feed ``Fraction`` inputs
-    and the result equals ``pipelined_time`` bit for bit (the property
-    suite pins this).  Under floats the two evaluations associate
-    additions differently and may differ in the last ulp, which is why
-    the runtime keeps charging the closed form.
-    """
-    if nbytes < 0:
-        raise ValueError("nbytes must be non-negative")
-    if chunk_bytes <= 0:
-        raise ValueError("chunk_bytes must be positive")
-    setup = sum(stage_latencies)
-    if not stage_bandwidths or nbytes == 0:
-        return setup
-    for bandwidth in stage_bandwidths:
-        if bandwidth <= 0:
-            raise ValueError("stage bandwidth must be positive")
-
-    full_chunks, tail = divmod(nbytes, chunk_bytes)
-    num_chunks = int(full_chunks) + (1 if tail else 0)
-    # The closed form charges every multi-chunk slot a full chunk time
-    # (tail occupies a full DMA descriptor); a lone chunk is serial over
-    # the actual bytes.
-    size = nbytes if num_chunks == 1 else chunk_bytes
-    stage_times = [size / bandwidth for bandwidth in stage_bandwidths]
-
-    kernel = EventClock()
-    # ctx_switch_cost=0 (int, not 0.0): keeps Fraction inputs exact.
-    stages = [Resource(kernel, 0) for _ in stage_bandwidths]
-    finish_times: list = []
-
-    def chunk(index: int):
-        yield Wait(setup)
-        for stage, service in zip(stages, stage_times):
-            yield Acquire(stage, Visit(
-                tenant=index, seq=index, ready=kernel.now,
-                gpu_seconds=service, label=f"chunk{index}"))
-        finish_times.append(kernel.now)
-
-    for index in range(num_chunks):
-        Process(kernel, chunk(index), name=f"chunk{index}").start(0)
-    kernel.run()
-    return max(finish_times)

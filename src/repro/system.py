@@ -4,9 +4,10 @@
 (Table 3): host DRAM and its address map, the MMU with the HIX-extended
 walker, the SGX unit (EPC + instructions + GECS/TGMR), the PCIe tree
 with the lockdown-capable root complex, the IOMMU/DMA path, the GTX-580
-stand-in GPU, and the (untrusted) OS kernel.  Factory helpers build the
-two software stacks under test: the unsecure Gdev baseline and the HIX
-GPU enclave + trusted runtime.
+stand-in GPU, and the (untrusted) OS kernel.  Factory helpers bring up
+the software stacks under test: the unsecure Gdev baseline, and the
+configured TEE backend's service and attested sessions
+(:mod:`repro.backends`).
 
 ``data_inflation`` scales the functional/modeled split: workloads move
 ``1/inflation`` of the paper's bytes for real while the clock is charged
@@ -20,9 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.backends import backend_names, get_backend
-from repro.backends.gpucc import GpuCcApi, GpuCcService
-from repro.core.gpu_enclave import GpuEnclaveService, gpu_enclave_image
-from repro.core.runtime import HixApi
+from repro.core.gpu_enclave import gpu_enclave_image
 from repro.gdev.api import GdevApi
 from repro.gdev.driver import GdevDriver
 from repro.gpu.bios import bios_hash, build_bios_image
@@ -37,7 +36,7 @@ from repro.osmodel.kernel import Kernel
 from repro.gpu.accelerator import SimAccelerator
 from repro.pcie.device import Bdf
 from repro.pcie.topology import build_multi_device_topology
-from repro.sgx.enclave import EnclaveImage, expected_measurement
+from repro.sgx.enclave import expected_measurement
 from repro.sgx.epc import Epc
 from repro.sgx.instructions import SgxUnit
 from repro.sim.clock import SimClock
@@ -46,6 +45,9 @@ from repro.sim.trace import register_fastpath_gauges
 
 GB = 1 << 30
 MB = 1 << 20
+
+#: The published GPU enclave measurement, computed on first use.
+_GPU_ENCLAVE_MEASUREMENT: Optional[bytes] = None
 
 
 @dataclass
@@ -174,8 +176,17 @@ class Machine:
 
     @property
     def expected_gpu_enclave_measurement(self) -> bytes:
-        """Vendor-published MRENCLAVE of the GPU enclave driver image."""
-        return expected_measurement(gpu_enclave_image())
+        """Vendor-published MRENCLAVE of the GPU enclave driver image.
+
+        Derived from the published image (measuring it takes a quarter
+        of a millisecond, so once per process), never from the enclave
+        a service actually loaded.
+        """
+        global _GPU_ENCLAVE_MEASUREMENT
+        if _GPU_ENCLAVE_MEASUREMENT is None:
+            _GPU_ENCLAVE_MEASUREMENT = expected_measurement(
+                gpu_enclave_image())
+        return _GPU_ENCLAVE_MEASUREMENT
 
     # -- software stacks -----------------------------------------------------------
 
@@ -189,64 +200,6 @@ class Machine:
         process = self.kernel.create_process(name)
         return GdevApi(driver, process)
 
-    def boot_hix(self, region_size: int = 4 * MB,
-                 device: Optional[SimGpu] = None) -> GpuEnclaveService:
-        """Boot a GPU enclave for *device* (default: the first GPU).
-
-        With multiple GPUs/accelerators, each device gets its own GPU
-        enclave; call once per device.
-        """
-        device = device or self.gpu
-        service = GpuEnclaveService(
-            self.kernel, self.sgx, self.root_complex, device,
-            expected_bios_hash=self.expected_bios_hash_for(device),
-            suite_name=self.config.suite_name,
-            region_size=region_size)
-        return service.boot()
-
-    def hix_session(self, service: GpuEnclaveService, name: str = "app",
-                    check_identity: bool = True,
-                    channel_queue_depth: Optional[int] = None) -> HixApi:
-        """Create a user enclave and its trusted runtime."""
-        process = self.kernel.create_process(name)
-        image = EnclaveImage.from_code(
-            f"user-{name}", f"user application {name}".encode())
-        self.kernel.load_enclave(process, image)
-        expected = service.measurement if check_identity else None
-        return HixApi(self.kernel, process, service,
-                      clock=self.clock, costs=self.costs,
-                      expected_gpu_enclave_measurement=expected,
-                      suite_name=self.config.suite_name,
-                      channel_queue_depth=channel_queue_depth)
-
-    def boot_gpucc(self, region_size: int = 4 * MB,
-                   device: Optional[SimGpu] = None) -> GpuCcService:
-        """Bring up the untrusted GPU-CC driver for *device*."""
-        device = device or self.gpu
-        service = GpuCcService(
-            self.kernel, self.root_complex, device,
-            suite_name=self.config.suite_name,
-            region_size=region_size)
-        return service.boot()
-
-    def gpucc_session(self, service: GpuCcService, name: str = "app",
-                      check_identity: bool = True,
-                      channel_queue_depth: Optional[int] = None) -> GpuCcApi:
-        """Create a user process and its GPU-CC runtime.
-
-        The user runs in a CPU TEE (no SGX enclave is loaded); identity
-        checking pins the device's attested firmware hash against the
-        vendor-published value for that device model.
-        """
-        process = self.kernel.create_process(name)
-        expected = (self.expected_bios_hash_for(service.device)
-                    if check_identity else None)
-        return GpuCcApi(self.kernel, process, service,
-                        clock=self.clock, costs=self.costs,
-                        expected_fw_hash=expected,
-                        suite_name=self.config.suite_name,
-                        channel_queue_depth=channel_queue_depth)
-
     # -- backend-generic entry points -----------------------------------------
 
     @property
@@ -254,18 +207,21 @@ class Machine:
         """The machine's configured TEE backend (a stateless singleton)."""
         return get_backend(self.config.backend)
 
-    def boot_secure(self, region_size: int = 4 * MB,
-                    device: Optional[SimGpu] = None):
-        """Boot the configured backend's machine-side service."""
-        return self.backend.boot(self, region_size=region_size,
-                                 device=device)
+    def boot_secure(self, device: Optional[SimGpu] = None):
+        """Boot the configured backend's service for *device* (default:
+        the first GPU).
+
+        With multiple GPUs/accelerators, each device gets its own
+        service; call once per device.
+        """
+        return self.backend.boot(self, device=device)
 
     def secure_session(self, service, name: str = "app",
-                       check_identity: bool = True,
                        channel_queue_depth: Optional[int] = None):
-        """Attested session on the configured backend's service."""
+        """A tenant's client on the configured backend's *service*;
+        ``cuCtxCreate`` attests it and agrees the session key."""
         return self.backend.create_session(
-            self, service, name=name, check_identity=check_identity,
+            self, service, name=name,
             channel_queue_depth=channel_queue_depth)
 
     # -- adversary / lifecycle --------------------------------------------------------
@@ -284,7 +240,7 @@ class Machine:
         for device in self.gpus + self.accelerators:
             device.reset()
             # CC mode is sticky across REG_RESET but not across power
-            # loss; the next boot_gpucc() re-enables it.
+            # loss; the next GPU-CC boot re-enables it.
             device.cc_mode = False
         self.mmu.tlb.flush_all()
         self.kernel = Kernel(self.phys_mem, self.mmu, self.address_map,

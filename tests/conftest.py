@@ -27,14 +27,14 @@ def gdev_app(machine):
 def hix_machine() -> Machine:
     """Module-scoped machine with a booted GPU enclave (boot is costly)."""
     machine = Machine(MachineConfig())
-    machine.hix_service = machine.boot_hix()
+    machine.hix_service = machine.boot_secure()
     return machine
 
 
 @pytest.fixture
 def hix_app(hix_machine):
     """A fresh user-enclave session against the shared GPU enclave."""
-    app = hix_machine.hix_session(hix_machine.hix_service, "test-user")
+    app = hix_machine.secure_session(hix_machine.hix_service, "test-user")
     app.cuCtxCreate()
     yield app
     try:

@@ -13,7 +13,7 @@ class TestGpuEnclaveBoot:
     def test_boot_sequence_effects(self):
         machine = Machine(MachineConfig())
         reset_before = machine.gpu.reset_count
-        service = machine.boot_hix()
+        service = machine.boot_secure()
         assert service.alive
         # Lockdown engaged on the whole path (root port + GPU).
         assert machine.root_complex.lockdown_active_for("00:01.0")
@@ -29,14 +29,14 @@ class TestGpuEnclaveBoot:
 
     def test_boot_publishes_expected_identity(self):
         machine = Machine(MachineConfig())
-        service = machine.boot_hix()
+        service = machine.boot_secure()
         assert service.measurement == machine.expected_gpu_enclave_measurement
 
     def test_boot_rejects_tampered_bios(self):
         machine = Machine(MachineConfig())
         machine.adversary().flash_gpu_bios(machine.gpu)
         with pytest.raises(AttestationError):
-            machine.boot_hix()
+            machine.boot_secure()
 
     @pytest.mark.parametrize("backend", ["hix", "gpucc"])
     def test_flashed_bios_does_not_leak_into_next_machine(self, backend):
@@ -60,10 +60,10 @@ class TestGpuEnclaveBoot:
 
     def test_second_boot_rejected_while_owned(self):
         machine = Machine(MachineConfig())
-        machine.boot_hix()
+        machine.boot_secure()
         from repro.errors import GpuAlreadyOwned
         with pytest.raises(GpuAlreadyOwned):
-            machine.boot_hix()
+            machine.boot_secure()
 
 
 class TestHixRuntime:
@@ -157,8 +157,8 @@ class TestHixRuntime:
 
     def test_sessions_isolated(self, hix_machine):
         service = hix_machine.hix_service
-        alice = hix_machine.hix_session(service, "alice").cuCtxCreate()
-        bob = hix_machine.hix_session(service, "bob").cuCtxCreate()
+        alice = hix_machine.secure_session(service, "alice").cuCtxCreate()
+        bob = hix_machine.secure_session(service, "bob").cuCtxCreate()
         assert alice.ctx_id != bob.ctx_id
         a_buf = alice.cuMemAlloc(64)
         b_buf = bob.cuMemAlloc(64)
@@ -180,8 +180,8 @@ class TestHixRuntime:
         addresses outside a context's own mappings fault.
         """
         service = hix_machine.hix_service
-        alice = hix_machine.hix_session(service, "alice2").cuCtxCreate()
-        bob = hix_machine.hix_session(service, "bob2").cuCtxCreate()
+        alice = hix_machine.secure_session(service, "alice2").cuCtxCreate()
+        bob = hix_machine.secure_session(service, "bob2").cuCtxCreate()
         a_buf = alice.cuMemAlloc(4096)
         b_buf = bob.cuMemAlloc(4096)
         assert a_buf.addr == b_buf.addr  # same VA, different contexts
@@ -202,8 +202,8 @@ class TestHixRuntime:
 class TestGracefulTermination:
     def test_shutdown_returns_gpu(self):
         machine = Machine(MachineConfig())
-        service = machine.boot_hix()
-        app = machine.hix_session(service).cuCtxCreate()
+        service = machine.boot_secure()
+        app = machine.secure_session(service).cuCtxCreate()
         buf = app.cuMemAlloc(4096)
         app.cuMemcpyHtoD(buf, b"\x55" * 4096)
         app.request_shutdown()
@@ -212,12 +212,12 @@ class TestGracefulTermination:
         # GPU data cleansed by the final reset.
         assert machine.gpu.vram.read(0, 4096) == bytes(4096)
         # The GPU can be re-owned without a cold boot.
-        machine.boot_hix()
+        machine.boot_secure()
 
     def test_requests_fail_after_shutdown(self):
         machine = Machine(MachineConfig())
-        service = machine.boot_hix()
-        app = machine.hix_session(service).cuCtxCreate()
+        service = machine.boot_secure()
+        app = machine.secure_session(service).cuCtxCreate()
         app.request_shutdown()
         with pytest.raises((GpuUnavailable, DriverError)):
             app.cuMemAlloc(64)

@@ -16,9 +16,9 @@ from repro.system import Machine, MachineConfig
 def multi_machine():
     machine = Machine(MachineConfig(num_gpus=2, num_accelerators=1))
     machine.services = {
-        "gpu0": machine.boot_hix(device=machine.gpus[0]),
-        "gpu1": machine.boot_hix(device=machine.gpus[1]),
-        "accel": machine.boot_hix(device=machine.accelerators[0]),
+        "gpu0": machine.boot_secure(device=machine.gpus[0]),
+        "gpu1": machine.boot_secure(device=machine.gpus[1]),
+        "accel": machine.boot_secure(device=machine.accelerators[0]),
     }
     return machine
 
@@ -32,18 +32,18 @@ class TestMultiGpu:
 
     def test_one_enclave_cannot_own_two_gpus(self):
         machine = Machine(MachineConfig(num_gpus=2))
-        service = machine.boot_hix(device=machine.gpus[0])
+        service = machine.boot_secure(device=machine.gpus[0])
         with pytest.raises(GpuAlreadyOwned):
             machine.sgx.egcreate(service.enclave.enclave_id,
                                  machine.gpus[0].bdf)
         # A *different* GPU can still be claimed by a different enclave.
-        machine.boot_hix(device=machine.gpus[1])
+        machine.boot_secure(device=machine.gpus[1])
 
     def test_sessions_on_different_gpus_are_independent(self, multi_machine):
-        a = multi_machine.hix_session(multi_machine.services["gpu0"],
-                                      "mg-a").cuCtxCreate()
-        b = multi_machine.hix_session(multi_machine.services["gpu1"],
-                                      "mg-b").cuCtxCreate()
+        a = multi_machine.secure_session(multi_machine.services["gpu0"],
+                                         "mg-a").cuCtxCreate()
+        b = multi_machine.secure_session(multi_machine.services["gpu1"],
+                                         "mg-b").cuCtxCreate()
         buf_a = a.cuMemAlloc(4096)
         buf_b = b.cuMemAlloc(4096)
         a.cuMemcpyHtoD(buf_a, b"\xA0" * 4096)
@@ -56,12 +56,12 @@ class TestMultiGpu:
     def test_lockdown_is_per_path(self):
         """Locking GPU0's route leaves GPU1's config writable, then not."""
         machine = Machine(MachineConfig(num_gpus=2))
-        machine.boot_hix(device=machine.gpus[0])
+        machine.boot_secure(device=machine.gpus[0])
         gpu1 = machine.gpus[1]
         offset = gpu1.config.bar_offset(0)
         assert machine.root_complex.config_write(
             gpu1.bdf, offset, gpu1.config.bars[0].address)
-        machine.boot_hix(device=machine.gpus[1])
+        machine.boot_secure(device=machine.gpus[1])
         assert not machine.root_complex.config_write(
             gpu1.bdf, offset, 0xDEAD0000)
 
@@ -84,8 +84,8 @@ class TestAccelerator:
 
     def test_full_secure_path_on_accelerator(self, multi_machine):
         """Kernels + sealed transfers work identically on the accelerator."""
-        app = multi_machine.hix_session(multi_machine.services["accel"],
-                                        "accel-user").cuCtxCreate()
+        app = multi_machine.secure_session(multi_machine.services["accel"],
+                                           "accel-user").cuCtxCreate()
         x = np.arange(256, dtype=np.int32)
         buf = app.cuMemAlloc(x.nbytes)
         app.cuMemcpyHtoD(buf, x)
@@ -110,7 +110,7 @@ class TestAccelerator:
         machine.adversary().flash_gpu_bios(machine.accelerators[0])
         from repro.errors import AttestationError
         with pytest.raises(AttestationError):
-            machine.boot_hix(device=machine.accelerators[0])
+            machine.boot_secure(device=machine.accelerators[0])
 
     def test_non_protectable_class_rejected(self):
         """A NIC-class device is not admitted by EGCREATE."""

@@ -18,14 +18,14 @@ from repro.system import Machine, MachineConfig
 @pytest.fixture(scope="module")
 def ocb_machine():
     machine = Machine(MachineConfig(suite_name="ocb-aes-128"))
-    machine.hix_service = machine.boot_hix(region_size=1 << 20)
+    machine.hix_service = machine.boot_secure()
     return machine
 
 
 class TestOcbEndToEnd:
     def test_session_and_roundtrip(self, ocb_machine):
-        app = ocb_machine.hix_session(ocb_machine.hix_service,
-                                      "ocb-user").cuCtxCreate()
+        app = ocb_machine.secure_session(ocb_machine.hix_service,
+                                         "ocb-user").cuCtxCreate()
         data = np.arange(64, dtype=np.int32)
         buf = app.cuMemAlloc(data.nbytes)
         app.cuMemcpyHtoD(buf, data)
@@ -35,8 +35,8 @@ class TestOcbEndToEnd:
         app.cuCtxDestroy()
 
     def test_kernel_launch(self, ocb_machine):
-        app = ocb_machine.hix_session(ocb_machine.hix_service,
-                                      "ocb-user2").cuCtxCreate()
+        app = ocb_machine.secure_session(ocb_machine.hix_service,
+                                         "ocb-user2").cuCtxCreate()
         x = np.arange(32, dtype=np.int32)
         buf = app.cuMemAlloc(x.nbytes)
         app.cuMemcpyHtoD(buf, x)
@@ -50,7 +50,7 @@ class TestOcbEndToEnd:
     def test_tampering_detected_under_ocb(self, ocb_machine):
         from repro.core.channel import BULK_OFFSET
         service = ocb_machine.hix_service
-        app = ocb_machine.hix_session(service, "ocb-victim").cuCtxCreate()
+        app = ocb_machine.secure_session(service, "ocb-victim").cuCtxCreate()
         adversary = ocb_machine.adversary()
         buf = app.cuMemAlloc(64)
         original_poll = service.poll

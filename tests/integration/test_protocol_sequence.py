@@ -16,8 +16,8 @@ from repro.system import Machine, MachineConfig
 @pytest.fixture
 def env():
     machine = Machine(MachineConfig())
-    service = machine.boot_hix()
-    app = machine.hix_session(service, "observer").cuCtxCreate()
+    service = machine.boot_secure()
+    app = machine.secure_session(service, "observer").cuCtxCreate()
     return machine, service, app
 
 

@@ -16,13 +16,13 @@ from repro.system import Machine, MachineConfig
 @pytest.fixture(scope="module")
 def env():
     machine = Machine(MachineConfig())
-    machine.hix_service = machine.boot_hix()
+    machine.hix_service = machine.boot_secure()
     return machine
 
 
 @pytest.fixture
 def app(env):
-    session = env.hix_session(env.hix_service, "robust-user")
+    session = env.secure_session(env.hix_service, "robust-user")
     session.cuCtxCreate()
     yield session
     try:
@@ -66,7 +66,7 @@ class TestErrorReplies:
     def test_service_keeps_serving_other_tenants_after_errors(self, env, app):
         with pytest.raises(DriverError):
             app.cuMemFree(DevPtr(0x1))
-        other = env.hix_session(env.hix_service, "bystander").cuCtxCreate()
+        other = env.secure_session(env.hix_service, "bystander").cuCtxCreate()
         buf = other.cuMemAlloc(64)
         other.cuMemcpyHtoD(buf, b"fine" * 16)
         assert other.cuMemcpyDtoH(buf, 64) == b"fine" * 16

@@ -71,8 +71,8 @@ class TestContextManagers:
 
     def test_hix_context_manager(self):
         machine = Machine(MachineConfig())
-        service = machine.boot_hix()
-        with machine.hix_session(service, "cm") as app:
+        service = machine.boot_secure()
+        with machine.secure_session(service, "cm") as app:
             buf = app.cuMemAlloc(64)
             app.cuMemcpyHtoD(buf, np.arange(16, dtype=np.int32))
             assert app.ctx_id in {s.ctx.ctx_id
@@ -81,7 +81,7 @@ class TestContextManagers:
 
     def test_hix_context_manager_survives_shutdown(self):
         machine = Machine(MachineConfig())
-        service = machine.boot_hix()
-        with machine.hix_session(service, "cm") as app:
+        service = machine.boot_secure()
+        with machine.secure_session(service, "cm") as app:
             app.request_shutdown()
         assert not service.alive

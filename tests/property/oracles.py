@@ -43,6 +43,13 @@ representations it retired moved here the same way:
   :func:`~repro.crypto.blob.seal_blob_chunks` (which seal into the
   frame) must produce the same bytes.
 
+The pipelined-copy closed form keeps its event-kernel twin here:
+
+* :func:`pipelined_time_events` — the §5.2 chunked pipeline executed on
+  the discrete-event kernel.  :func:`repro.sim.pipeline.pipelined_time`
+  (the closed form the runtime charges) must equal it exactly in exact
+  arithmetic.
+
 These are test fixtures, not public API — do not import them from
 production code.
 """
@@ -60,6 +67,7 @@ from repro.crypto.blob import _HEADER, _MAGIC
 from repro.errors import EpcError, PageFault, ReproError
 from repro.hw.phys_mem import PAGE_SIZE
 from repro.sgx.epc import EpcmEntry, PageType
+from repro.sim.engine import Acquire, EventClock, Process, Resource, Wait
 from repro.sim.engine import LaneTimeline as UserTimeline
 from repro.sim.engine import TenantLane, Visit
 from repro.sim.trace import TraceEvent
@@ -459,3 +467,62 @@ def oracle_seal_blob_chunks(suite, nonces, chunks: Sequence[bytes],
     nonce = nonces.next()
     ciphertext, tag = suite.seal_chunks(nonce, chunks, associated_data)
     return _HEADER.pack(_MAGIC, nonce, tag, len(ciphertext)) + ciphertext
+
+
+def pipelined_time_events(nbytes: float, stage_bandwidths: Sequence[float],
+                          chunk_bytes: float,
+                          stage_latencies: Sequence[float] = ()) -> float:
+    """:func:`repro.sim.pipeline.pipelined_time`, executed on the
+    discrete-event kernel.
+
+    Each chunk is a kernel :class:`~repro.sim.engine.Process` that
+    acquires the stage :class:`~repro.sim.engine.Resource`\\ s in order;
+    stage latencies are setup paid once, so every chunk enters stage 0
+    after a single ``sum(stage_latencies)`` wait.  With uniform per-chunk
+    service times the cascade closes to exactly
+    ``setup + sum(t_i) + (n - 1) * max(t_i)`` — the closed form — and
+    the single-chunk case degenerates to the serial pass over the actual
+    byte count, again matching :func:`pipelined_time` term for term.
+
+    The identity is exact in exact arithmetic: feed ``Fraction`` inputs
+    and the result equals ``pipelined_time`` bit for bit (the property
+    suite pins this).  Under floats the two evaluations associate
+    additions differently and may differ in the last ulp, which is why
+    the runtime keeps charging the closed form.
+    """
+    if nbytes < 0:
+        raise ValueError("nbytes must be non-negative")
+    if chunk_bytes <= 0:
+        raise ValueError("chunk_bytes must be positive")
+    setup = sum(stage_latencies)
+    if not stage_bandwidths or nbytes == 0:
+        return setup
+    for bandwidth in stage_bandwidths:
+        if bandwidth <= 0:
+            raise ValueError("stage bandwidth must be positive")
+
+    full_chunks, tail = divmod(nbytes, chunk_bytes)
+    num_chunks = int(full_chunks) + (1 if tail else 0)
+    # The closed form charges every multi-chunk slot a full chunk time
+    # (tail occupies a full DMA descriptor); a lone chunk is serial over
+    # the actual bytes.
+    size = nbytes if num_chunks == 1 else chunk_bytes
+    stage_times = [size / bandwidth for bandwidth in stage_bandwidths]
+
+    kernel = EventClock()
+    # ctx_switch_cost=0 (int, not 0.0): keeps Fraction inputs exact.
+    stages = [Resource(kernel, 0) for _ in stage_bandwidths]
+    finish_times: list = []
+
+    def chunk(index: int):
+        yield Wait(setup)
+        for stage, service in zip(stages, stage_times):
+            yield Acquire(stage, Visit(
+                tenant=index, seq=index, ready=kernel.now,
+                gpu_seconds=service, label=f"chunk{index}"))
+        finish_times.append(kernel.now)
+
+    for index in range(num_chunks):
+        Process(kernel, chunk(index), name=f"chunk{index}").start(0)
+    kernel.run()
+    return max(finish_times)

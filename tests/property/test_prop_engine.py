@@ -16,8 +16,8 @@ them:
   inputs, including the deadline/backpressure paths the analytic
   oracle does not model;
 * the kernel evaluation of the pipelined copy
-  (:func:`repro.sim.pipeline.pipelined_time_events`) equals the closed
-  form bit for bit in exact (Fraction) arithmetic.
+  (:func:`tests.property.oracles.pipelined_time_events`) equals the
+  closed form bit for bit in exact (Fraction) arithmetic.
 """
 
 from fractions import Fraction
@@ -36,10 +36,11 @@ from repro.serve.scheduler import (
     RoundRobinScheduler,
 )
 from repro.sim.engine import TenantLane, WorkUnit, run_lanes
-from repro.sim.pipeline import pipelined_time, pipelined_time_events
+from repro.sim.pipeline import pipelined_time
 from tests.property.oracles import (
     oracle_multiplex,
     oracle_simulate_concurrent,
+    pipelined_time_events,
 )
 
 MS = 1e-3

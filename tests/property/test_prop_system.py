@@ -201,5 +201,5 @@ def gdev_roundtrip_env():
 def hix_roundtrip_env():
     from repro.system import Machine, MachineConfig
     machine = Machine(MachineConfig())
-    service = machine.boot_hix()
-    return machine.hix_session(service).cuCtxCreate()
+    service = machine.boot_secure()
+    return machine.secure_session(service).cuCtxCreate()

@@ -18,6 +18,7 @@ from repro.backends import backend_names
 from repro.core import protocol
 from repro.core.channel import BULK_OFFSET, REQUEST_OFFSET
 from repro.crypto.blob import seal_blob
+from repro.crypto.session import CH_BULK_H2D, CH_REQUEST
 from repro.crypto.suite import KEY_LEN, make_suite
 from repro.errors import DriverError, IntegrityError
 from repro.system import Machine, MachineConfig
@@ -60,7 +61,7 @@ def _still_serves(app) -> None:
 def test_forged_request_does_not_wedge_the_request_guard(backend):
     machine, service, app = _session(backend)
     end = app._end  # noqa: SLF001
-    forged = _forge(machine, protocol.CH_REQUEST,
+    forged = _forge(machine, CH_REQUEST,
                     protocol.encode_message({"op": protocol.OP_MALLOC,
                                              "nbytes": 64}),
                     protocol.REQUEST_AAD)
@@ -78,7 +79,7 @@ def test_forged_bulk_upload_does_not_wedge_the_device_guard(backend):
     adversary = machine.adversary()
     buf = app.cuMemAlloc(4096)
     payload = b"\x42" * 4096
-    forged = _forge(machine, protocol.CH_BULK_H2D, b"\xEE" * len(payload),
+    forged = _forge(machine, CH_BULK_H2D, b"\xEE" * len(payload),
                     b"%s-bulk-ctx-%d" % (backend.encode(), app.ctx_id))
     # The user's request is genuine; the OS swaps the frame it announces
     # for the forgery after the user wrote it, before the service runs.

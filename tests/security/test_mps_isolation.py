@@ -45,9 +45,9 @@ class TestMpsSharedContext:
 
     def test_hix_contexts_prevent_the_same_read(self):
         machine = Machine(MachineConfig())
-        service = machine.boot_hix()
-        a = machine.hix_session(service, "victim").cuCtxCreate()
-        b = machine.hix_session(service, "spy").cuCtxCreate()
+        service = machine.boot_secure()
+        a = machine.secure_session(service, "victim").cuCtxCreate()
+        b = machine.secure_session(service, "spy").cuCtxCreate()
 
         secret = np.full(256, 0x5EC2E7, dtype=np.int32)
         a_buf = a.cuMemAlloc(secret.nbytes)

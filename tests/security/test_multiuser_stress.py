@@ -18,12 +18,12 @@ N_OPS = 120
 @pytest.fixture(scope="module")
 def storm():
     machine = Machine(MachineConfig())
-    service = machine.boot_hix()
+    service = machine.boot_secure()
     rng = np.random.default_rng(seed=99)
 
     tenants = []
     for index in range(N_TENANTS):
-        app = machine.hix_session(service, f"tenant{index}").cuCtxCreate()
+        app = machine.secure_session(service, f"tenant{index}").cuCtxCreate()
         tenants.append({"app": app, "bufs": {}, "index": index})
 
     for op_index in range(N_OPS):

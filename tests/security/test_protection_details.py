@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.channel import BULK_OFFSET, REQUEST_OFFSET
+from repro.crypto.blob import HEADER_LEN
 from repro.errors import (
     AccessDenied,
     DriverError,
@@ -18,8 +19,8 @@ from repro.system import Machine, MachineConfig
 @pytest.fixture
 def hix():
     machine = Machine(MachineConfig())
-    service = machine.boot_hix()
-    app = machine.hix_session(service).cuCtxCreate()
+    service = machine.boot_secure()
+    app = machine.secure_session(service).cuCtxCreate()
     return machine, service, app
 
 
@@ -44,6 +45,39 @@ class TestSharedMemoryTampering:
                 app.cuMemcpyHtoD(buf, b"\x42" * 256)
         finally:
             service.poll = original_poll
+
+    @pytest.mark.parametrize("backend", ["hix", "gpucc"])
+    def test_tampered_uploads_free_their_staging(self, backend):
+        """Regression: an upload whose frame fails its tag check still
+        frees its VRAM staging buffer, so the OS cannot grow a
+        session's device memory one tampered frame at a time."""
+        machine = Machine(MachineConfig(backend=backend))
+        service = machine.boot_secure()
+        app = machine.secure_session(service).cuCtxCreate()
+        adversary = machine.adversary()
+        buf = app.cuMemAlloc(4096)
+        # An intact upload first, so the per-context launch parameter
+        # buffer HIX allocates on first use is already in place.
+        app.cuMemcpyHtoD(buf, bytes(4096))
+        ctx = service.sessions[app._end.session_id].ctx  # noqa: SLF001
+        live = dict(ctx.live_vas)
+        original_poll = service.poll
+
+        def corrupting_poll(channel_end):
+            # One ciphertext bit, after sealing and before the DMA.
+            bit = channel_end.region.paddr + BULK_OFFSET + HEADER_LEN + 100
+            byte = adversary.read_physical(bit, 1)[0]
+            adversary.write_physical(bit, bytes([byte ^ 0x01]))
+            return original_poll(channel_end)
+
+        service.poll = corrupting_poll
+        try:
+            for _ in range(3):
+                with pytest.raises((DriverError, IntegrityError)):
+                    app.cuMemcpyHtoD(buf, b"\x42" * 4096)
+        finally:
+            service.poll = original_poll
+        assert ctx.live_vas == live
 
     def test_corrupted_reply_detected_by_user(self, hix):
         machine, service, app = hix
@@ -86,7 +120,7 @@ class TestSharedMemoryTampering:
     def test_cross_session_blob_splice_rejected(self, hix):
         """A blob sealed for one context fails in another (AAD binding)."""
         machine, service, app = hix
-        other = machine.hix_session(service, "other").cuCtxCreate()
+        other = machine.secure_session(service, "other").cuCtxCreate()
         from repro.crypto.blob import seal_blob, open_blob
         crypto_a = app._crypto       # noqa: SLF001
         crypto_b = other._crypto     # noqa: SLF001
@@ -164,8 +198,8 @@ class TestLockdownDetails:
 class TestTerminationDetails:
     def test_killed_enclave_gpu_data_unreachable(self):
         machine = Machine(MachineConfig())
-        service = machine.boot_hix()
-        app = machine.hix_session(service).cuCtxCreate()
+        service = machine.boot_secure()
+        app = machine.secure_session(service).cuCtxCreate()
         buf = app.cuMemAlloc(4096)
         app.cuMemcpyHtoD(buf, b"\x5A" * 4096)
         adversary = machine.adversary()
@@ -182,8 +216,8 @@ class TestTerminationDetails:
     def test_cold_boot_resets_gpu_data(self, index):
         machine = Machine(MachineConfig(num_gpus=2))
         gpu = machine.gpus[index]
-        service = machine.boot_hix(device=gpu)
-        app = machine.hix_session(service).cuCtxCreate()
+        service = machine.boot_secure(device=gpu)
+        app = machine.secure_session(service).cuCtxCreate()
         buf = app.cuMemAlloc(4096)
         app.cuMemcpyHtoD(buf, b"\x5A" * 4096)
         machine.adversary().kill_process(service.process)
@@ -193,8 +227,39 @@ class TestTerminationDetails:
         # the GPU is usable again.
         assert gpu.vram.read(0, 1 << 16).count(0x5A) == 0
         assert not gpu.contexts
-        service2 = machine.boot_hix(device=gpu)
+        service2 = machine.boot_secure(device=gpu)
         assert service2.alive
+
+
+class TestGpuEnclaveIdentity:
+    def test_trojaned_gpu_enclave_fails_attestation(self, monkeypatch):
+        """A GPU enclave booted from a modified image reports its own
+        measurement faithfully; the user must check that against the
+        vendor-published value, not against the image the service
+        happened to load."""
+        from repro import system
+        from repro.core import gpu_enclave
+        from repro.errors import AttestationError
+        from repro.obs.audit import audit_log
+        from repro.sgx.enclave import EnclaveImage
+
+        trojan = EnclaveImage.from_code(
+            "gpu-enclave", gpu_enclave.GPU_ENCLAVE_CODE + b" + key exfil",
+            heap_pages=8)
+        monkeypatch.setattr(gpu_enclave, "gpu_enclave_image", lambda: trojan)
+        # Computed afresh while the trojan is the image a service loads,
+        # so the verdict cannot rest on a value an earlier test cached.
+        monkeypatch.setattr(system, "_GPU_ENCLAVE_MEASUREMENT", None)
+        machine = Machine(MachineConfig())
+        service = machine.boot_secure()
+        app = machine.secure_session(service, "victim")
+        mark = audit_log().cursor()
+        with pytest.raises(AttestationError):
+            app.cuCtxCreate()
+        [event] = audit_log().filter(kind="hix.attestation", since=mark)
+        assert not event.ok
+        assert event.attrs["cause"] == "report"
+        assert service.measurement != machine.expected_gpu_enclave_measurement
 
 
 class TestUserEnclaveProtection:

@@ -32,13 +32,13 @@ class TestLogging:
     def test_boot_logs_enclave_summary(self, caplog):
         machine = Machine(MachineConfig())
         with caplog.at_level(logging.INFO, logger="repro.core.gpu_enclave"):
-            machine.boot_hix()
+            machine.boot_secure()
         assert any("GPU enclave up" in record.message
                    for record in caplog.records)
 
     def test_lockdown_rejections_logged(self, caplog):
         machine = Machine(MachineConfig())
-        machine.boot_hix()
+        machine.boot_secure()
         with caplog.at_level(logging.WARNING, logger="repro.pcie.root_complex"):
             machine.adversary().rewrite_bar(machine.gpu.bdf, 0, 0xDEAD0000)
         assert any("lockdown discarded" in record.message
@@ -46,8 +46,8 @@ class TestLogging:
 
     def test_session_establishment_logged(self, caplog):
         machine = Machine(MachineConfig())
-        service = machine.boot_hix()
+        service = machine.boot_secure()
         with caplog.at_level(logging.INFO, logger="repro.core.gpu_enclave"):
-            machine.hix_session(service, "logged").cuCtxCreate()
+            machine.secure_session(service, "logged").cuCtxCreate()
         assert any("session" in record.message.lower()
                    for record in caplog.records)

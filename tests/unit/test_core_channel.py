@@ -12,11 +12,11 @@ from repro.core.channel import (
 )
 from repro.core.key_exchange import (
     bind_report_data,
-    build_session_crypto,
     check_binding,
     dh_bytes_to_int,
     int_to_dh_bytes,
 )
+from repro.crypto.session import CH_BULK_H2D, CH_REQUEST, build_session_crypto
 from repro.errors import AttestationError, ProtocolError, QueueFullError
 from repro.system import Machine, MachineConfig
 
@@ -148,12 +148,11 @@ class TestSessionCrypto:
         assert a.request_suite.key == b.request_suite.key
 
     def test_nonce_channels_configured(self):
-        from repro.core import protocol
         crypto = build_session_crypto(bytes(16), "fast-auth")
         assert crypto.request_nonces.peek()[:4] == (
-            protocol.CH_REQUEST.to_bytes(4, "big"))
+            CH_REQUEST.to_bytes(4, "big"))
         assert crypto.bulk_h2d_nonces.peek()[:4] == (
-            protocol.CH_BULK_H2D.to_bytes(4, "big"))
+            CH_BULK_H2D.to_bytes(4, "big"))
 
 
 class TestDhWire:

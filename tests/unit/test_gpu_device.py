@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from repro.crypto.blob import seal_blob
-from repro.crypto.nonce import NonceSequence
-from repro.crypto.suite import make_suite
+from repro.crypto.session import build_session_crypto, bulk_aad
 from repro.gpu import regs
 from repro.gpu.bios import bios_hash, build_bios_image, is_valid_rom, tamper_bios
 from repro.gpu.commands import CommandOpcode, encode_command
 from repro.gpu.context import GpuPageTable
-from repro.gpu.device import BULK_H2D_CHANNEL, DEVICE_GTX580, SimGpu
+from repro.gpu.device import DEVICE_GTX580, SimGpu
 from repro.gpu.module import CubinImage, DevPtr, pack_params
 from repro.errors import PageFault
 from repro.pcie.device import Bdf
@@ -188,7 +187,6 @@ class TestKernelLaunch:
 class TestGpuCrypto:
     def test_key_exchange_and_decrypt_kernel(self, gpu):
         from repro.crypto.dh import DiffieHellman, derive_key
-        from repro.crypto.kdf import hkdf_sha256
         _exec(gpu,
               encode_command(CommandOpcode.CTX_CREATE, 1),
               encode_command(CommandOpcode.MAP, 1, (0x10000, 0x8000,
@@ -206,11 +204,12 @@ class TestGpuCrypto:
         session_key = derive_key(enclave.raise_value(d))
         assert ctx.session_key == session_key
 
+        assert ctx.crypto.session_key == session_key
+
         # Seal a payload the way the user runtime does and decrypt in-GPU.
-        bulk_key = hkdf_sha256(session_key, info=b"bulk", length=16)
-        suite = make_suite("fast-auth", bulk_key)
-        sealed = seal_blob(suite, NonceSequence(BULK_H2D_CHANNEL),
-                           b"secret payload!!", b"hix-bulk-ctx-1")
+        crypto = build_session_crypto(session_key, "fast-auth")
+        sealed = seal_blob(crypto.bulk_suite, crypto.bulk_h2d_nonces,
+                           b"secret payload!!", bulk_aad("hix", 1))
         gpu.write_ctx(ctx, 0x20000, sealed)
         cubin = CubinImage(["hix.aead_decrypt_scatter"]).to_bytes()
         gpu.write_ctx(ctx, 0x30000, cubin)

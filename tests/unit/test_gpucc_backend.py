@@ -3,15 +3,15 @@
 The attack matrix exercises these end to end; here each mechanism is
 pinned in isolation: the vendor PKI (certificate chain + attestation
 report), the CC-mode key-exchange reply suppression, the BAR1
-firewall, reset scrubbing and CC-mode stickiness, the on-die engine's
-session lifecycle (including sealing the teardown acknowledgment), and
+firewall, reset scrubbing and CC-mode stickiness, the session the
+device keeps per context (including sealing the teardown
+acknowledgment), and
 the structured error kinds the serving layer classifies on.
 """
 
 import pytest
 
 from repro.backends.gpucc import (
-    CcEngine,
     device_attestation_report,
     issue_device_cert,
     verify_attestation_report,
@@ -24,6 +24,7 @@ from repro.errors import (
     ProtocolError,
     UnsupportedRequest,
 )
+from repro.core.service import ServiceSession
 from repro.osmodel.adversary import EmulatedGpu
 from repro.serve.resilience import (
     KIND_ATTESTATION,
@@ -77,8 +78,8 @@ class TestKeyExchangeSuppression:
 
     def test_cc_mode_reply_omits_relay_half(self):
         machine = _gpucc_machine()
-        service = machine.boot_gpucc()
-        api = machine.gpucc_session(service, name="probe")
+        service = machine.boot_secure()
+        api = machine.secure_session(service, name="probe")
         api.cuCtxCreate()
         gpu = machine.gpu
         ctx = gpu.contexts[api._ctx_id]
@@ -105,7 +106,7 @@ class TestKeyExchangeSuppression:
 class TestCcFirewallAndReset:
     def test_bar1_aperture_disabled_in_cc_mode(self):
         machine = _gpucc_machine()
-        machine.boot_gpucc()
+        machine.boot_secure()
         gpu = machine.gpu
         with pytest.raises(UnsupportedRequest):
             gpu.bar_read(1, 0, 16)
@@ -119,7 +120,7 @@ class TestCcFirewallAndReset:
     def test_cc_mode_sticky_across_reset_dropped_by_cold_boot(self, index):
         machine = Machine(MachineConfig(backend="gpucc", num_gpus=2))
         gpu = machine.gpus[index]
-        machine.boot_gpucc(device=gpu)
+        machine.boot_secure(device=gpu)
         assert gpu.cc_mode
         assert gpu.reset_count >= 1   # boot resets after enabling CC
         gpu.reset()
@@ -129,8 +130,8 @@ class TestCcFirewallAndReset:
 
     def test_reset_scrubs_vram_and_drops_contexts(self):
         machine = _gpucc_machine()
-        service = machine.boot_gpucc()
-        api = machine.gpucc_session(service, name="probe")
+        service = machine.boot_secure()
+        api = machine.secure_session(service, name="probe")
         api.cuCtxCreate()
         dptr = api.cuMemAlloc(4096)
         api.cuMemcpyHtoD(dptr, b"s" * 4096)
@@ -142,37 +143,58 @@ class TestCcFirewallAndReset:
 
 
 class TestEngineSessionLifecycle:
+    """The on-die engine opens and seals with the session the device
+    keeps on each GPU context (:attr:`GpuContext.crypto`)."""
+
     def test_register_requires_completed_key_exchange(self):
+        """A context holds a session only once its key exchange has
+        completed; without one the driver gets nothing to seal with and
+        the engine refuses to open or seal."""
         machine = _gpucc_machine()
-        service = machine.boot_gpucc()
-        engine = service.engine
+        service = machine.boot_secure()
+        gpu = machine.gpu
         with pytest.raises(ProtocolError):
-            engine.session_crypto(999)
+            gpu.context(999)
+        handle = service.driver.create_context(
+            machine.kernel.create_process("no-handshake"))
+        session = ServiceSession(session_id=0, ctx=handle, end=None)
         with pytest.raises(ProtocolError):
-            engine.register(999)
+            service._session_crypto(session)
+        ctx = gpu.context(handle.ctx_id)
+        with pytest.raises(CryptoError):
+            gpu.open_scatter(ctx, 0, 0, [], [])
+        with pytest.raises(CryptoError):
+            gpu.seal_gather(ctx, [], [], 0)
 
     def test_ctx_destroy_ack_seals_after_teardown(self):
         """Regression: the destroy acknowledgment is sealed with the
-        session pinned *before* dispatch — teardown forgetting the ctx
-        must not break the final reply."""
+        session pinned *before* dispatch — teardown dropping the
+        context, and its session with it, must not break the final
+        reply."""
         machine = _gpucc_machine()
-        service = machine.boot_gpucc()
-        api = machine.gpucc_session(service, name="probe")
+        service = machine.boot_secure()
+        api = machine.secure_session(service, name="probe")
         api.cuCtxCreate()
         ctx_id = api._ctx_id
+        handle = service.sessions[api._end.session_id].ctx
+        assert machine.gpu.context(ctx_id).crypto is not None
         api.cuCtxDestroy()
         assert not service.sessions
         with pytest.raises(ProtocolError):
-            service.engine.session_crypto(ctx_id)
+            machine.gpu.context(ctx_id)
+        with pytest.raises(ProtocolError):
+            service._session_crypto(
+                ServiceSession(session_id=0, ctx=handle, end=None))
 
     def test_graceful_shutdown_clears_engine_and_sessions(self):
         machine = _gpucc_machine()
-        service = machine.boot_gpucc()
-        api = machine.gpucc_session(service, name="probe")
+        service = machine.boot_secure()
+        api = machine.secure_session(service, name="probe")
         api.cuCtxCreate()
         service.graceful_shutdown()
         assert not service.alive
         assert not service.sessions
+        assert not machine.gpu.contexts
 
 
 class TestStructuredErrorKinds:

@@ -223,24 +223,40 @@ class TestExporters:
         assert _shape(rebuilt) == _shape(roots)
 
     def test_lane_spans_reproduce_render_lanes_interleaving(self):
-        from repro.sim.trace import TraceEvent, render_lanes
-        lanes = {
-            "user0": [TraceEvent(0.0, 1.0, "host"),
-                      TraceEvent(1.0, 2.0, "gpu")],
-            "user1": [TraceEvent(0.0, 1.0, "host"),
-                      TraceEvent(3.0, 1.0, "gpu")],
-        }
-        spans = export.lane_spans(lanes)
-        assert all(s.attr("lane") for s in spans)
+        """A traced serve run's lane spans export as one schedule track
+        per tenant holding exactly the lane events ``render_lanes``
+        draws for that run."""
+        from repro.evalkit.serve_sweep import serve_run
+        from repro.sim.trace import render_lanes
+        from repro.system import Machine, MachineConfig
+        from repro.workloads import MatrixAdd
+
+        machine = Machine(MachineConfig(data_inflation=2048.0))
+        tracer = obs.enable(machine.clock)
+        try:
+            report = serve_run(MatrixAdd(2048), 2, scheduler="fair",
+                               inflation=2048.0, machine=machine)
+        finally:
+            obs.disable()
+            tracer.detach()
+        payload = export.chrome_trace(tracer.spans())
+        tracks = {event["tid"]: event["args"]["name"]
+                  for event in payload["traceEvents"]
+                  if event["ph"] == "M" and event["name"] == "thread_name"
+                  and event["pid"] == export.TENANT_LANES_PID}
         by_tenant = {}
-        for span in spans:
-            by_tenant.setdefault(span.attr("tenant"), []).append(
-                (span.start, span.end, span.category))
-        assert by_tenant["user0"] == [(0.0, 1.0, "host"), (1.0, 3.0, "gpu")]
-        assert by_tenant["user1"] == [(0.0, 1.0, "host"), (3.0, 4.0, "gpu")]
-        # Same events render in ASCII: both views describe one schedule.
-        text = render_lanes(lanes, width=20)
-        assert "user0" in text and "user1" in text
+        for event in payload["traceEvents"]:
+            if event["ph"] == "X" and event["pid"] == export.TENANT_LANES_PID:
+                by_tenant.setdefault(tracks[event["tid"]], []).append(
+                    (event["args"]["start_s"], event["args"]["end_s"],
+                     event["cat"]))
+        assert len(report.lanes) == 2
+        assert by_tenant == {
+            name: [(e.start, e.end, e.category) for e in events]
+            for name, events in report.lanes.items()}
+        # The same events render in ASCII: both views describe one schedule.
+        text = render_lanes(report.lanes, width=40)
+        assert all(name in text for name in report.lanes)
 
     def test_write_helpers(self, tmp_path):
         roots = _tree()

@@ -78,8 +78,8 @@ class TestErrorReplies:
         back as a structured error reply; the session stays live."""
         from repro.system import Machine, MachineConfig
         machine = Machine(MachineConfig())
-        service = machine.boot_hix()
-        api = machine.hix_session(service, "prober")
+        service = machine.boot_secure()
+        api = machine.secure_session(service, "prober")
         api.cuCtxCreate()
         with pytest.raises(RequestRejected) as excinfo:
             api._request({"op": "rm -rf"})  # noqa: SLF001
@@ -93,8 +93,8 @@ class TestErrorReplies:
     def test_missing_op_rejected_at_dispatch(self):
         from repro.system import Machine, MachineConfig
         machine = Machine(MachineConfig())
-        service = machine.boot_hix()
-        api = machine.hix_session(service, "prober")
+        service = machine.boot_secure()
+        api = machine.secure_session(service, "prober")
         api.cuCtxCreate()
         with pytest.raises(RequestRejected) as excinfo:
             api._request({"nbytes": 4096})  # noqa: SLF001
@@ -122,8 +122,9 @@ class TestParamCoding:
             protocol.encode_params([b"bytes"])
 
     def test_nonce_channels_distinct(self):
-        channels = {protocol.CH_BULK_H2D, protocol.CH_BULK_D2H,
-                    protocol.CH_REQUEST, protocol.CH_REPLY}
+        from repro.crypto import session
+        channels = {session.CH_BULK_H2D, session.CH_BULK_D2H,
+                    session.CH_REQUEST, session.CH_REPLY}
         assert len(channels) == 4
 
 

@@ -48,8 +48,8 @@ def test_hix_memcpy_charges_copy_before_gpu_crypto():
     """On a HIX memcpy, CPU-side copy is charged before in-GPU crypto."""
     from repro.system import Machine, MachineConfig
     machine = Machine(MachineConfig())
-    service = machine.boot_hix()
-    app = machine.hix_session(service, "traced").cuCtxCreate()
+    service = machine.boot_secure()
+    app = machine.secure_session(service, "traced").cuCtxCreate()
     buf = app.cuMemAlloc(4096)
     seen = []
     listener = lambda start, seconds, category: seen.append(category)

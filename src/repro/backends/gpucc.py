@@ -291,9 +291,9 @@ class GpuCcApi(SealedClient):
                            "bound to report)")
 
     def __init__(self, kernel: Kernel, process: Process,
-                 service: GpuCcService, clock: Optional[SimClock] = None,
+                 service: GpuCcService, expected_fw_hash: bytes,
+                 clock: Optional[SimClock] = None,
                  costs: Optional[CostModel] = None,
-                 expected_fw_hash: Optional[bytes] = None,
                  suite_name: str = "fast-auth",
                  channel_queue_depth: Optional[int] = None) -> None:
         super().__init__(kernel, process, service, clock=clock, costs=costs,
@@ -313,8 +313,7 @@ class GpuCcApi(SealedClient):
         ctx_id = int(ack["ctx_id"])
         fw_hash = verify_attestation_report(k_att, ack["report"],
                                             c_bytes, a_bytes, ctx_id)
-        if (self._expected_fw_hash is not None
-                and fw_hash != self._expected_fw_hash):
+        if fw_hash != self._expected_fw_hash:
             raise AttestationError(
                 "GPU firmware measurement does not match the "
                 "vendor-published hash (device BIOS was modified)")

@@ -566,9 +566,10 @@ class HixApi(SealedClient):
     key_exchange_detail = "3-party DH session key derived"
 
     def __init__(self, kernel: Kernel, process: Process,
-                 service: GpuEnclaveService, clock: Optional[SimClock] = None,
+                 service: GpuEnclaveService,
+                 expected_gpu_enclave_measurement: bytes,
+                 clock: Optional[SimClock] = None,
                  costs: Optional[CostModel] = None,
-                 expected_gpu_enclave_measurement: Optional[bytes] = None,
                  suite_name: str = "fast-auth",
                  channel_queue_depth: Optional[int] = None) -> None:
         super().__init__(kernel, process, service, clock=clock, costs=costs,
@@ -593,8 +594,7 @@ class HixApi(SealedClient):
         verify_local_report(sgx, user_eid, reply_report)
         if not reply_report.is_gpu_enclave:
             raise AttestationError("peer is not a GPU enclave")
-        if (self._expected_measurement is not None
-                and reply_report.measurement != self._expected_measurement):
+        if reply_report.measurement != self._expected_measurement:
             raise AttestationError(
                 "GPU enclave measurement does not match the expected "
                 "(vendor-published) identity")

@@ -124,14 +124,12 @@ class GpuPageTable:
 class GpuContext:
     """One GPU context: address space + the device's side of its session.
 
-    The KEY_EXCHANGE command sets the session key and the session state
-    the device opens and seals the context's bulk frames with; both die
-    with the context (destroy or device reset).
+    The KEY_EXCHANGE command sets, once, the session the device opens
+    and seals the context's bulk frames with; it dies with the context
+    (destroy or device reset).
     """
 
     ctx_id: int
     page_table: GpuPageTable = field(default_factory=GpuPageTable)
-    session_key: Optional[bytes] = None
     crypto: Optional[SessionCrypto] = None
     kernels_launched: int = 0
-    dh_private_seed: Optional[bytes] = None

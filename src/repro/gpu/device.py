@@ -382,14 +382,22 @@ class SimGpu(PcieFunction):
         context's session, and replies (written to *resp_va* in device
         memory) with C = g^g || A^g, from which the GPU enclave and user
         enclave complete their copies of g^(uge).
+
+        A context's session is set once.  Under GPU-CC the untrusted
+        driver (or the OS, through BAR0) could otherwise replay the
+        plaintext hello's A: the device's DH value is fixed per context,
+        so the re-run would derive the same key with every nonce counter
+        and replay guard back at zero.
         """
+        if ctx.crypto is not None:
+            raise ProtocolError(
+                f"context {ctx.ctx_id} already holds a session")
         if len(blob) != 512:
             raise ProtocolError("KEY_EXCHANGE blob must be 512 bytes")
         a_value = int.from_bytes(blob[:256], "big")
         b_value = int.from_bytes(blob[256:], "big")
         dh = self._device_dh(ctx.ctx_id)
-        ctx.session_key = dh.shared_secret(b_value)[:16]
-        ctx.crypto = build_session_crypto(ctx.session_key, self._suite_name)
+        session_key = dh.shared_secret(b_value)[:16]
         if self.cc_mode:
             # Two-party exchange (GPU-CC): the reply carries only the
             # device's public value C = g^g.  The A^g half would let the
@@ -400,3 +408,5 @@ class SimGpu(PcieFunction):
             reply = (dh.public_value.to_bytes(256, "big")
                      + dh.raise_value(a_value).to_bytes(256, "big"))
         self.write_ctx(ctx, resp_va, reply)
+        # Set only once the reply is out: a faulted exchange leaves none.
+        ctx.crypto = build_session_crypto(session_key, self._suite_name)

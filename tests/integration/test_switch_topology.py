@@ -143,7 +143,8 @@ class TestSwitchedLockdown:
         process = machine.kernel.create_process("switched-user")
         machine.kernel.load_enclave(
             process, EnclaveImage.from_code("user-sw", b"user"))
-        app = HixApi(machine.kernel, process, service).cuCtxCreate()
+        app = HixApi(machine.kernel, process, service,
+                     machine.expected_gpu_enclave_measurement).cuCtxCreate()
         data = np.arange(512, dtype=np.int32)
         buf = app.cuMemAlloc(data.nbytes)
         app.cuMemcpyHtoD(buf, data)

@@ -262,6 +262,45 @@ class TestGpuEnclaveIdentity:
         assert service.measurement != machine.expected_gpu_enclave_measurement
 
 
+class TestDeviceSession:
+    def test_repeated_key_exchange_refused(self, monkeypatch):
+        """Regression: under GPU-CC the untrusted driver relays the
+        user's DH value A in the plaintext hello, and the device's own
+        DH value is fixed per context.  Re-running KEY_EXCHANGE(ctx,
+        A||A) on a live context would derive the same key with every
+        nonce counter and replay guard back at zero, so the next sealed
+        frame would reuse a (key, nonce) pair.  The device must refuse
+        it without touching the session."""
+        machine = Machine(MachineConfig(backend="gpucc"))
+        service = machine.boot_secure()
+        blobs = []
+        relay = service._device_key_exchange  # noqa: SLF001
+
+        def recording(ctx, blob):
+            blobs.append(blob)
+            return relay(ctx, blob)
+
+        monkeypatch.setattr(service, "_device_key_exchange", recording)
+        app = machine.secure_session(service).cuCtxCreate()
+        adversary = machine.adversary()
+        session = service.sessions[app._end.session_id]  # noqa: SLF001
+        frame_nonce = session.end.region.paddr + BULK_OFFSET + 4
+        buf = app.cuMemAlloc(4096)
+        app.cuMemcpyHtoD(buf, b"\x42" * 4096)
+        app.cuMemcpyDtoH(buf, 4096)
+        seen = {adversary.read_physical(frame_nonce, 12)}
+        device_ctx = machine.gpu.context(session.ctx.ctx_id)
+        crypto = device_ctx.crypto
+
+        [hello_blob] = blobs
+        with pytest.raises(DriverError, match="already holds a session"):
+            service._device_key_exchange(session.ctx, hello_blob)  # noqa: SLF001
+        assert device_ctx.crypto is crypto
+
+        assert app.cuMemcpyDtoH(buf, 4096) == b"\x42" * 4096
+        assert adversary.read_physical(frame_nonce, 12) not in seen
+
+
 class TestUserEnclaveProtection:
     def test_session_keys_unreachable(self, hix):
         """The OS cannot read the user enclave's ELRANGE (where keys live)."""

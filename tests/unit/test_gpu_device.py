@@ -202,9 +202,16 @@ class TestGpuCrypto:
         reply = gpu.read_ctx(ctx, 0x10000, 512)
         d = int.from_bytes(reply[256:], "big")
         session_key = derive_key(enclave.raise_value(d))
-        assert ctx.session_key == session_key
-
         assert ctx.crypto.session_key == session_key
+
+        # The session is set once: a second exchange faults and leaves it.
+        session = ctx.crypto
+        batch = encode_command(CommandOpcode.KEY_EXCHANGE, 1, (0x10000,),
+                               blob=blob)
+        gpu._fifo[:len(batch)] = batch  # noqa: SLF001
+        gpu._execute_batch(len(batch))  # noqa: SLF001
+        assert "already holds a session" in gpu.pop_fault()
+        assert ctx.crypto is session
 
         # Seal a payload the way the user runtime does and decrypt in-GPU.
         crypto = build_session_crypto(session_key, "fast-auth")

@@ -79,13 +79,11 @@ class TestKeyExchangeSuppression:
     def test_cc_mode_reply_omits_relay_half(self):
         machine = _gpucc_machine()
         service = machine.boot_secure()
-        api = machine.secure_session(service, name="probe")
-        api.cuCtxCreate()
-        gpu = machine.gpu
-        ctx = gpu.contexts[api._ctx_id]
-        dptr = api.cuMemAlloc(1024)
-        gpu._key_exchange(ctx, dptr.addr, self.BLOB)
-        reply = gpu.read_ctx(ctx, dptr.addr, 512)
+        # A fresh context: a live session's context refuses a second
+        # exchange.  The reply comes back the way the relay reads it.
+        ctx = service.driver.create_context(
+            machine.kernel.create_process("probe"))
+        reply = service._device_key_exchange(ctx, self.BLOB)
         assert reply[:256] != bytes(256)      # C = g^g present
         assert reply[256:] == bytes(256)      # A^g suppressed
 

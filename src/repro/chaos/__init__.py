@@ -19,15 +19,14 @@ virtual-time detection latency.
 * :mod:`~repro.chaos.workload` — victim streams with verifiable
   secret-marked payloads and per-round integrity/cleanse checks;
 * :mod:`~repro.chaos.injector` — the :class:`FaultInjector` bridging
-  fault scripts onto a serving run's event clock;
+  fault scripts onto a fleet run's shared event clock, each fault on
+  the machine it names;
 * :mod:`~repro.chaos.detection` — the detection matcher pairing each
   injected fault with audit/alert evidence and a detection latency;
 * :mod:`~repro.chaos.campaign` — named campaigns composing all of the
-  above into a deterministic, seeded three-sided verdict
-  (``repro chaos`` on the command line);
-* :mod:`~repro.chaos.fleet` — the fleet-tier campaign: session
-  migration between machines under fire, traps swept on both
-  isolation domains.
+  above into a deterministic, seeded three-sided verdict, each run by
+  one runner on a fleet of one or more machines (``repro chaos`` on
+  the command line).
 """
 
 from repro.chaos.faults import (
@@ -51,7 +50,6 @@ from repro.chaos.campaign import (
     get_campaign,
     run_campaign,
 )
-from repro.chaos.fleet import FLEET_CAMPAIGN, run_fleet_campaign
 
 __all__ = [
     "AdversarialArbitration",
@@ -71,6 +69,4 @@ __all__ = [
     "campaign_catalog",
     "get_campaign",
     "run_campaign",
-    "FLEET_CAMPAIGN",
-    "run_fleet_campaign",
 ]

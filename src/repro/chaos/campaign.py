@@ -1,11 +1,15 @@
 """Named chaos campaigns: composed faults + abuse + a three-sided verdict.
 
-A campaign runs the same victim workloads twice on fresh machines:
+A campaign runs the same victim workloads twice, each time on a fresh
+:class:`~repro.fleet.Fleet` of ``campaign.machines`` machines (one for
+most campaigns; the router places every session):
 
 1. **baseline** — victims alone, no faults, no abuse (resilience knobs
    identical, so the comparison isolates the chaos, not the config);
-2. **chaos** — victims plus abusive tenants, with a seeded fault script
-   injected at virtual times by :class:`~repro.chaos.injector.FaultInjector`.
+2. **chaos** — victims plus abusive tenants, an optional drain-based
+   migration of one victim to the next machine, and a seeded fault
+   script injected at virtual times across the whole fleet by one
+   :class:`~repro.chaos.injector.FaultInjector`.
 
 The verdict is deliberately three-sided, because production cares about
 all three at once:
@@ -38,7 +42,15 @@ from repro.chaos.detection import (
     match_detections,
     victim_latency_target,
 )
-from repro.chaos.faults import Fault
+from repro.chaos.faults import (
+    AeadTamperFault,
+    DmaRedirectFault,
+    Fault,
+    GpuResetFault,
+    SchedulerStormFault,
+    SessionKillFault,
+    StarvationFault,
+)
 from repro.chaos.injector import FaultInjector
 from repro.chaos.workload import (
     SECRET_PREFIX,
@@ -46,14 +58,22 @@ from repro.chaos.workload import (
     secret_marker,
     submit_victim_stream,
 )
+from repro.fleet import Fleet, FleetReport, MigrationRecord
 from repro.obs import metrics as obs_metrics
 from repro.obs.audit import audit_log
 from repro.obs.slo import Alert, AlertManager, SloObjective
 from repro.obs.timeseries import TimeSeriesSampler
 from repro.serve.engine import ServeEngine, ServeReport
-from repro.serve.resilience import BreakerConfig, RetryPolicy
+from repro.serve.resilience import (
+    KIND_CRYPTO,
+    KIND_DEVICE_LOST,
+    KIND_QUEUE_FULL,
+    KIND_REJECTED,
+    BreakerConfig,
+    RetryPolicy,
+)
 from repro.serve.session import TenantQuota
-from repro.system import Machine, MachineConfig
+from repro.system import MachineConfig
 
 
 @dataclass
@@ -84,8 +104,10 @@ class Campaign:
 
     name: str
     description: str
-    #: Builds the fault script for this seed's victim tenant names.
-    faults_factory: Callable[[List[str]], List[Fault]]
+    #: Builds the fault script once the chaos fleet has placed its
+    #: sessions (and planned any migration); the second argument is
+    #: this backend's :attr:`backend_shift`.
+    faults_factory: Callable[[Fleet, float], List[Fault]]
     victims: int = 2
     rounds: int = 3
     chunk_bytes: int = 4096
@@ -102,6 +124,14 @@ class Campaign:
     #: matching alert or audit event (the detection verdict).
     detection_bound: float = 8.0e-3
     data_inflation: float = 64.0
+    #: Machines in the fleet both runs place their sessions on.
+    machines: int = 1
+    #: ``(victim, virtual time)`` at which the victim drains off its
+    #: machine onto the next one, or ``None``.
+    migrate: Optional[Tuple[str, float]] = None
+    #: Per-backend offset added to every scripted time (faults and the
+    #: migration), for backends whose session setup runs longer.
+    backend_shift: Dict[str, float] = field(default_factory=dict)
     #: Resilience knobs for both runs.  Campaigns that stack several
     #: faults on one victim need enough attempts to ride out two
     #: recovery cycles, and a breaker tolerant enough not to shed a
@@ -221,38 +251,43 @@ def _abuse_quota(kind: str) -> TenantQuota:
                        device_memory_bytes=1 << 20)
 
 
-def _build_engine(campaign: Campaign, seed: int, with_abuse: bool,
-                  telemetry: Optional[TimeSeriesSampler] = None,
-                  ) -> Tuple[ServeEngine, List[VictimPlan],
-                             List[AbusePlan]]:
-    machine = Machine(MachineConfig(data_inflation=campaign.data_inflation,
-                                    backend=campaign.backend))
-    engine = ServeEngine(machine, scheduler=campaign.scheduler,
-                         max_tenants=campaign.victims + len(campaign.abuse),
-                         retry_policy=campaign.retry_policy,
-                         breaker=campaign.breaker,
-                         seed=seed,
-                         telemetry=telemetry)
+def _build_fleet(campaign: Campaign, seed: int,
+                 telemetry: TimeSeriesSampler, with_abuse: bool,
+                 ) -> Tuple[Fleet, List[VictimPlan], List[AbusePlan]]:
+    fleet = Fleet(machines=campaign.machines, scheduler=campaign.scheduler,
+                  policy="least-loaded",
+                  machine_config=MachineConfig(
+                      data_inflation=campaign.data_inflation,
+                      backend=campaign.backend),
+                  max_tenants=campaign.victims + len(campaign.abuse),
+                  retry_policy=campaign.retry_policy,
+                  breaker=campaign.breaker,
+                  seed=seed)
+    # One sampler across the fleet: per-tenant series keep machines
+    # apart, and attaching it to the shared kernel is idempotent.
+    for machine in fleet.machines:
+        machine.engine.telemetry = telemetry
     plans: List[VictimPlan] = []
     for name in campaign.victim_names():
-        client = engine.add_tenant(name, _victim_quota())
+        client = fleet.add_session(name, quota=_victim_quota())
         plans.append(submit_victim_stream(
             client, rounds=campaign.rounds,
             chunk_bytes=campaign.chunk_bytes, seed=seed))
     abuse_plans: List[AbusePlan] = []
     if with_abuse:
         for index, kind in enumerate(campaign.abuse):
-            client = engine.add_tenant(f"abuse-{kind}-{index}",
-                                       _abuse_quota(kind))
+            client = fleet.add_session(f"abuse-{kind}-{index}",
+                                       quota=_abuse_quota(kind))
             abuse_plans.append(ABUSE_KINDS[kind](client, seed=index)
                                if kind == "queue_flood"
                                else ABUSE_KINDS[kind](client))
-    return engine, plans, abuse_plans
+    return fleet, plans, abuse_plans
 
 
-def _trap_escape_checks(engine: ServeEngine,
-                        faults: Sequence[Fault]) -> List[SecurityCheck]:
-    """No adversary trap buffer may hold a victim secret in plaintext.
+def _trap_escape_checks(engine: ServeEngine, faults: Sequence[Fault],
+                        machine: int) -> List[SecurityCheck]:
+    """No adversary trap buffer on *machine* may hold a victim secret
+    in plaintext.
 
     Traps only ever receive what crossed the untrusted path — sealed
     bytes.  Reading any plaintext marker out of one would mean the
@@ -264,7 +299,7 @@ def _trap_escape_checks(engine: ServeEngine,
     adversary = engine.machine.adversary()
     for fault in faults:
         trap = getattr(fault, "trap", None)
-        if trap is None:
+        if trap is None or fault.machine != machine:
             continue
         paddr, nbytes = trap
         contents = adversary.read_physical(paddr, nbytes)
@@ -279,30 +314,74 @@ def _trap_escape_checks(engine: ServeEngine,
     return checks
 
 
-def assemble_verdict(name: str, seed: int, backend: str,
-                     victims: Sequence[str],
-                     base_sampler: TimeSeriesSampler,
-                     chaos_sampler: TimeSeriesSampler,
-                     watermark: int,
-                     plans: Sequence[VictimPlan],
-                     domains: Sequence[Tuple[ServeEngine, FaultInjector]],
-                     finishes: Sequence[Tuple[str, float, float]],
-                     baseline: ServeReport, chaos: ServeReport,
-                     fairness_bound: float, goodput_floor: float,
-                     detection_bound: float,
-                     abuse_plans: Sequence[AbusePlan] = (),
-                     extra_security: Sequence[SecurityCheck] = (),
-                     ) -> CampaignResult:
-    """Grade one finished chaos run on all three sides.
+def _migration_checks(record: MigrationRecord) -> List[SecurityCheck]:
+    """The drain really moved work, and the target session re-attested
+    at a later epoch."""
+    tenant = record.plan.tenant
+    landed = record.target_client
+    return [
+        SecurityCheck(
+            name="fleet.migration_completed",
+            subject=tenant,
+            ok=record.completed and record.requests_moved > 0,
+            detail=(f"{record.requests_moved} request(s) drained and "
+                    f"re-established on m{record.plan.target}"
+                    if record.completed else
+                    "drain never fired — stream finished first "
+                    "(timing miscalibrated)")),
+        SecurityCheck(
+            name="fleet.migration_epoch_bump",
+            subject=tenant,
+            ok=landed is not None and landed.session_epoch >= 1,
+            detail=("target session re-established at epoch "
+                    f"{landed.session_epoch}" if landed is not None else
+                    "no target client recorded")),
+    ]
 
-    Both campaign shapes call this: one engine, or a fleet of them.
-    *domains* pairs each isolation domain's engine with the injector
-    that faulted it.  *finishes* holds one ``(tenant, baseline_finish,
-    chaos_finish)`` row per victim, in the order the fairness rows
-    render.  *extra_security* follows the per-domain checks.
-    *watermark* is the audit cursor taken before the chaos run, so the
-    baseline run's routine events can never satisfy a detection match.
+
+def _finish_times(report: FleetReport) -> Dict[str, float]:
+    """Per-tenant finish time, max across machines.
+
+    A migrated victim has a row on both machines — the source row ends
+    at its drain, the target row at its true completion — so the max
+    is when the victim's work actually finished.
     """
+    finishes: Dict[str, float] = {}
+    for machine_report in report.reports:
+        for row in machine_report.tenants:
+            finishes[row.name] = max(finishes.get(row.name, 0.0),
+                                     row.finish_time)
+    return finishes
+
+
+def _serve_report(report: FleetReport) -> ServeReport:
+    # One machine's own report keeps its tenant names unprefixed.
+    return report.reports[0] if len(report.reports) == 1 else report.merged
+
+
+def run_campaign_obj(campaign: Campaign, seed: int = 0) -> CampaignResult:
+    """Execute *campaign* and assemble its three-sided verdict."""
+    obs_metrics.registry().counter("chaos.campaigns_run").inc()
+    shift = campaign.backend_shift.get(campaign.backend, 0.0)
+    victims = campaign.victim_names()
+
+    base_sampler = TimeSeriesSampler()
+    baseline_fleet, _, _ = _build_fleet(campaign, seed, base_sampler,
+                                        with_abuse=False)
+    baseline = baseline_fleet.run()
+
+    chaos_sampler = TimeSeriesSampler()
+    fleet, plans, abuse_plans = _build_fleet(campaign, seed, chaos_sampler,
+                                             with_abuse=True)
+    if campaign.migrate is not None:
+        tenant, at = campaign.migrate
+        source = fleet.router.machine_of(tenant)
+        fleet.plan_migration(tenant, target=(source + 1) % campaign.machines,
+                             at=at + shift)
+    injector = FaultInjector(campaign.faults_factory(fleet, shift))
+    watermark = audit_log().cursor()
+    chaos = injector.run(fleet)
+
     # Latency objectives are calibrated off this seed's own faultless
     # run, so the same campaign holds on every backend (gpu-cc's bounce
     # overhead shifts absolute latencies; the headroom ratio doesn't).
@@ -312,78 +391,55 @@ def assemble_verdict(name: str, seed: int, backend: str,
         if target is not None:
             objectives[victim] = SloObjective(availability=0.995,
                                               latency_target=target)
-
     manager = AlertManager(chaos_sampler, objectives, audit=audit_log())
     manager.evaluate()
     slo_report = manager.report()
-    faults = [fault for _, injector in domains for fault in injector.faults]
+    # The watermark keeps the baseline run's routine events from ever
+    # satisfying a detection match.
     detection = match_detections(
-        faults, audit_log().events_since(watermark), slo_report.alerts,
-        detection_bound)
+        injector.faults, audit_log().events_since(watermark),
+        slo_report.alerts, campaign.detection_bound)
 
     security: List[SecurityCheck] = []
     for plan in plans:
         security.extend(SecurityCheck(*check) for check in plan.checks())
-    for engine, injector in domains:
-        security.extend(SecurityCheck(*check)
-                        for check in injector.verify(engine))
-        security.extend(_trap_escape_checks(engine, injector.faults))
-    security.extend(extra_security)
+    for machine in fleet.machines:
+        security.extend(SecurityCheck(*check) for check in
+                        injector.verify(machine.engine, machine.index))
+        security.extend(_trap_escape_checks(machine.engine, injector.faults,
+                                            machine.index))
+    for record in chaos.migrations:
+        security.extend(_migration_checks(record))
 
-    fairness: List[FairnessCheck] = []
+    base_finish = _finish_times(baseline)
+    chaos_finish = _finish_times(chaos)
     goodput_by_name = {plan.tenant: plan.goodput() for plan in plans}
-    for tenant, base_finish, chaos_finish in finishes:
-        slowdown = chaos_finish / base_finish if base_finish > 0.0 else 1.0
-        goodput = goodput_by_name.get(tenant, 1.0)
+    fairness: List[FairnessCheck] = []
+    for victim in victims:
+        base, finish = base_finish[victim], chaos_finish.get(victim, 0.0)
+        slowdown = finish / base if base > 0.0 else 1.0
+        goodput = goodput_by_name.get(victim, 1.0)
         fairness.append(FairnessCheck(
-            tenant=tenant,
-            baseline_finish=base_finish,
-            chaos_finish=chaos_finish,
+            tenant=victim,
+            baseline_finish=base,
+            chaos_finish=finish,
             slowdown=slowdown,
             goodput=goodput,
-            ok=slowdown <= fairness_bound and goodput >= goodput_floor))
+            ok=(slowdown <= campaign.fairness_bound
+                and goodput >= campaign.goodput_floor)))
 
-    return CampaignResult(campaign=name, seed=seed, faults=faults,
+    return CampaignResult(campaign=campaign.name, seed=seed,
+                          faults=injector.faults,
                           security=security, fairness=fairness,
-                          baseline=baseline, chaos=chaos,
-                          fairness_bound=fairness_bound,
-                          goodput_floor=goodput_floor,
-                          abuse_plans=list(abuse_plans),
-                          backend=backend,
+                          baseline=_serve_report(baseline),
+                          chaos=_serve_report(chaos),
+                          fairness_bound=campaign.fairness_bound,
+                          goodput_floor=campaign.goodput_floor,
+                          abuse_plans=abuse_plans,
+                          backend=campaign.backend,
                           detection=detection,
-                          detection_bound=detection_bound,
+                          detection_bound=campaign.detection_bound,
                           alerts=slo_report.alerts)
-
-
-def run_campaign_obj(campaign: Campaign, seed: int = 0) -> CampaignResult:
-    """Execute *campaign* and assemble its three-sided verdict."""
-    obs_metrics.registry().counter("chaos.campaigns_run").inc()
-
-    base_sampler = TimeSeriesSampler()
-    baseline_engine, _, _ = _build_engine(campaign, seed, with_abuse=False,
-                                          telemetry=base_sampler)
-    baseline = baseline_engine.run()
-
-    chaos_sampler = TimeSeriesSampler()
-    engine, plans, abuse_plans = _build_engine(campaign, seed,
-                                               with_abuse=True,
-                                               telemetry=chaos_sampler)
-    injector = FaultInjector(campaign.faults_factory(campaign.victim_names()))
-    watermark = audit_log().cursor()
-    chaos = injector.run(engine)
-
-    base_by_name = {report.name: report.finish_time
-                    for report in baseline.tenants}
-    finishes = [(report.name, base_by_name[report.name], report.finish_time)
-                for report in chaos.tenants if report.name in base_by_name]
-    return assemble_verdict(
-        campaign.name, seed, campaign.backend, campaign.victim_names(),
-        base_sampler, chaos_sampler, watermark, plans, [(engine, injector)],
-        finishes, baseline, chaos,
-        fairness_bound=campaign.fairness_bound,
-        goodput_floor=campaign.goodput_floor,
-        detection_bound=campaign.detection_bound,
-        abuse_plans=abuse_plans)
 
 
 # ---------------------------------------------------------------------------
@@ -398,33 +454,65 @@ def run_campaign_obj(campaign: Campaign, seed: int = 0) -> CampaignResult:
 # ---------------------------------------------------------------------------
 
 
-def _churn_reset_faults(victims: List[str]) -> List[Fault]:
-    from repro.chaos.faults import (
-        AeadTamperFault,
-        DmaRedirectFault,
-        GpuResetFault,
-        SessionKillFault,
-    )
-    faults: List[Fault] = [
-        SessionKillFault(at=20.0e-3, tenant=victims[0]),
-        DmaRedirectFault(at=21.0e-3, tenant=victims[1 % len(victims)]),
-        AeadTamperFault(at=22.0e-3, tenant=victims[2 % len(victims)]),
-        GpuResetFault(at=23.5e-3),
-    ]
-    return faults
+def _victims(fleet: Fleet) -> List[str]:
+    """The victim sessions *fleet* placed, in placement order."""
+    return [name for name in fleet.router.placements
+            if name.startswith("victim")]
 
 
-def _smoke_faults(victims: List[str]) -> List[Fault]:
-    from repro.chaos.faults import GpuResetFault
-    return [GpuResetFault(at=20.5e-3)]
-
-
-def _storm_faults(victims: List[str]) -> List[Fault]:
-    from repro.chaos.faults import SchedulerStormFault, StarvationFault
+def _churn_reset_faults(fleet: Fleet, shift: float) -> List[Fault]:
+    victims = _victims(fleet)
     return [
-        SchedulerStormFault(at=19.5e-3, duration=3.0e-3),
-        StarvationFault(at=23.0e-3, duration=1.5e-3, tenant=victims[0]),
+        SessionKillFault(at=20.0e-3 + shift, tenant=victims[0]),
+        DmaRedirectFault(at=21.0e-3 + shift,
+                         tenant=victims[1 % len(victims)]),
+        AeadTamperFault(at=22.0e-3 + shift,
+                        tenant=victims[2 % len(victims)]),
+        GpuResetFault(at=23.5e-3 + shift),
     ]
+
+
+def _smoke_faults(fleet: Fleet, shift: float) -> List[Fault]:
+    return [GpuResetFault(at=20.5e-3 + shift)]
+
+
+def _storm_faults(fleet: Fleet, shift: float) -> List[Fault]:
+    return [
+        SchedulerStormFault(at=19.5e-3 + shift, duration=3.0e-3),
+        StarvationFault(at=23.0e-3 + shift, duration=1.5e-3,
+                        tenant=_victims(fleet)[0]),
+    ]
+
+
+def _fleet_migration_faults(fleet: Fleet, shift: float) -> List[Fault]:
+    """A DMA trap on each machine, then a GPU reset on the source.
+
+    The migrating victim is mid-drain when the faults land, so the
+    targeted faults aim at a victim that *stays* on each machine —
+    a fault against a session that already left would record "nothing
+    to kill" and fail loudly, which is the wrong kind of loud here.
+    With two tenants per machine, the interleaved session
+    establishments occupy roughly the first 18.5 ms of each machine's
+    timeline and the victim rounds then drain over the following
+    ~5 ms: the traps arm just inside that window, and the reset hits
+    the source after the drain (20.5 ms), pushing the remaining source
+    victim through recovery too.
+    """
+    plan = fleet.plans[0]
+
+    def staying(machine: int) -> str:
+        return next(name for name in _victims(fleet)
+                    if name != plan.tenant
+                    and fleet.router.machine_of(name) == machine)
+
+    script = [
+        DmaRedirectFault(at=19.3e-3 + shift, tenant=staying(plan.source),
+                         machine=plan.source),
+        GpuResetFault(at=21.5e-3 + shift, machine=plan.source),
+        DmaRedirectFault(at=19.6e-3 + shift, tenant=staying(plan.target),
+                         machine=plan.target),
+    ]
+    return sorted(script, key=lambda fault: fault.machine)
 
 
 CAMPAIGNS: Dict[str, Campaign] = {
@@ -473,6 +561,43 @@ CAMPAIGNS: Dict[str, Campaign] = {
         # first victim observations by several virtual milliseconds.
         detection_bound=10.0e-3,
     ),
+    "fleet-migration": Campaign(
+        name="fleet-migration",
+        description=("Two machines, four victims, one drained mid-run "
+                     "and re-established on the other machine while DMA "
+                     "traps fire on both and a GPU reset hits the "
+                     "source; three-sided verdict across the whole "
+                     "fleet."),
+        faults_factory=_fleet_migration_faults,
+        victims=4,
+        rounds=3,
+        machines=2,
+        # Least-loaded placement lands two victims on each machine; the
+        # drain begins mid-rounds, so part of victim0's stream serves on
+        # each machine and its epoch-spanning rounds exercise the
+        # cleanse check.
+        migrate=("victim0", 20.5e-3),
+        # GPU-CC session establishment (cert-chain verification + the
+        # report round trip) runs longer than HIX's, so the whole live
+        # window lands later.
+        backend_shift={"hix": 0.0, "gpucc": 6.9e-3},
+        fairness_bound=6.0,
+        goodput_floor=0.85,
+        # The stay-behind source victim rides out two recovery cycles
+        # (DMA trap, then the reset), so under gpu-cc — whose
+        # re-establishment round trips are the slowest — nothing probes
+        # the reset device until its retry backoff expires, ~23 virtual
+        # ms after the fault.
+        detection_bound=25.0e-3,
+        # An upload caught inside the redirected window can come back
+        # as a structured enclave rejection rather than a device loss;
+        # here that rejection IS the injected fault, so it must retry
+        # through recovery like the other tamper kinds.
+        retry_policy=RetryPolicy(
+            max_attempts=10,
+            retry_on=frozenset({KIND_QUEUE_FULL, KIND_DEVICE_LOST,
+                                KIND_CRYPTO, KIND_REJECTED})),
+    ),
 }
 
 
@@ -480,32 +605,24 @@ def get_campaign(name: str) -> Campaign:
     try:
         return CAMPAIGNS[name]
     except KeyError:
-        known = ", ".join(sorted(campaign_catalog()))
+        known = ", ".join(sorted(CAMPAIGNS))
         raise KeyError(f"unknown campaign {name!r} (known: {known})") from None
 
 
 def campaign_catalog() -> Dict[str, str]:
-    """Every runnable campaign name -> description, bespoke ones too."""
-    from repro.chaos.fleet import FLEET_CAMPAIGN, FLEET_CAMPAIGN_DESCRIPTION
-    catalog = {name: campaign.description
-               for name, campaign in CAMPAIGNS.items()}
-    catalog[FLEET_CAMPAIGN] = FLEET_CAMPAIGN_DESCRIPTION
-    return catalog
+    """Every runnable campaign name -> description."""
+    return {name: campaign.description
+            for name, campaign in CAMPAIGNS.items()}
 
 
 def run_campaign(name: str, seed: int = 0,
                  backend: Optional[str] = None) -> CampaignResult:
     """Run the named campaign; the CLI entry point's whole backend.
 
-    Dispatches bespoke campaigns (the fleet-migration one drives a
-    :class:`~repro.fleet.Fleet`, not a single engine) before the
-    :class:`Campaign`-dataclass flow.  *backend*, when given, overrides
-    the campaign's configured TEE backend — every campaign must hold
-    its three-sided verdict under every backend.
+    *backend*, when given, overrides the campaign's configured TEE
+    backend — every campaign must hold its three-sided verdict under
+    every backend.
     """
-    from repro.chaos.fleet import FLEET_CAMPAIGN, run_fleet_campaign
-    if name == FLEET_CAMPAIGN:
-        return run_fleet_campaign(seed, backend=backend or "hix")
     campaign = get_campaign(name)
     if backend is not None and backend != campaign.backend:
         campaign = replace(campaign, backend=backend)

@@ -64,9 +64,12 @@ class Fault:
 
     kind = "fault"
 
-    def __init__(self, at: float, tenant: Optional[str] = None) -> None:
+    def __init__(self, at: float, tenant: Optional[str] = None,
+                 machine: int = 0) -> None:
         self.at = at
         self.tenant = tenant
+        #: Index of the fleet machine whose isolation domain it hits.
+        self.machine = machine
         self.fired = False
         self.detail = ""
 
@@ -178,8 +181,8 @@ class DmaRedirectFault(Fault):
 
     kind = "dma_redirect"
 
-    def __init__(self, at: float, tenant: str) -> None:
-        super().__init__(at, tenant)
+    def __init__(self, at: float, tenant: str, machine: int = 0) -> None:
+        super().__init__(at, tenant, machine)
         self.trap: Optional[Tuple[int, int]] = None  # (paddr, nbytes)
 
     def apply(self, ctx: ChaosContext) -> None:
@@ -217,8 +220,8 @@ class AeadTamperFault(Fault):
 
     kind = "aead_tamper"
 
-    def __init__(self, at: float, tenant: str) -> None:
-        super().__init__(at, tenant)
+    def __init__(self, at: float, tenant: str, machine: int = 0) -> None:
+        super().__init__(at, tenant, machine)
         self.trap: Optional[Tuple[int, int]] = None
 
     def apply(self, ctx: ChaosContext) -> None:
@@ -306,8 +309,9 @@ class SchedulerStormFault(Fault):
 
     kind = "ctx_storm"
 
-    def __init__(self, at: float, duration: float) -> None:
-        super().__init__(at)
+    def __init__(self, at: float, duration: float,
+                 machine: int = 0) -> None:
+        super().__init__(at, machine=machine)
         self.duration = duration
 
     def apply(self, ctx: ChaosContext) -> None:
@@ -321,8 +325,9 @@ class StarvationFault(Fault):
 
     kind = "starvation"
 
-    def __init__(self, at: float, duration: float, tenant: str) -> None:
-        super().__init__(at, tenant)
+    def __init__(self, at: float, duration: float, tenant: str,
+                 machine: int = 0) -> None:
+        super().__init__(at, tenant, machine)
         self.duration = duration
 
     def apply(self, ctx: ChaosContext) -> None:

@@ -1,14 +1,15 @@
-"""FaultInjector: schedule fault scripts onto a serving run's clock.
+"""FaultInjector: schedule fault scripts onto a fleet run's clock.
 
-The serving engine's :meth:`ServeEngine.run` accepts a pre-built
-:class:`~repro.sim.engine.EventClock`; the injector builds one, books
-every point fault as a kernel event at its virtual fire time, wires
-window faults (storms, starvation) into an
-:class:`~repro.chaos.faults.AdversarialArbitration` wrapper around the
-engine's scheduler, and hands the kernel to the run.  With an empty
-fault list nothing is scheduled and no wrapper is installed — the
-chaos layer is then bit-for-bit invisible (pinned by
-``tests/property/test_prop_chaos_noop.py``).
+Every campaign runs on a :class:`~repro.fleet.Fleet`, whose machines'
+engines share one :class:`~repro.sim.engine.EventClock`.  The injector
+builds that kernel, and for each machine, in index order, books the
+machine's point faults (``fault.machine``) as kernel events at their
+virtual fire times and wires its window faults (storms, starvation)
+into an :class:`~repro.chaos.faults.AdversarialArbitration` wrapper
+around that machine's scheduler; then it hands the kernel to the
+fleet's run.  With an empty fault list nothing is scheduled and no
+wrapper is installed — the chaos layer is then bit-for-bit invisible
+(pinned by ``tests/property/test_prop_chaos_noop.py``).
 
 Fault firings are observable: each increments ``chaos.faults_injected``
 and ``chaos.fault.<kind>`` in the metrics registry, appends a
@@ -37,43 +38,45 @@ from repro.sim.engine import EventClock
 
 
 class FaultInjector:
-    """Compose a fault script with one serving run."""
+    """Compose a fault script with one fleet run."""
 
     def __init__(self, faults: Sequence[Fault] = ()) -> None:
         self.faults: List[Fault] = list(faults)
-        self.arbitration: Optional[AdversarialArbitration] = None
 
-    def attach(self, engine,
-               kernel: Optional[EventClock] = None) -> EventClock:
-        """Schedule every fault onto the run's kernel.
+    def _on(self, machine: int) -> List[Fault]:
+        return [fault for fault in self.faults if fault.machine == machine]
 
-        Builds a fresh :class:`EventClock` unless *kernel* is given —
-        fleet campaigns pass the shared clock so per-machine injectors
-        all book their faults on the one timeline the fleet runs on.
+    def attach(self, engine, kernel: Optional[EventClock] = None,
+               machine: int = 0) -> EventClock:
+        """Schedule *machine*'s faults, applied to *engine*, on *kernel*.
+
+        Builds a fresh :class:`EventClock` unless *kernel* is given;
+        :meth:`run` passes one shared clock for every machine.
         """
         if kernel is None:
             kernel = EventClock()
+        faults = self._on(machine)
         ctx = ChaosContext(engine)
         lane_of = {client.name: index
                    for index, client in enumerate(engine.clients)}
 
-        window_faults = [fault for fault in self.faults
+        window_faults = [fault for fault in faults
                          if isinstance(fault, (SchedulerStormFault,
                                                StarvationFault))]
         if window_faults:
             # Installed once; left in place for the whole run.  The
             # wrapper delegates verbatim outside its windows.
-            self.arbitration = AdversarialArbitration(engine.scheduler)
+            arbitration = AdversarialArbitration(engine.scheduler)
             for fault in window_faults:
                 if isinstance(fault, SchedulerStormFault):
-                    self.arbitration.add_storm(fault.at, fault.duration)
+                    arbitration.add_storm(fault.at, fault.duration)
                 else:
-                    self.arbitration.add_starvation(
+                    arbitration.add_starvation(
                         fault.at, fault.duration, lane_of[fault.tenant])
-            engine.scheduler = self.arbitration
+            engine.scheduler = arbitration
 
         registry = obs_metrics.registry()
-        for fault in self.faults:
+        for fault in faults:
             def fire(event, fault: Fault = fault) -> None:
                 fault.fired = True
                 fault.apply(ctx)
@@ -93,16 +96,28 @@ class FaultInjector:
             kernel.schedule(fault.at, fire)
         return kernel
 
-    def run(self, engine):
-        """Attach to *engine* and execute the run under injection."""
-        kernel = self.attach(engine)
-        return engine.run(kernel=kernel)
+    def run(self, fleet):
+        """Attach every machine of *fleet*, in index order, on one fresh
+        kernel and execute the fleet's run under injection."""
+        stray = [fault.label for fault in self.faults
+                 if not 0 <= fault.machine < len(fleet.machines)]
+        if stray:
+            # Never booked, such a fault would leave the verdict
+            # passing with nothing injected.
+            raise ValueError(f"faults name a machine this "
+                             f"{len(fleet.machines)}-machine fleet lacks: "
+                             f"{stray}")
+        kernel = EventClock()
+        for machine in fleet.machines:
+            self.attach(machine.engine, kernel, machine.index)
+        return fleet.run(kernel=kernel)
 
-    def verify(self, engine) -> List[tuple]:
-        """Collect every fired fault's post-run security checks."""
+    def verify(self, engine, machine: int = 0) -> List[tuple]:
+        """Collect the post-run security checks of every fault that
+        fired on *machine*, whose engine is *engine*."""
         ctx = ChaosContext(engine)
         checks: List[tuple] = []
-        for fault in self.faults:
+        for fault in self._on(machine):
             if fault.fired:
                 checks.extend(fault.verify(ctx))
         return checks

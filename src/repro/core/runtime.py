@@ -64,7 +64,7 @@ from repro.osmodel.process import Process
 from repro.sgx.attestation import verify_local_report
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
-from repro.sim.pipeline import pipelined_time, pipelined_times
+from repro.sim.pipeline import pipelined_time
 
 HostBuffer = Union[bytes, bytearray, np.ndarray]
 
@@ -347,29 +347,24 @@ class SealedClient:
         bandwidths, latencies = (backend.h2d_stages(costs) if upload
                                  else backend.d2h_stages(costs))
         modeled = [costs.scaled(n) for n in sizes]
-        if len(modeled) == 1:
-            copies = [pipelined_time(modeled[0], bandwidths,
-                                     costs.pipeline_chunk_bytes,
-                                     stage_latencies=latencies)]
-        else:
-            copies = pipelined_times(modeled, bandwidths,
-                                     costs.pipeline_chunk_bytes,
-                                     stage_latencies=latencies)
         for _ in range(len(sizes) - paid):
             self._charge(backend.rpc_round_trip(costs), "ipc")
         overhead = backend.request_overhead(costs)
         crypto_latency, crypto_bandwidth = backend.device_crypto(costs)
-        for scaled, seconds in zip(modeled, copies):
+        for scaled in modeled:
+            seconds = pipelined_time(scaled, bandwidths,
+                                     costs.pipeline_chunk_bytes,
+                                     stage_latencies=latencies)
             crypto = crypto_latency + scaled / crypto_bandwidth
             self._charge(overhead, "ipc")
             # The device opens an upload after the copy and seals a
             # download before it.
             if upload:
-                self._charge(float(seconds), category)
+                self._charge(seconds, category)
                 self._charge(crypto, "crypto_gpu")
             else:
                 self._charge(crypto, "crypto_gpu")
-                self._charge(float(seconds), category)
+                self._charge(seconds, category)
 
     def cuMemcpyHtoD(self, dptr: DevPtr, data: HostBuffer) -> None:
         """Single-copy secure host-to-device transfer (Section 4.4.2/4.4.3).

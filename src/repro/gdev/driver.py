@@ -399,15 +399,19 @@ class GdevDriver:
             if not handle.param_va:
                 handle.param_va = self.malloc(handle, _PARAM_BUF_SIZE)
             param_va = handle.param_va
-        if via_mmio:
-            self.memcpy_h2d_mmio(handle, param_va, blob)
-        else:
-            self.memcpy_h2d(handle, param_va, blob)
-        if self._costs is not None:
-            self._charge(self._costs.kernel_launch_gdev, "launch")
-        self.channel.submit([encode_command(
-            CommandOpcode.LAUNCH, handle.ctx_id,
-            (module.gpu_va, module.nbytes, index, param_va, len(blob),
-             int(compute_seconds * 1e9)))])
-        if transient:
-            self.free(handle, param_va)
+        try:
+            if via_mmio:
+                self.memcpy_h2d_mmio(handle, param_va, blob)
+            else:
+                self.memcpy_h2d(handle, param_va, blob)
+            if self._costs is not None:
+                self._charge(self._costs.kernel_launch_gdev, "launch")
+            self.channel.submit([encode_command(
+                CommandOpcode.LAUNCH, handle.ctx_id,
+                (module.gpu_va, module.nbytes, index, param_va, len(blob),
+                 int(compute_seconds * 1e9)))])
+        finally:
+            # A launch that faults must not leak its transient buffer
+            # until the context is destroyed.
+            if transient:
+                self.free(handle, param_va)

@@ -399,8 +399,7 @@ class AlertManager:
                     if accum.max is not None:
                         hi = accum.max if hi is None \
                             else max(hi, accum.max)
-                    estimate = accum.quantile(
-                        sampler.buckets, objective.latency_quantile)
+                    estimate = accum.quantile(objective.latency_quantile)
                     if estimate is not None and (worst is None
                                                  or estimate > worst):
                         worst = estimate

@@ -20,9 +20,9 @@ its bookkeeping is insertion-ordered dicts keyed by window index, so a
 telemetry-enabled run is bit-identical in simulated time and reports to
 a disabled one (pinned by ``tests/property/test_prop_telemetry.py``).
 
-Windows are sparse: only touched windows allocate.  ``max_windows``
-bounds the ring — when set, windows older than the newest ``N`` are
-evicted on insertion, so a long-running series holds bounded state.
+Windows are sparse: only touched windows allocate.  Each observed
+window is a registry :class:`~repro.obs.metrics.Histogram` over the
+sampler's buckets.
 """
 
 from __future__ import annotations
@@ -33,45 +33,11 @@ from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     CallbackGauge,
     Counter,
+    Histogram,
     MetricsRegistry,
-    bucket_quantile,
 )
 
-__all__ = ["WindowAccum", "TimeSeriesSampler"]
-
-
-class WindowAccum:
-    """Per-window accumulator for one observed series: explicit-bucket
-    counts plus sum/count/min/max, same shape as a registry histogram
-    but scoped to a single window."""
-
-    __slots__ = ("counts", "sum", "count", "min", "max")
-
-    def __init__(self, n_buckets: int) -> None:
-        self.counts = [0] * (n_buckets + 1)  # + overflow
-        self.sum = 0.0
-        self.count = 0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, buckets: Sequence[float], value: float) -> None:
-        index = 0
-        for bound in buckets:
-            if value <= bound:
-                break
-            index += 1
-        self.counts[index] += 1
-        self.sum += value
-        self.count += 1
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    def quantile(self, buckets: Sequence[float], q: float
-                 ) -> Optional[float]:
-        return bucket_quantile(buckets, self.counts, q,
-                               lo=self.min, hi=self.max)
+__all__ = ["TimeSeriesSampler"]
 
 
 class TimeSeriesSampler:
@@ -86,18 +52,14 @@ class TimeSeriesSampler:
 
     def __init__(self, width: float = 1e-3,
                  registry: Optional[MetricsRegistry] = None,
-                 max_windows: Optional[int] = None,
                  buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> None:
         if width <= 0.0:
             raise ValueError("window width must be positive")
-        if max_windows is not None and max_windows < 1:
-            raise ValueError("max_windows must be >= 1 (or None)")
         self.width = width
         self.registry = registry
-        self.max_windows = max_windows
         self.buckets = tuple(buckets)
         self._marks: Dict[str, Dict[int, float]] = {}
-        self._observed: Dict[str, Dict[int, WindowAccum]] = {}
+        self._observed: Dict[str, Dict[int, Histogram]] = {}
         #: boundary index -> {counter name: cumulative value}; boundary
         #: *k* is the instant ``k * width``, closing window ``k - 1``.
         self._samples: Dict[int, Dict[str, float]] = {}
@@ -147,9 +109,6 @@ class TimeSeriesSampler:
             name: metric.value
             for name, metric in self.registry._metrics.items()
             if isinstance(metric, (Counter, CallbackGauge))}
-        if (self.max_windows is not None
-                and len(self._samples) > self.max_windows + 1):
-            self._samples.pop(next(iter(self._samples)))
 
     def finalize(self, end_time: Optional[float] = None) -> None:
         """Close the trailing partial window (captures a final counter
@@ -173,7 +132,6 @@ class TimeSeriesSampler:
             windows = self._marks[name] = {}
         index = int(time // self.width)
         windows[index] = windows.get(index, 0.0) + amount
-        self._evict(windows)
 
     def observe(self, name: str, time: float, value: float) -> None:
         """Record one *value* observation for *name* at *time*."""
@@ -181,15 +139,10 @@ class TimeSeriesSampler:
         if windows is None:
             windows = self._observed[name] = {}
         index = int(time // self.width)
-        accum = windows.get(index)
-        if accum is None:
-            accum = windows[index] = WindowAccum(len(self.buckets))
-        accum.observe(self.buckets, value)
-        self._evict(windows)
-
-    def _evict(self, windows: Dict[int, object]) -> None:
-        if self.max_windows is not None and len(windows) > self.max_windows:
-            windows.pop(min(windows))
+        histogram = windows.get(index)
+        if histogram is None:
+            histogram = windows[index] = Histogram(name, self.buckets)
+        histogram.observe(value)
 
     # -- reading -------------------------------------------------------------
 
@@ -224,19 +177,19 @@ class TimeSeriesSampler:
         return [(start, count / self.width)
                 for start, count in self.mark_series(name)]
 
-    def accum(self, name: str, index: int) -> Optional[WindowAccum]:
+    def accum(self, name: str, index: int) -> Optional[Histogram]:
         return self._observed.get(name, {}).get(index)
 
     def quantile(self, name: str, index: int, q: float) -> Optional[float]:
-        accum = self.accum(name, index)
-        return None if accum is None else accum.quantile(self.buckets, q)
+        histogram = self.accum(name, index)
+        return None if histogram is None else histogram.quantile(q)
 
     def quantile_series(self, name: str, q: float
                         ) -> List[Tuple[float, float]]:
         windows = self._observed.get(name, {})
         series = []
         for index in sorted(windows):
-            estimate = windows[index].quantile(self.buckets, q)
+            estimate = windows[index].quantile(q)
             if estimate is not None:
                 series.append((self.window_start(index), estimate))
         return series
@@ -270,8 +223,8 @@ class TimeSeriesSampler:
                 "sum": accum.sum,
                 "min": accum.min,
                 "max": accum.max,
-                "p50": accum.quantile(self.buckets, 0.50),
-                "p99": accum.quantile(self.buckets, 0.99),
+                "p50": accum.quantile(0.50),
+                "p99": accum.quantile(0.99),
             } for index, accum in sorted(windows.items())]
         return {
             "width": self.width,

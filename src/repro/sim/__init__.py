@@ -27,11 +27,7 @@ from repro.sim.engine import (
     WorkUnit,
     run_lanes,
 )
-from repro.sim.pipeline import (
-    pipelined_time,
-    pipelined_times,
-    serial_time,
-)
+from repro.sim.pipeline import pipelined_time, serial_time
 
 __all__ = [
     "SimClock",
@@ -46,6 +42,5 @@ __all__ = [
     "WorkUnit",
     "run_lanes",
     "pipelined_time",
-    "pipelined_times",
     "serial_time",
 ]

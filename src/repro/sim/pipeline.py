@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 
 def serial_time(nbytes: float, stage_bandwidths: Sequence[float],
                 stage_latencies: Sequence[float] = ()) -> float:
@@ -73,41 +71,3 @@ def pipelined_time(nbytes: float, stage_bandwidths: Sequence[float],
     # fixed-size in the real engine).
     return sum(stage_latencies) + fill + (num_chunks - 1) * bottleneck
 
-
-def pipelined_times(nbytes: Sequence[float],
-                    stage_bandwidths: Sequence[float],
-                    chunk_bytes: float,
-                    stage_latencies: Sequence[float] = ()) -> "np.ndarray":
-    """Vectorized :func:`pipelined_time` over an array of transfer sizes.
-
-    Elementwise **bit-identical** to calling the scalar closed form on
-    each size: every term is accumulated in the same float association
-    order (serial case: ``0 + n/b0 + n/b1 + ...``; multi-chunk case:
-    ``(setup + fill) + (n_chunks - 1) * bottleneck``), so the batched
-    sealed-memcpy path can charge many per-item transfers in one pass
-    without perturbing simulated time.
-    """
-    sizes = np.asarray(nbytes, dtype=np.float64)
-    if sizes.size and float(sizes.min()) < 0:
-        raise ValueError("nbytes must be non-negative")
-    if chunk_bytes <= 0:
-        raise ValueError("chunk_bytes must be positive")
-    setup = sum(stage_latencies)
-    if not stage_bandwidths:
-        return np.full(sizes.shape, setup, dtype=np.float64)
-    for bandwidth in stage_bandwidths:
-        if bandwidth <= 0:
-            raise ValueError("stage bandwidth must be positive")
-
-    full_chunks, tail = np.divmod(sizes, chunk_bytes)
-    num_chunks = full_chunks.astype(np.int64) + (tail != 0)
-    chunk_times = [chunk_bytes / bandwidth for bandwidth in stage_bandwidths]
-    bottleneck = max(chunk_times)
-    fill = sum(chunk_times)
-
-    serial = np.zeros_like(sizes)
-    for bandwidth in stage_bandwidths:
-        serial = serial + sizes / bandwidth
-    single = setup + serial
-    multi = (setup + fill) + (num_chunks - 1) * bottleneck
-    return np.where(num_chunks <= 1, single, multi)

@@ -19,6 +19,7 @@ from repro.chaos import (
 )
 from repro.chaos.campaign import CAMPAIGNS, get_campaign, run_campaign_obj
 from repro.chaos.workload import submit_victim_stream
+from repro.fleet import Fleet
 from repro.obs import metrics as obs_metrics
 from repro.serve import BreakerConfig, RetryPolicy, ServeEngine
 from repro.serve.queues import SERVED
@@ -49,7 +50,7 @@ class TestSessionKillRecovery:
         invalidations_before = engine.memo.stats()["invalidations"]
         fault = SessionKillFault(at=20.0e-3, tenant="victim0")
         injector = FaultInjector([fault])
-        injector.run(engine)
+        engine.run(kernel=injector.attach(engine))
         assert fault.fired
         victim = engine.clients[0]
         assert victim.session_epoch >= 1, "session must be re-established"
@@ -64,12 +65,53 @@ class TestSessionKillRecovery:
     def test_recovery_counters_published(self):
         obs_metrics.reset_registry()
         engine, plans = _engine()
-        FaultInjector([SessionKillFault(at=20.0e-3,
-                                        tenant="victim0")]).run(engine)
+        injector = FaultInjector([SessionKillFault(at=20.0e-3,
+                                                   tenant="victim0")])
+        engine.run(kernel=injector.attach(engine))
         snapshot = obs_metrics.registry().snapshot()
         assert snapshot.get("chaos.faults_injected") == 1
         assert snapshot.get("chaos.fault.session_kill") == 1
         assert snapshot.get("serve.retry.session_recoveries", 0) >= 1
+
+
+class TestFleetInjection:
+    def test_fault_fires_only_on_its_machine(self):
+        """One injector drives a two-machine fleet: a session kill
+        booked for machine 1 evicts the victim the router placed
+        there and leaves machine 0's isolation domain untouched."""
+        fleet = Fleet(machines=2, scheduler="fair", policy="least-loaded",
+                      machine_config=MachineConfig(data_inflation=64.0),
+                      max_tenants=2,
+                      retry_policy=RetryPolicy(max_attempts=5),
+                      breaker=BreakerConfig(window=8,
+                                            failure_threshold=0.8,
+                                            cooldown=1e-3),
+                      seed=0)
+        for index in range(4):
+            submit_victim_stream(fleet.add_session(f"victim{index}", QUOTA),
+                                 rounds=2, seed=0)
+        m0, m1 = fleet.machines
+        victim = m1.engine.clients[0]
+        assert fleet.router.machine_of(victim.name) == 1
+        fault = SessionKillFault(at=20.0e-3, tenant=victim.name, machine=1)
+        injector = FaultInjector([fault])
+        injector.run(fleet)
+        assert fault.fired
+        assert victim.session_epoch >= 1
+        assert all(client.session_epoch == 0
+                   for client in m0.engine.clients)
+        assert injector.verify(m0.engine, 0) == []
+        checks = injector.verify(m1.engine, 1)
+        assert checks and all(ok for _, _, ok, _ in checks)
+
+    def test_fault_on_missing_machine_rejected(self):
+        """A fault no machine would book must not leave the verdict
+        passing with nothing injected."""
+        fleet = Fleet(machines=1,
+                      machine_config=MachineConfig(data_inflation=64.0))
+        injector = FaultInjector([GpuResetFault(at=20.5e-3, machine=1)])
+        with pytest.raises(ValueError, match="machine"):
+            injector.run(fleet)
 
 
 class TestGpuResetRecovery:
@@ -77,7 +119,7 @@ class TestGpuResetRecovery:
         engine, plans = _engine()
         dead_service = engine.service
         fault = GpuResetFault(at=20.5e-3)
-        FaultInjector([fault]).run(engine)
+        engine.run(kernel=FaultInjector([fault]).attach(engine))
         assert fault.fired
         assert engine.service is not dead_service, \
             "the GPU enclave service must have been re-booted"
@@ -93,7 +135,7 @@ class TestGpuResetRecovery:
         session epoch."""
         campaign = replace(
             CAMPAIGNS["storm"], name="storm-reset",
-            faults_factory=lambda victims: [GpuResetFault(at=20.5e-3)])
+            faults_factory=lambda fleet, shift: [GpuResetFault(at=20.5e-3)])
         result = run_campaign_obj(campaign, seed=0)
         assert result.ok
         surf = result.abuse_plans[0].submitted

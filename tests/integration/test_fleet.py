@@ -217,8 +217,8 @@ class TestFleetChaos:
         assert "dma_redirect.trap_ciphertext_only" in names
 
     def test_campaign_catalog_lists_fleet(self):
-        from repro.chaos import FLEET_CAMPAIGN, campaign_catalog
-        assert FLEET_CAMPAIGN in campaign_catalog()
+        from repro.chaos import campaign_catalog
+        assert "fleet-migration" in campaign_catalog()
 
 
 class TestFleetCli:

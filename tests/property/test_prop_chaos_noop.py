@@ -1,11 +1,12 @@
 """Property pin: an idle chaos harness is bit-for-bit invisible.
 
-``FaultInjector([]).run(engine)`` must produce exactly the report a
-plain ``engine.run()`` produces — same makespan, same context switches,
-same per-tenant metrics, same per-request outcomes and measured splits.
-The injector builds the run's event clock itself, and the resilience
-knobs (retry policy, circuit breaker) only act on failures, so with
-zero faults scheduled nothing may perturb event ordering or timing.
+``engine.run(kernel=FaultInjector([]).attach(engine))`` must produce
+exactly the report a plain ``engine.run()`` produces — same makespan,
+same context switches, same per-tenant metrics, same per-request
+outcomes and measured splits.  The injector builds the run's event
+clock itself, and the resilience knobs (retry policy, circuit breaker)
+only act on failures, so with zero faults scheduled nothing may
+perturb event ordering or timing.
 
 This is the structural guarantee that lets campaigns compare their
 chaos run against a faultless baseline built through the same engine
@@ -69,7 +70,7 @@ def _run(workload, users, scheduler, inflation, chaos: bool):
         submit_workload(client, workload, inflation, machine.costs,
                         seed=index)
     if chaos:
-        report = FaultInjector([]).run(engine)
+        report = engine.run(kernel=FaultInjector([]).attach(engine))
     else:
         report = engine.run()
     return report, engine.clients

@@ -79,6 +79,35 @@ class TestSharedMemoryTampering:
             service.poll = original_poll
         assert ctx.live_vas == live
 
+    def test_faulted_launch_frees_its_parameter_buffer(self, hix):
+        """Regression: a 300-item upload's scatter kernel packs more
+        than 4 KiB of parameters into a transient buffer; a launch that
+        faults on a tampered frame still frees it."""
+        machine, service, app = hix
+        adversary = machine.adversary()
+        bufs = [app.cuMemAlloc(64) for _ in range(300)]
+        items = [(buf, b"\x42" * 64) for buf in bufs]
+        app.cuMemcpyHtoDBatch(items)
+        ctx = service.sessions[app._end.session_id].ctx  # noqa: SLF001
+        live = dict(ctx.live_vas)
+        original_poll = service.poll
+
+        def corrupting_poll(channel_end):
+            # One bulk-area bit, after sealing and before the DMA.
+            bit = channel_end.region.paddr + BULK_OFFSET + HEADER_LEN + 100
+            byte = adversary.read_physical(bit, 1)[0]
+            adversary.write_physical(bit, bytes([byte ^ 0x01]))
+            return original_poll(channel_end)
+
+        service.poll = corrupting_poll
+        try:
+            for _ in range(3):
+                with pytest.raises((DriverError, IntegrityError)):
+                    app.cuMemcpyHtoDBatch(items)
+        finally:
+            service.poll = original_poll
+        assert ctx.live_vas == live
+
     def test_corrupted_reply_detected_by_user(self, hix):
         machine, service, app = hix
         end = app._end  # noqa: SLF001

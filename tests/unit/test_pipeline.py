@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.pipeline import (
-    pipelined_time,
-    pipelined_times,
-    serial_time,
-)
+from repro.sim.pipeline import pipelined_time, serial_time
 
 MB = float(1 << 20)
 GB = float(1 << 30)
@@ -160,35 +156,3 @@ def test_effective_bandwidth_bounded_by_bottleneck():
     assert bandwidth <= min(stages)
     assert bandwidth >= 0.8 * min(stages)
 
-
-class TestPipelinedTimesVectorized:
-    def test_matches_scalar_on_representative_sizes(self):
-        stages = [1.9 * GB, 6.0 * GB]
-        sizes = [0.0, 1.0, MB / 3, MB, 2 * MB, 2 * MB + 1, 2.5 * MB,
-                 64 * MB, 256 * MB + 17]
-        vector = pipelined_times(sizes, stages, MB, [1e-6, 2e-6])
-        for size, got in zip(sizes, vector):
-            assert got == pipelined_time(size, stages, MB, [1e-6, 2e-6])
-
-    @given(
-        sizes_mb=st.lists(st.floats(min_value=0.0, max_value=512.0),
-                          min_size=1, max_size=16),
-        chunk_mb=st.floats(min_value=0.25, max_value=16.0),
-        bandwidths=st.lists(
-            st.floats(min_value=0.05 * GB, max_value=32 * GB),
-            min_size=1, max_size=4),
-    )
-    def test_bit_identical_to_scalar(self, sizes_mb, chunk_mb, bandwidths):
-        """The vectorized evaluator IS the closed form, element by element."""
-        sizes = [mb * MB for mb in sizes_mb]
-        vector = pipelined_times(sizes, bandwidths, chunk_mb * MB)
-        for size, got in zip(sizes, vector):
-            assert got == pipelined_time(size, bandwidths, chunk_mb * MB)
-
-    def test_empty_stage_list(self):
-        vector = pipelined_times([MB, 2 * MB], [], MB, [0.5])
-        assert list(vector) == [0.5, 0.5]
-
-    def test_rejects_negative_sizes(self):
-        with pytest.raises(ValueError):
-            pipelined_times([MB, -1.0], [GB], MB)

@@ -83,12 +83,6 @@ class TestTimeSeriesSampler:
         sampler.detach()
         assert clock._listeners == []
 
-    def test_max_windows_evicts_oldest(self):
-        sampler = TimeSeriesSampler(width=1e-3, max_windows=2)
-        for index in range(5):
-            sampler.mark("m", index * 1e-3)
-        assert sorted(sampler._marks["m"]) == [3, 4]
-
     def test_listener_never_schedules(self):
         """The sampler must not perturb the clock it observes: after
         attach, advancing charges leaves simulated time exactly what
@@ -111,8 +105,6 @@ class TestTimeSeriesSampler:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             TimeSeriesSampler(width=0.0)
-        with pytest.raises(ValueError):
-            TimeSeriesSampler(max_windows=0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ trust boundary onto the die:
 * **Key exchange** — a two-party DH between the user and the device.
   The untrusted driver relays both legs but never sees key material:
   in CC mode the device's KEY_EXCHANGE reply carries only its public
-  value (the ``A^g`` half that would let a relay derive the key is
+  value (the ``[g]A`` half that would let a relay derive the key is
   suppressed — see :meth:`repro.gpu.device.SimGpu._key_exchange`).
 * **Sealed path** — bulk data crosses the host as ciphertext through an
   unprotected *bounce buffer* the driver DMAs from; the on-die AEAD
@@ -221,8 +221,8 @@ class GpuCcService(SealedService):
 
         ctx = self.driver.create_context(end.user_process)
         # Two-party DH: both blob slots carry the user's A, so the device
-        # derives K = KDF(A^g).  In CC mode its reply holds only C = g^g
-        # (the A^g half is suppressed on-die), so this relay learns
+        # derives K = KDF([g]A).  In CC mode its reply holds only C = [g]9
+        # (the [g]A half is suppressed on-die), so this relay learns
         # nothing it can derive the key from.  No trusted aperture exists
         # under the firewall: the reply comes back by DMA (public data).
         reply_raw = self._device_key_exchange(

@@ -161,10 +161,10 @@ class GpuEnclaveService(SealedService):
         b_value = dh_e.raise_value(a_value)
         reply_raw = self._device_key_exchange(
             ctx, int_to_dh_bytes(a_value) + int_to_dh_bytes(b_value))
-        c_value = dh_bytes_to_int(reply_raw[:256])    # g^g
-        d_value = dh_bytes_to_int(reply_raw[256:])    # g^(ug)
+        c_value = dh_bytes_to_int(reply_raw[:256])    # [g]9
+        d_value = dh_bytes_to_int(reply_raw[256:])    # [ug]9
         session_key = derive_key(dh_e.raise_value(d_value))
-        e_value = dh_e.raise_value(c_value)           # g^(ge), for the user
+        e_value = dh_e.raise_value(c_value)           # [ge]9, for the user
 
         crypto = build_session_crypto(session_key, self._suite_name)
         crypto_module = self.driver.load_module(

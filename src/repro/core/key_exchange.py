@@ -7,17 +7,24 @@ Diffie-Hellman key exchange protocol.  As the Diffie-Hellman key
 exchange can be done among multiple parties, the GPU also participates
 in this key setup procedure and generates a shared symmetric key."
 
-Roles and values (generator g, private exponents u/e/g for user enclave,
-GPU enclave, GPU):
+The exchange runs on X25519 (RFC 7748, :mod:`repro.crypto.dh`).  Write
+[k]P for X25519(k, P), the multiplication of the u-coordinate P by the
+scalar k; it chains like exponentiation, [e]([u]9) = [ue]9.  Roles and
+values (base point 9, scalars u/e/g for user enclave, GPU enclave, GPU):
 
-1. user:        A = g^u                        -> GPU enclave (attested)
-2. GPU enclave: B = A^e = g^(ue), forwards (A, B) to the GPU over the
+1. user:        A = [u]9                       -> GPU enclave (attested)
+2. GPU enclave: B = [e]A = [ue]9, forwards (A, B) to the GPU over the
    trusted MMIO command path.
-3. GPU:         session key K = KDF(B^g = g^(ueg)); replies C = g^g and
-   D = A^g = g^(ug) through device memory.
-4. GPU enclave: K = KDF(D^e); sends E = C^e = g^(ge) to the user
+3. GPU:         session key K = KDF([g]B = [ueg]9); replies C = [g]9 and
+   D = [g]A = [ug]9 through device memory.
+4. GPU enclave: K = KDF([e]D); sends E = [e]C = [ge]9 to the user
    (attested).
-5. user:        K = KDF(E^u).
+5. user:        K = KDF([u]E).
+
+The GPU draws a fresh scalar for every exchange
+(:meth:`repro.gpu.device.SimGpu._device_dh`), so a tenant that
+re-attests never gets a key it held before.  Each u-coordinate travels
+as a 256-byte big-endian field (:func:`int_to_dh_bytes`).
 
 All three parties then expand K into the same request/reply/bulk
 subkeys, nonce channels and replay guards

@@ -14,7 +14,7 @@ This package implements all of that from scratch:
   two interchangeable engines: the reference OCB-AES suite and a fast
   hashlib-based suite (SHAKE-256 keystream + keyed BLAKE2 tag) for bulk
   simulation runs.  Timing is charged by the cost model either way.
-* :mod:`repro.crypto.dh` — finite-field Diffie-Hellman (RFC 3526 group).
+* :mod:`repro.crypto.dh` — X25519 Diffie-Hellman (RFC 7748).
 * :mod:`repro.crypto.nonce` — incrementing nonces and replay windows.
 * :mod:`repro.crypto.kdf` — HKDF-SHA256 key derivation and MAC helpers.
 * :mod:`repro.crypto.session` — one party's session state (subkeys,
@@ -23,7 +23,7 @@ This package implements all of that from scratch:
 """
 
 from repro.crypto.aes import AES128
-from repro.crypto.dh import DiffieHellman, MODP_2048
+from repro.crypto.dh import DiffieHellman
 from repro.crypto.kdf import hkdf_sha256, hmac_sha256
 from repro.crypto.nonce import NonceSequence, ReplayGuard
 from repro.crypto.ocb import OCB_AES128, ocb_decrypt, ocb_encrypt
@@ -39,7 +39,6 @@ __all__ = [
     "FastAuthSuite",
     "make_suite",
     "DiffieHellman",
-    "MODP_2048",
     "NonceSequence",
     "ReplayGuard",
     "hkdf_sha256",

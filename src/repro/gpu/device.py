@@ -36,7 +36,7 @@ from repro.gpu.commands import Command, CommandOpcode, decode_commands
 from repro.gpu.context import GpuContext
 from repro.gpu.kernels import KernelRegistry, global_registry
 from repro.gpu.module import CubinImage, unpack_params
-from repro.hw.phys_mem import PhysicalMemory
+from repro.hw.phys_mem import PhysicalMemory, byte_view
 from repro.pcie.config_space import Bar, CLASS_DISPLAY_VGA
 from repro.pcie.device import Bdf, PcieFunction
 
@@ -73,7 +73,7 @@ class SimGpu(PcieFunction):
         # software, privileged or not, can only move data via DMA of
         # sealed blobs.  Sticky across REG_RESET: CC mode survives a
         # device reset, like the mode bit on real parts, and is only
-        # dropped by a machine cold boot building a fresh device.
+        # dropped by a machine cold boot (:meth:`Machine.cold_boot`).
         self.cc_mode = False
 
         self.contexts: Dict[int, GpuContext] = {}
@@ -84,6 +84,9 @@ class SimGpu(PcieFunction):
         self._faults: List[str] = []
         self.reset_count = 0
         self.context_switches = 0
+        #: KEY_EXCHANGE commands run over the device's life; neither a
+        #: reset nor a cold boot clears it (see :meth:`_device_dh`).
+        self.key_exchanges = 0
 
     # -- wiring -----------------------------------------------------------------
 
@@ -276,9 +279,7 @@ class SimGpu(PcieFunction):
                          in ctx.page_table.translate_range(gpu_va, nbytes)])
 
     def write_ctx(self, ctx: GpuContext, gpu_va: int, data) -> None:
-        view = memoryview(data)
-        if view.ndim != 1 or view.format not in ("B", "b", "c"):
-            view = view.cast("B")
+        view = byte_view(data)
         offset = 0
         for vram_pa, chunk in ctx.page_table.translate_range(gpu_va,
                                                              view.nbytes):
@@ -338,15 +339,28 @@ class SimGpu(PcieFunction):
             raise DriverError("GPU copy engine not connected to host DMA")
         return self._dma
 
+    def _vram_views(self, ctx: GpuContext, gpu_va: int, nbytes: int,
+                    writable: bool = False) -> List[memoryview]:
+        """Views of a context range in VRAM, run by run.  The whole range
+        translates first, so a device page fault moves no byte."""
+        views = self.vram.views
+        return [view for vram_pa, chunk
+                in ctx.page_table.translate_range(gpu_va, nbytes)
+                for view in views(vram_pa, chunk, writable)]
+
+    # Each hop copies host pieces straight into VRAM runs and back: no
+    # payload-sized staging buffer between the two memories.
+
     def _dma_h2d(self, ctx: GpuContext, host_addr: int, gpu_va: int,
                  nbytes: int) -> None:
-        data = self._require_dma().read_host(str(self.bdf), host_addr, nbytes)
-        self.write_ctx(ctx, gpu_va, data)
+        self._require_dma().read_host(
+            str(self.bdf), host_addr, nbytes,
+            into=self._vram_views(ctx, gpu_va, nbytes, writable=True))
 
     def _dma_d2h(self, ctx: GpuContext, gpu_va: int, host_addr: int,
                  nbytes: int) -> None:
-        data = self.read_ctx(ctx, gpu_va, nbytes)
-        self._require_dma().write_host(str(self.bdf), host_addr, data)
+        self._require_dma().write_host(
+            str(self.bdf), host_addr, self._vram_views(ctx, gpu_va, nbytes))
 
     # -- kernel launch -------------------------------------------------------------------
 
@@ -373,21 +387,32 @@ class SimGpu(PcieFunction):
     # -- session keys (the GPU's role in the DH exchange, Section 4.4.1) ------------------
 
     def _device_dh(self, ctx_id: int) -> DiffieHellman:
-        return DiffieHellman(seed=self._device_secret + ctx_id.to_bytes(4, "big"))
+        """The device's party for one exchange, fresh every time.
+
+        Context ids repeat: a reset or cold boot restarts them, and
+        under GPU-CC the untrusted driver picks them.  The seed also
+        mixes in :attr:`key_exchanges`, which survives both, so a tenant
+        that re-attests after a power cycle gets a new key rather than
+        its old one with every nonce counter and replay guard at zero.
+        """
+        self.key_exchanges += 1
+        return DiffieHellman(seed=self._device_secret
+                             + ctx_id.to_bytes(4, "big")
+                             + self.key_exchanges.to_bytes(8, "big"))
 
     def _key_exchange(self, ctx: GpuContext, resp_va: int, blob: bytes) -> None:
-        """Blob: 256-byte A = g^u || 256-byte B = g^(ue).
+        """Blob: 256-byte A = [u]9 || 256-byte B = [ue]9.
 
-        The GPU derives the session key from B^g, expands it into the
-        context's session, and replies (written to *resp_va* in device
-        memory) with C = g^g || A^g, from which the GPU enclave and user
-        enclave complete their copies of g^(uge).
+        Values are X25519 u-coordinates in 256-byte big-endian fields;
+        [k]P is the scalar multiplication X25519(k, P).  The GPU derives
+        the session key from [g]B, expands it into the context's
+        session, and replies (written to *resp_va* in device memory)
+        with C = [g]9 || [g]A, from which the GPU enclave and user
+        enclave complete their copies of [uge]9.
 
-        A context's session is set once.  Under GPU-CC the untrusted
+        A context's session is set once: under GPU-CC the untrusted
         driver (or the OS, through BAR0) could otherwise replay the
-        plaintext hello's A: the device's DH value is fixed per context,
-        so the re-run would derive the same key with every nonce counter
-        and replay guard back at zero.
+        plaintext hello's A on a live context and swap its session.
         """
         if ctx.crypto is not None:
             raise ProtocolError(
@@ -400,7 +425,7 @@ class SimGpu(PcieFunction):
         session_key = dh.shared_secret(b_value)[:16]
         if self.cc_mode:
             # Two-party exchange (GPU-CC): the reply carries only the
-            # device's public value C = g^g.  The A^g half would let the
+            # device's public value C = [g]9.  The [g]A half would let the
             # untrusted driver that relays the reply derive the session
             # key, so the engine never emits it in CC mode.
             reply = dh.public_value.to_bytes(256, "big") + bytes(256)

@@ -36,6 +36,14 @@ _ZERO_EXTENT = bytes(_EXTENT_SIZE)
 Buffer = Union[bytes, bytearray, memoryview]
 
 
+def byte_view(data: Buffer) -> memoryview:
+    """A flat byte view of any buffer-protocol object (no copy)."""
+    view = memoryview(data)
+    if view.ndim != 1 or view.format not in ("B", "b", "c"):
+        view = view.cast("B")
+    return view
+
+
 class PhysicalMemory:
     """Lazily-populated DRAM of a fixed size."""
 
@@ -86,16 +94,25 @@ class PhysicalMemory:
     def read_into(self, paddr: int, buf: Buffer) -> None:
         """Read ``len(buf)`` bytes at *paddr* directly into *buf* (zero-copy)."""
         view = memoryview(buf)
-        self._check(paddr, view.nbytes)
-        pos = 0
-        for piece in self._pieces(paddr, view.nbytes):
-            view[pos:pos + len(piece)] = piece
-            pos += len(piece)
-        self.zero_copy_bytes += view.nbytes
+        nbytes = view.nbytes
+        self._check(paddr, nbytes)
+        index, offset = divmod(paddr, _EXTENT_SIZE)
+        if offset + nbytes <= _EXTENT_SIZE:
+            extent = self._extents.get(index)
+            src = _ZERO_EXTENT if extent is None else extent
+            view[:] = memoryview(src)[offset:offset + nbytes]
+        else:
+            pos = 0
+            for piece in self._pieces(paddr, nbytes):
+                view[pos:pos + len(piece)] = piece
+                pos += len(piece)
+        self.zero_copy_bytes += nbytes
 
-    def _pieces(self, paddr: int, length: int) -> Iterator[memoryview]:
-        """Views of [paddr, paddr+length), extent by extent; unwritten
-        ranges are views of the shared zero extent."""
+    def _pieces(self, paddr: int, length: int,
+                writable: bool = False) -> Iterator[memoryview]:
+        """Views of [paddr, paddr+length), extent by extent.  Unwritten
+        ranges are views of the shared zero extent, unless *writable*
+        asks for their extents to be materialized."""
         addr = paddr
         remaining = length
         while remaining:
@@ -103,29 +120,33 @@ class PhysicalMemory:
             chunk = _EXTENT_SIZE - offset
             if chunk > remaining:
                 chunk = remaining
-            extent = self._extents.get(index)
-            src = _ZERO_EXTENT if extent is None else extent
+            if writable:
+                src = self._extent(index)
+            else:
+                extent = self._extents.get(index)
+                src = _ZERO_EXTENT if extent is None else extent
             yield memoryview(src)[offset:offset + chunk]
             addr += chunk
             remaining -= chunk
 
-    def views(self, paddr: int, length: int) -> Iterator[memoryview]:
-        """Yield read-only views covering [paddr, paddr+length), extent by extent.
+    def views(self, paddr: int, length: int,
+              writable: bool = False) -> Iterator[memoryview]:
+        """Yield views covering [paddr, paddr+length), extent by extent.
 
-        Never materializes absent extents: unwritten ranges are served
-        from a shared zero extent.  The views alias live memory — consume
-        them before the next write to the range.
+        Read-only views never materialize absent extents: unwritten
+        ranges are served from a shared zero extent.  *writable* views
+        materialize them, and filling the views writes the range in
+        place.  The views alias live memory — consume them before the
+        next write to the range.
         """
         self._check(paddr, length)
-        for piece in self._pieces(paddr, length):
+        for piece in self._pieces(paddr, length, writable):
             self.zero_copy_bytes += len(piece)
-            yield piece.toreadonly()
+            yield piece if writable else piece.toreadonly()
 
     def write(self, paddr: int, data: Buffer) -> None:
         """Write *data* (any buffer-protocol object) starting at *paddr*."""
-        view = memoryview(data)
-        if view.ndim != 1 or view.format not in ("B", "b", "c"):
-            view = view.cast("B")
+        view = byte_view(data)
         self._check(paddr, view.nbytes)
         index, offset = divmod(paddr, _EXTENT_SIZE)
         if offset + view.nbytes <= _EXTENT_SIZE:

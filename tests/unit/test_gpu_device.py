@@ -1,5 +1,6 @@
 """Unit tests for the simulated GPU device itself."""
 
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,14 @@ from repro.gpu.context import GpuPageTable
 from repro.gpu.device import DEVICE_GTX580, SimGpu
 from repro.gpu.module import CubinImage, DevPtr, pack_params
 from repro.errors import PageFault
+from repro.hw.address_map import AddressMap
+from repro.hw.dma import DmaEngine
+from repro.hw.iommu import Iommu
+from repro.hw.phys_mem import PhysicalMemory
 from repro.pcie.device import Bdf
 
 VRAM = 16 << 20
+BDF = "01:00.0"
 
 
 @pytest.fixture
@@ -124,6 +130,94 @@ class TestDeviceBasics:
         status = int.from_bytes(gpu.bar_read(0, regs.REG_STATUS, 4), "little")
         assert status & 2
         assert "no GPU context" in gpu.pop_fault()
+
+
+class TestCopyEngine:
+    """MEMCPY_H2D/D2H copy between IOMMU pieces and VRAM runs directly."""
+
+    HOST = 64 << 20
+
+    @pytest.fixture
+    def wired(self, gpu):
+        host = PhysicalMemory(self.HOST)
+        amap = AddressMap()
+        amap.add_window("dram", 0, host.size, host.read, host.write,
+                        read_into=host.read_into)
+        iommu = Iommu()
+        dma = DmaEngine(amap, iommu)
+        gpu.connect_dma(dma)
+        return gpu, host, iommu, dma
+
+    @staticmethod
+    def _scatter(gpu, iommu, nbytes):
+        """Context 1 at GPU va 0x100000 over two distant VRAM runs; host
+        io address 0 over two distant DRAM runs, split elsewhere."""
+        half = nbytes // 2
+        _exec(gpu,
+              encode_command(CommandOpcode.CTX_CREATE, 1),
+              encode_command(CommandOpcode.MAP, 1, (0x100000, 0x40000, half)),
+              encode_command(CommandOpcode.MAP, 1,
+                             (0x100000 + half, 0x800000, nbytes - half)))
+        iommu.enable()
+        split = half + 3 * 4096
+        for io_addr in range(0, nbytes, 4096):
+            base, offset = (8 << 20, 0) if io_addr < split else (32 << 20, split)
+            iommu.map(BDF, io_addr, base + io_addr - offset)
+        return gpu.contexts[1]
+
+    def test_round_trip_across_scattered_runs(self, wired):
+        gpu, host, iommu, dma = wired
+        nbytes = 256 << 10
+        ctx = self._scatter(gpu, iommu, nbytes)
+        payload = bytes(range(256)) * (nbytes // 256)
+        host.write(8 << 20, payload[:nbytes // 2 + 3 * 4096])
+        host.write(32 << 20, payload[nbytes // 2 + 3 * 4096:])
+        _exec(gpu, encode_command(CommandOpcode.MEMCPY_H2D, 1,
+                                  (0, 0x100000, nbytes)))
+        assert gpu.read_ctx(ctx, 0x100000, nbytes) == payload
+        assert gpu.vram.read(0x800000, 16) == payload[nbytes // 2:][:16]
+        _exec(gpu, encode_command(CommandOpcode.MEMCPY_D2H, 1,
+                                  (0x100000 + 8, 0x1000, nbytes - 8)))
+        assert dma.read_host(BDF, 0x1000, nbytes - 8) == payload[8:]
+        assert dma.bytes_read == nbytes + nbytes - 8
+        assert dma.bytes_written == nbytes - 8
+
+    def test_unmapped_device_range_moves_and_counts_nothing(self, wired):
+        """The device range translates in full before any byte moves, so
+        an unmapped page in it lands and counts nothing."""
+        gpu, host, iommu, dma = wired
+        _exec(gpu,
+              encode_command(CommandOpcode.CTX_CREATE, 1),
+              encode_command(CommandOpcode.MAP, 1, (0x100000, 0x40000, 4096)))
+        host.write(0, b"\xAB" * 8192)
+        batch = encode_command(CommandOpcode.MEMCPY_H2D, 1,
+                               (0, 0x100000, 8192))
+        gpu._fifo[:len(batch)] = batch  # noqa: SLF001
+        gpu._execute_batch(len(batch))  # noqa: SLF001
+        assert "unmapped" in gpu.pop_fault()
+        assert gpu.vram.read(0x40000, 4096) == bytes(4096)
+        assert dma.bytes_read == 0
+
+    @pytest.mark.parametrize("opcode", ["h2d", "d2h"])
+    def test_hop_allocates_no_payload_sized_buffer(self, wired, opcode):
+        gpu, host, iommu, dma = wired
+        nbytes = 1 << 20
+        self._scatter(gpu, iommu, nbytes)
+        host.write(8 << 20, b"\x11" * nbytes)
+        host.write(32 << 20, b"\x11" * nbytes)
+        command = (encode_command(CommandOpcode.MEMCPY_H2D, 1,
+                                  (0, 0x100000, nbytes))
+                   if opcode == "h2d" else
+                   encode_command(CommandOpcode.MEMCPY_D2H, 1,
+                                  (0x100000, 0, nbytes)))
+        _exec(gpu, command)  # first run materializes the destination
+        tracemalloc.start()
+        try:
+            _exec(gpu, command)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes // 4
 
 
 class TestKernelLaunch:

@@ -16,9 +16,10 @@ and c.  Scalars come from a deterministic seed when one is provided,
 which keeps the simulation reproducible, or from ``secrets`` otherwise.
 
 X25519 has two interchangeable engines, as the AEAD suites do:
-``cryptography``'s when it is importable, otherwise the pure-Python
-Montgomery ladder of RFC 7748 (:func:`x25519`).  Both return the same
-values; ``REPRO_NO_HW_DH=1`` forces the ladder.
+``cryptography``'s (version 40 or later) when it is importable,
+otherwise the pure-Python Montgomery ladder of RFC 7748
+(:func:`x25519`).  Both return the same values; ``REPRO_NO_HW_DH=1``
+forces the ladder.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ try:  # pragma: no cover - depends on environment
         X25519PrivateKey as _X25519PrivateKey,
         X25519PublicKey as _X25519PublicKey,
     )
+    if not hasattr(_X25519PublicKey, "public_bytes_raw"):  # before 40.0
+        raise ImportError("cryptography's X25519 lacks public_bytes_raw")
 except ImportError:  # pragma: no cover - depends on environment
     _X25519PrivateKey = _X25519PublicKey = None
 

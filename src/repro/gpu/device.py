@@ -36,7 +36,7 @@ from repro.gpu.commands import Command, CommandOpcode, decode_commands
 from repro.gpu.context import GpuContext
 from repro.gpu.kernels import KernelRegistry, global_registry
 from repro.gpu.module import CubinImage, unpack_params
-from repro.hw.phys_mem import PhysicalMemory, byte_view
+from repro.hw.phys_mem import PhysicalMemory
 from repro.pcie.config_space import Bar, CLASS_DISPLAY_VGA
 from repro.pcie.device import Bdf, PcieFunction
 
@@ -279,7 +279,9 @@ class SimGpu(PcieFunction):
                          in ctx.page_table.translate_range(gpu_va, nbytes)])
 
     def write_ctx(self, ctx: GpuContext, gpu_va: int, data) -> None:
-        view = byte_view(data)
+        view = memoryview(data)
+        if view.ndim != 1 or view.format not in ("B", "b", "c"):
+            view = view.cast("B")
         offset = 0
         for vram_pa, chunk in ctx.page_table.translate_range(gpu_va,
                                                              view.nbytes):
@@ -339,28 +341,15 @@ class SimGpu(PcieFunction):
             raise DriverError("GPU copy engine not connected to host DMA")
         return self._dma
 
-    def _vram_views(self, ctx: GpuContext, gpu_va: int, nbytes: int,
-                    writable: bool = False) -> List[memoryview]:
-        """Views of a context range in VRAM, run by run.  The whole range
-        translates first, so a device page fault moves no byte."""
-        views = self.vram.views
-        return [view for vram_pa, chunk
-                in ctx.page_table.translate_range(gpu_va, nbytes)
-                for view in views(vram_pa, chunk, writable)]
-
-    # Each hop copies host pieces straight into VRAM runs and back: no
-    # payload-sized staging buffer between the two memories.
-
     def _dma_h2d(self, ctx: GpuContext, host_addr: int, gpu_va: int,
                  nbytes: int) -> None:
-        self._require_dma().read_host(
-            str(self.bdf), host_addr, nbytes,
-            into=self._vram_views(ctx, gpu_va, nbytes, writable=True))
+        data = self._require_dma().read_host(str(self.bdf), host_addr, nbytes)
+        self.write_ctx(ctx, gpu_va, data)
 
     def _dma_d2h(self, ctx: GpuContext, gpu_va: int, host_addr: int,
                  nbytes: int) -> None:
-        self._require_dma().write_host(
-            str(self.bdf), host_addr, self._vram_views(ctx, gpu_va, nbytes))
+        data = self.read_ctx(ctx, gpu_va, nbytes)
+        self._require_dma().write_host(str(self.bdf), host_addr, data)
 
     # -- kernel launch -------------------------------------------------------------------
 
@@ -386,18 +375,15 @@ class SimGpu(PcieFunction):
 
     # -- session keys (the GPU's role in the DH exchange, Section 4.4.1) ------------------
 
-    def _device_dh(self, ctx_id: int) -> DiffieHellman:
+    def _device_dh(self) -> DiffieHellman:
         """The device's party for one exchange, fresh every time.
 
-        Context ids repeat: a reset or cold boot restarts them, and
-        under GPU-CC the untrusted driver picks them.  The seed also
-        mixes in :attr:`key_exchanges`, which survives both, so a tenant
-        that re-attests after a power cycle gets a new key rather than
-        its old one with every nonce counter and replay guard at zero.
+        The seed counts :attr:`key_exchanges`, which neither a reset nor
+        a cold boot clears, so a tenant that re-attests after a power
+        cycle never gets back a key it held before.
         """
         self.key_exchanges += 1
         return DiffieHellman(seed=self._device_secret
-                             + ctx_id.to_bytes(4, "big")
                              + self.key_exchanges.to_bytes(8, "big"))
 
     def _key_exchange(self, ctx: GpuContext, resp_va: int, blob: bytes) -> None:
@@ -421,7 +407,7 @@ class SimGpu(PcieFunction):
             raise ProtocolError("KEY_EXCHANGE blob must be 512 bytes")
         a_value = int.from_bytes(blob[:256], "big")
         b_value = int.from_bytes(blob[256:], "big")
-        dh = self._device_dh(ctx.ctx_id)
+        dh = self._device_dh()
         session_key = dh.shared_secret(b_value)[:16]
         if self.cc_mode:
             # Two-party exchange (GPU-CC): the reply carries only the

@@ -7,23 +7,18 @@ map, so an adversary-controlled IOMMU mapping really does redirect the
 bytes — which is the point: HIX's defence is the authenticated
 encryption layered on top, not this path.
 
-Fast path: scatter-gather pieces from the IOMMU are coalesced runs, and
-a transfer between host memory and a device's memory copies each piece
-straight between the two (:meth:`DmaEngine.read_host` ``into=``,
-:meth:`DmaEngine.write_host` with a list of byte views), with no staging
-buffer in between.  The IOMMU translates the whole range before the
-first byte moves.  Byte counters account each successfully-moved chunk
-individually so an adversary-induced fault mid-transfer never inflates
-the statistics past the bytes actually moved.
+Fast path: scatter-gather pieces from the IOMMU are coalesced runs, the
+destination buffer is preallocated once, and host memory fills it in
+place (no per-page ``bytearray +=`` assembly).  Byte counters account
+each successfully-moved chunk individually so an adversary-induced fault
+mid-transfer never inflates the statistics past the bytes actually
+moved.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
 from repro.hw.address_map import AddressMap
 from repro.hw.iommu import Iommu
-from repro.hw.phys_mem import byte_view
 from repro.obs.tracer import STATE as _OBS
 
 
@@ -36,76 +31,46 @@ class DmaEngine:
         self.bytes_read = 0
         self.bytes_written = 0
 
-    def read_host(self, bdf: str, io_addr: int, length: int,
-                  into: Optional[List[memoryview]] = None
-                  ) -> Optional[bytes]:
-        """Device-initiated read of host memory (DMA read).
-
-        Returns the bytes; or, given *into* (writable byte views that
-        hold *length* bytes back to back, such as a device's memory
-        runs), copies them straight into those and returns ``None``.
-        """
+    def read_host(self, bdf: str, io_addr: int, length: int) -> bytes:
+        """Device-initiated read of host memory (DMA read)."""
         tracer = _OBS.tracer
         if tracer is None:
-            return self._read_host(bdf, io_addr, length, into)
+            return self._read_host(bdf, io_addr, length)
         with tracer.span("dma.read_host", "dma", bdf=bdf, bytes=length):
-            return self._read_host(bdf, io_addr, length, into)
+            return self._read_host(bdf, io_addr, length)
 
-    def _read_host(self, bdf: str, io_addr: int, length: int,
-                   into: Optional[List[memoryview]]) -> Optional[bytes]:
+    def _read_host(self, bdf: str, io_addr: int, length: int) -> bytes:
         pieces = self._iommu.translate_range(bdf, io_addr, length)
-        out = None
-        if into is None:
-            out = bytearray(length)
-            into = [memoryview(out)]
-        read_into = self._address_map.read_into
-        for paddr, view in _segments(pieces, into):
-            read_into(paddr, view)
-            self.bytes_read += len(view)
-        return None if out is None else bytes(out)
+        if len(pieces) == 1:
+            # Contiguous run: the address map hands back the bytes directly.
+            data = self._address_map.read(pieces[0][0], pieces[0][1])
+            self.bytes_read += len(data)
+            return data
+        out = bytearray(length)
+        view = memoryview(out)
+        pos = 0
+        for paddr, chunk in pieces:
+            self._address_map.read_into(paddr, view[pos:pos + chunk])
+            pos += chunk
+            self.bytes_read += chunk
+        return bytes(out)
 
     def write_host(self, bdf: str, io_addr: int, data) -> None:
-        """Device-initiated write to host memory (DMA write).
-
-        *data* is a buffer, or a list of byte views written back to back
-        (a device's memory runs).
-        """
-        views = data if isinstance(data, list) else [byte_view(data)]
+        """Device-initiated write to host memory (DMA write)."""
         tracer = _OBS.tracer
         if tracer is None:
-            return self._write_host(bdf, io_addr, views)
+            return self._write_host(bdf, io_addr, data)
         with tracer.span("dma.write_host", "dma", bdf=bdf,
-                         bytes=sum(map(len, views))):
-            return self._write_host(bdf, io_addr, views)
+                         bytes=memoryview(data).nbytes):
+            return self._write_host(bdf, io_addr, data)
 
-    def _write_host(self, bdf: str, io_addr: int,
-                    views: List[memoryview]) -> None:
-        pieces = self._iommu.translate_range(bdf, io_addr, sum(map(len, views)))
-        write = self._address_map.write
-        for paddr, view in _segments(pieces, views):
-            write(paddr, view)
-            self.bytes_written += len(view)
-
-
-def _segments(pieces: Sequence[Tuple[int, int]],
-              views: Sequence[memoryview]) -> Sequence[Tuple[int, memoryview]]:
-    """Pair host pieces ``(paddr, nbytes)`` with the byte *views*, laid
-    back to back: ``(paddr, view)`` for each overlap, in order."""
-    if len(pieces) == 1 and len(views) == 1:  # one run on each side
-        return ((pieces[0][0], views[0]),)
-    out = []
-    views = iter(views)
-    view = None
-    for paddr, chunk in pieces:
-        while chunk:
-            if not view:
-                view = next(views)
-            if len(view) > chunk:
-                out.append((paddr, view[:chunk]))
-                view = view[chunk:]
-                break
-            out.append((paddr, view))
-            paddr += len(view)
-            chunk -= len(view)
-            view = None
-    return out
+    def _write_host(self, bdf: str, io_addr: int, data) -> None:
+        view = memoryview(data)
+        if view.ndim != 1 or view.format not in ("B", "b", "c"):
+            view = view.cast("B")
+        offset = 0
+        for paddr, chunk in self._iommu.translate_range(bdf, io_addr,
+                                                        view.nbytes):
+            self._address_map.write(paddr, view[offset:offset + chunk])
+            offset += chunk
+            self.bytes_written += chunk

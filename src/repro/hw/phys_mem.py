@@ -36,14 +36,6 @@ _ZERO_EXTENT = bytes(_EXTENT_SIZE)
 Buffer = Union[bytes, bytearray, memoryview]
 
 
-def byte_view(data: Buffer) -> memoryview:
-    """A flat byte view of any buffer-protocol object (no copy)."""
-    view = memoryview(data)
-    if view.ndim != 1 or view.format not in ("B", "b", "c"):
-        view = view.cast("B")
-    return view
-
-
 class PhysicalMemory:
     """Lazily-populated DRAM of a fixed size."""
 
@@ -94,25 +86,16 @@ class PhysicalMemory:
     def read_into(self, paddr: int, buf: Buffer) -> None:
         """Read ``len(buf)`` bytes at *paddr* directly into *buf* (zero-copy)."""
         view = memoryview(buf)
-        nbytes = view.nbytes
-        self._check(paddr, nbytes)
-        index, offset = divmod(paddr, _EXTENT_SIZE)
-        if offset + nbytes <= _EXTENT_SIZE:
-            extent = self._extents.get(index)
-            src = _ZERO_EXTENT if extent is None else extent
-            view[:] = memoryview(src)[offset:offset + nbytes]
-        else:
-            pos = 0
-            for piece in self._pieces(paddr, nbytes):
-                view[pos:pos + len(piece)] = piece
-                pos += len(piece)
-        self.zero_copy_bytes += nbytes
+        self._check(paddr, view.nbytes)
+        pos = 0
+        for piece in self._pieces(paddr, view.nbytes):
+            view[pos:pos + len(piece)] = piece
+            pos += len(piece)
+        self.zero_copy_bytes += view.nbytes
 
-    def _pieces(self, paddr: int, length: int,
-                writable: bool = False) -> Iterator[memoryview]:
-        """Views of [paddr, paddr+length), extent by extent.  Unwritten
-        ranges are views of the shared zero extent, unless *writable*
-        asks for their extents to be materialized."""
+    def _pieces(self, paddr: int, length: int) -> Iterator[memoryview]:
+        """Views of [paddr, paddr+length), extent by extent; unwritten
+        ranges are views of the shared zero extent."""
         addr = paddr
         remaining = length
         while remaining:
@@ -120,33 +103,29 @@ class PhysicalMemory:
             chunk = _EXTENT_SIZE - offset
             if chunk > remaining:
                 chunk = remaining
-            if writable:
-                src = self._extent(index)
-            else:
-                extent = self._extents.get(index)
-                src = _ZERO_EXTENT if extent is None else extent
+            extent = self._extents.get(index)
+            src = _ZERO_EXTENT if extent is None else extent
             yield memoryview(src)[offset:offset + chunk]
             addr += chunk
             remaining -= chunk
 
-    def views(self, paddr: int, length: int,
-              writable: bool = False) -> Iterator[memoryview]:
-        """Yield views covering [paddr, paddr+length), extent by extent.
+    def views(self, paddr: int, length: int) -> Iterator[memoryview]:
+        """Yield read-only views covering [paddr, paddr+length), extent by extent.
 
-        Read-only views never materialize absent extents: unwritten
-        ranges are served from a shared zero extent.  *writable* views
-        materialize them, and filling the views writes the range in
-        place.  The views alias live memory — consume them before the
-        next write to the range.
+        Never materializes absent extents: unwritten ranges are served
+        from a shared zero extent.  The views alias live memory — consume
+        them before the next write to the range.
         """
         self._check(paddr, length)
-        for piece in self._pieces(paddr, length, writable):
+        for piece in self._pieces(paddr, length):
             self.zero_copy_bytes += len(piece)
-            yield piece if writable else piece.toreadonly()
+            yield piece.toreadonly()
 
     def write(self, paddr: int, data: Buffer) -> None:
         """Write *data* (any buffer-protocol object) starting at *paddr*."""
-        view = byte_view(data)
+        view = memoryview(data)
+        if view.ndim != 1 or view.format not in ("B", "b", "c"):
+            view = view.cast("B")
         self._check(paddr, view.nbytes)
         index, offset = divmod(paddr, _EXTENT_SIZE)
         if offset + view.nbytes <= _EXTENT_SIZE:

@@ -26,7 +26,6 @@ from repro.fleet.lite import LiteProfile
 from repro.fleet.router import (
     POLICY_NAMES,
     MachineStatus,
-    Placement,
     Router,
     SessionSpec,
     make_policy,
@@ -41,7 +40,6 @@ __all__ = [
     "LiteProfile",
     "POLICY_NAMES",
     "MachineStatus",
-    "Placement",
     "Router",
     "SessionSpec",
     "make_policy",

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.fleet.lite import LiteProfile
-from repro.fleet.router import MachineStatus, Placement, Router, SessionSpec
+from repro.fleet.router import MachineStatus, Router, SessionSpec
 from repro.obs import metrics as obs_metrics
 from repro.obs.audit import audit_log
 from repro.obs.tracer import span as _span
@@ -232,7 +232,7 @@ class Fleet:
         self._scheduler_name = scheduler
         self.machines: List[FleetMachine] = []
         for index, config in enumerate(configs):
-            machine = Machine(config)
+            machine = Machine(config, index=index)
             engine = ServeEngine(machine, scheduler=scheduler,
                                  max_tenants=max_tenants,
                                  default_quota=default_quota,
@@ -385,8 +385,7 @@ class Fleet:
             record.landed_at = kernel.now
             record.requests_moved = len(remaining)
             record.target_client = landed
-            self.router.placements[plan.tenant] = Placement(
-                spec=SessionSpec(name=plan.tenant), machine=plan.target)
+            self.router.placements[plan.tenant] = plan.target
             registry.counter("fleet.migrations.completed").inc()
             drain_seconds = record.drained_at - plan.at
             registry.histogram("fleet.migration.drain_seconds").observe(
@@ -444,15 +443,13 @@ class Fleet:
             machine.note_shed_fraction(
                 sum(t.shed for t in report.tenants),
                 sum(t.submitted for t in report.tenants))
-        placements = {name: placement.machine
-                      for name, placement in self.router.placements.items()}
         fleet_report = FleetReport(
             policy=self.router.policy_name,
             scheduler=self._scheduler_name,
             machine_names=names,
             reports=reports,
             merged=merged,
-            placements=placements,
+            placements=dict(self.router.placements),
             migrations=records,
         )
         self._publish_metrics(fleet_report)

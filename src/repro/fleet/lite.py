@@ -8,8 +8,8 @@ charges it places on the virtual timeline, with no keys, channels, or
 device state behind them.  Replaying the profile through a plain
 kernel lane charges virtual time **bit-identically** to the full
 session it was captured from (pinned by the charge-parity property in
-``tests/property/test_prop_fleet.py``), at the cost of one generator
-per lane instead of one enclave session — which is what lets fleet
+``tests/property/test_prop_fleet.py``), at the cost of one slotted
+kernel lane instead of one enclave session — which is what lets fleet
 sweeps scale to 10k–1M simulated users.
 
 Two ways to build one:
@@ -124,8 +124,8 @@ class LiteProfile:
         """A kernel lane replaying this profile.
 
         Lanes share the profile's unit list (units are never mutated by
-        the kernel), so a million lanes cost a million generators, not
-        a million ledgers.
+        the kernel), so a million lanes cost a million list iterators,
+        not a million ledgers.
         """
         return TenantLane(units=self.units, weight=weight,
                           max_inflight=max_inflight, name=name,

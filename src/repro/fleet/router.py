@@ -152,14 +152,6 @@ def make_policy(name: str):
             f"choose from {', '.join(POLICY_NAMES)}") from None
 
 
-@dataclass
-class Placement:
-    """The router's decision ledger entry for one admitted session."""
-
-    spec: SessionSpec
-    machine: int
-
-
 class Router:
     """Admission + placement over a fleet's machine statuses."""
 
@@ -167,7 +159,8 @@ class Router:
         if isinstance(policy, str):
             policy = make_policy(policy)
         self.policy = policy
-        self.placements: Dict[str, Placement] = {}
+        #: The decision ledger: each admitted session's machine index.
+        self.placements: Dict[str, int] = {}
 
     @property
     def policy_name(self) -> str:
@@ -185,7 +178,7 @@ class Router:
         if spec.name in self.placements:
             raise PlacementError(
                 f"session {spec.name!r} already placed on machine "
-                f"{self.placements[spec.name].machine}")
+                f"{self.placements[spec.name]}")
         eligible = [m for m in statuses
                     if m.healthy and not m.draining]
         if not eligible:
@@ -209,8 +202,7 @@ class Router:
                 f"({spec.memory_bytes} bytes device memory)",
                 retry_after=self.retry_after(statuses),
                 error_kind=KIND_QUOTA)
-        self.placements[spec.name] = Placement(spec=spec,
-                                               machine=chosen.index)
+        self.placements[spec.name] = chosen.index
         return chosen.index
 
     def forget(self, name: str) -> None:
@@ -218,5 +210,4 @@ class Router:
         self.placements.pop(name, None)
 
     def machine_of(self, name: str) -> Optional[int]:
-        placement = self.placements.get(name)
-        return placement.machine if placement is not None else None
+        return self.placements.get(name)

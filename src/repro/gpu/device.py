@@ -68,6 +68,8 @@ class SimGpu(PcieFunction):
         self._device_secret = device_secret
         self._bios = build_bios_image(device_id)
         self._dma = None
+        #: The requester id every DMA hop presents, formatted once.
+        self._dma_requester = str(bdf)
         # Confidential-computing mode (GPU-CC backend).  Once enabled the
         # on-die firewall refuses the BAR1 VRAM aperture entirely — host
         # software, privileged or not, can only move data via DMA of
@@ -343,13 +345,14 @@ class SimGpu(PcieFunction):
 
     def _dma_h2d(self, ctx: GpuContext, host_addr: int, gpu_va: int,
                  nbytes: int) -> None:
-        data = self._require_dma().read_host(str(self.bdf), host_addr, nbytes)
+        data = self._require_dma().read_host(self._dma_requester, host_addr,
+                                             nbytes)
         self.write_ctx(ctx, gpu_va, data)
 
     def _dma_d2h(self, ctx: GpuContext, gpu_va: int, host_addr: int,
                  nbytes: int) -> None:
         data = self.read_ctx(ctx, gpu_va, nbytes)
-        self._require_dma().write_host(str(self.bdf), host_addr, data)
+        self._require_dma().write_host(self._dma_requester, host_addr, data)
 
     # -- kernel launch -------------------------------------------------------------------
 

@@ -4,10 +4,11 @@ This is the tentpole of the serving layer.  Each admitted tenant gets a
 real attested session against the shared :class:`GpuEnclaveService` —
 its own user enclave, 3-party key exchange, sealed channel, and bounded
 message queues — and submits :class:`ServeRequest` callables into its
-bounded request queue.  The engine then runs every tenant as a real
-:class:`~repro.sim.engine.Process` on the shared discrete-event kernel:
+bounded request queue.  The engine then runs every tenant as a kernel
+lane (:class:`~repro.sim.engine.LaneRun`) on the shared discrete-event
+kernel:
 
-* **Production happens in virtual time.**  A tenant process pulls its
+* **Production happens in virtual time.**  A tenant's lane pulls its
   next request when the kernel schedules it to, so admission checks,
   sealed-request execution, and backpressure stalls of different
   tenants interleave on the shared machine in exactly the order a real
@@ -1072,9 +1073,9 @@ class ServeEngine:
     def run(self, kernel: Optional[EventClock] = None) -> ServeReport:
         """Execute every queued request and return the serving report.
 
-        One kernel :class:`~repro.sim.engine.Process` per tenant drives
-        the tenant's unit stream to exhaustion over the shared engine
-        Resource; the report is read off the kernel's lane accounting.
+        One kernel lane per tenant drives the tenant's unit stream to
+        exhaustion over the shared engine Resource; the report is read
+        off the kernel's lane accounting.
 
         *kernel* lets a caller pre-schedule events on the run's event
         clock before the lanes start — the chaos layer's injection

@@ -26,7 +26,7 @@ from repro.serve.queues import (
     SHED,
     TIMEOUT,
 )
-from repro.sim.engine import LaneCharge
+from repro.sim.engine import LaneLog
 from repro.sim.trace import TraceEvent, render_lanes
 
 
@@ -107,11 +107,12 @@ def build_tenant_report(client, name: str, timeline,
     )
 
 
-def lane_events(names: Sequence[str], log: Sequence[LaneCharge]
+def lane_events(names: Sequence[str], log: LaneLog
                 ) -> Dict[str, List[TraceEvent]]:
     """Each named lane's trace events, from a run's flat lane log."""
     lanes: Dict[str, List[TraceEvent]] = {name: [] for name in names}
-    for index, start, seconds, category in log:
+    atoms = iter(log)
+    for index, start, seconds, category in zip(atoms, atoms, atoms, atoms):
         lanes[names[index]].append(TraceEvent(start, seconds, category))
     return lanes
 

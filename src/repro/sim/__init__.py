@@ -8,11 +8,13 @@ but performance is reported in *simulated seconds* charged on a
 which emulated the new hardware in KVM/QEMU and measured the resulting
 software stack.
 
-Concurrency — multi-user contention, multi-tenant serving, pipelined
-copies — executes on the discrete-event kernel in
+Concurrency — multi-user contention, multi-tenant serving, fleet-scale
+lite sessions — executes on the discrete-event kernel in
 :mod:`repro.sim.engine` (:class:`~repro.sim.engine.EventClock`,
-:class:`~repro.sim.engine.Process`, :class:`~repro.sim.engine.Resource`),
-whose primitives are re-exported here.
+:class:`~repro.sim.engine.Resource`, and the
+:class:`~repro.sim.engine.WorkUnit` lanes of
+:func:`~repro.sim.engine.run_lanes`), whose primitives are re-exported
+here.
 """
 
 from repro.sim.clock import SimClock, TimeBreakdown
@@ -20,7 +22,6 @@ from repro.sim.costs import CostModel
 from repro.sim.engine import (
     EventClock,
     LaneResult,
-    Process,
     Resource,
     TenantLane,
     Visit,
@@ -35,7 +36,6 @@ __all__ = [
     "CostModel",
     "EventClock",
     "LaneResult",
-    "Process",
     "Resource",
     "TenantLane",
     "Visit",

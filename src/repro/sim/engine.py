@@ -3,10 +3,10 @@
 One heap, one arbitration discipline, three client surfaces: the
 analytic multi-user model (:func:`repro.core.multiuser.simulate_concurrent`),
 the serving engine's tenant lanes
-(:class:`repro.serve.engine.ServeEngine`), and the pipelined seal+transfer
-makespan (:mod:`repro.sim.pipeline`) are all thin adapters over the
-primitives here.  Before this kernel existed each of those layers had
-its own event loop, and two of them disagreed on simultaneous-event
+(:class:`repro.serve.engine.ServeEngine`) and the fleet tier's lite
+sessions (:mod:`repro.fleet`) are all thin adapters over the primitives
+here.  Before this kernel existed each of those layers had its own
+event loop, and two of them disagreed on simultaneous-event
 tie-breaks; the kernel's single ordering rule makes FIFO serving
 *exactly* equal to the retired oracle on every input (see
 ``tests/property/test_prop_engine.py``).
@@ -20,16 +20,18 @@ Primitives
     :class:`repro.sim.clock.SimClock`, so a charge consumer such as
     :class:`repro.obs.tracer.SpanTracer` attaches to virtual time
     unchanged.
-:class:`Process`
-    A generator wrapped into the event loop.  The generator ``yield``\\ s
-    :class:`Wait` (timed suspension), :class:`Acquire` (submit a
-    :class:`Visit` to a :class:`Resource` and suspend until it is served
-    or expires), or :data:`BLOCK` (suspend until resumed externally).
 :class:`Resource`
-    An exclusive engine (the GPU execution engine, or one pipeline
-    stage).  Per-lane FIFO queues, a pluggable scheduler over the queue
-    heads, a context-switch charge on owner change, and lazy deadline
-    expiry at dispatch time.
+    An exclusive engine (the GPU execution engine).  Per-lane FIFO
+    queues, a pluggable scheduler over the queue heads, a
+    context-switch charge on owner change, and lazy deadline expiry at
+    dispatch time.  A :class:`Visit`'s *waiter* hears how it ended.
+:class:`LaneRun`
+    Tenant unit streams over one engine.  Each lane is one slotted
+    object that is its own event callback and steps its
+    :class:`WorkUnit` stream as a state machine, so a lane costs the
+    garbage collector one tracked object, not a process, a generator
+    and a closure pair per visit.  The generator-driven lane it
+    replaced is kept as the reference in ``tests/property/oracles.py``.
 
 Ordering rule (the tie-break fix)
 ---------------------------------
@@ -72,10 +74,10 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
+    Any,
     Callable,
     Deque,
     Dict,
-    Generator,
     Iterable,
     Iterator,
     List,
@@ -92,7 +94,7 @@ from repro.obs.tracer import STATE as _OBS
 #: the slots they hand out were promised at earlier pops (the oracle's
 #: pre-reservation order).
 PRIO_DISPATCH = 0
-#: Process resumes, visit arrivals, completions.
+#: Lane steps, visit arrivals, completions.
 PRIO_NORMAL = 1
 #: Re-dispatch after deadline expiry: drain same-time resumes first,
 #: matching the retired multiplexer's drain-then-dispatch loop.
@@ -230,125 +232,16 @@ class Visit:
     label: str = ""
     on_outcome: Optional[Callable[[str], None]] = None
     resume_seq: Optional[int] = None   # pre-allocated completion-event seq
-    # completion/expiry hooks, set by whoever submits the visit:
-    # on_complete(event) fires inside the completion event (whose seq is
-    # resume_seq); on_expire(now) fires at deadline expiry.
-    on_complete: Optional[Callable[[Event], None]] = None
-    on_expire: Optional[Callable[[float], None]] = None
+    #: Who awaits the outcome, set by whoever submits the visit:
+    #: ``waiter.complete(event)`` runs inside the completion event (whose
+    #: seq is ``resume_seq``), ``waiter.expire(now)`` at deadline expiry.
+    waiter: Any = None
 
-    def _fire_complete(self, event: Event) -> None:
-        # Scheduled directly as the completion callback — a bound method
-        # instead of a fresh closure per dispatch.
-        if self.on_complete is not None:
-            self.on_complete(event)
-
-
-class Wait:
-    """``yield Wait(seconds)``: suspend the process for virtual time."""
-
-    __slots__ = ("seconds",)
-
-    def __init__(self, seconds: float) -> None:
-        self.seconds = seconds
-
-
-class Acquire:
-    """``yield Acquire(resource, visit)``: submit and await the outcome.
-
-    The process suspends until the visit completes (resumed with
-    ``"served"`` inside the completion event, under the visit's
-    pre-allocated seq) or its deadline expires (resumed with
-    ``"timeout"``).
-    """
-
-    __slots__ = ("resource", "visit")
-
-    def __init__(self, resource: "Resource", visit: Visit) -> None:
-        self.resource = resource
-        self.visit = visit
-
-
-class _Block:
-    """``yield BLOCK``: suspend with no scheduled resume."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "BLOCK"
-
-
-BLOCK = _Block()
-
-
-class Process:
-    """A generator driven by the kernel.
-
-    ``current_seq`` is the seq of the event the process is currently
-    executing under — the rank a visit submitted *now* competes with.
-    """
-
-    __slots__ = ("_kernel", "_gen", "name", "current_seq", "alive",
-                 "finished_at", "_resume_value")
-
-    def __init__(self, kernel: EventClock,
-                 gen: Generator[Union[Wait, Acquire, _Block], object, None],
-                 name: str = "") -> None:
-        self._kernel = kernel
-        self._gen = gen
-        self.name = name
-        self.current_seq: Optional[int] = None
-        self.alive = True
-        self.finished_at: Optional[float] = None
-        self._resume_value: object = None
-
-    def start(self, at: float = 0, *, seq: Optional[int] = None) -> None:
-        self._kernel.schedule(at, self._step, seq=seq)
-
-    def resume_at(self, time: float, value: object = None, *,
-                  seq: Optional[int] = None,
-                  priority: int = PRIO_NORMAL) -> None:
-        # A generator has at most one pending resume (a second send
-        # before the first fired would already be a kernel bug), so the
-        # value rides on the process instead of a per-resume closure.
-        self._resume_value = value
-        self._kernel.schedule(time, self._step_resume,
-                              priority=priority, seq=seq)
-
-    def resume_now(self, event: Event, value: object = None) -> None:
-        """Continue inside the current event (same time, same seq)."""
-        self._step(event, value)
-
-    def _step_resume(self, event: Event) -> None:
-        value = self._resume_value
-        self._resume_value = None
-        self._step(event, value)
-
-    def _served(self, event: Event) -> None:
-        self.resume_now(event, "served")
-
-    def _expired(self, now: float) -> None:
-        self.resume_at(now, "timeout")
-
-    def _step(self, event: Event, value: object = None) -> None:
-        self.current_seq = event.seq
-        try:
-            cmd = self._gen.send(value)
-        except StopIteration:
-            self.alive = False
-            self.finished_at = self._kernel.now
-            return
-        if isinstance(cmd, Wait):
-            self.resume_at(self._kernel.now + cmd.seconds)
-        elif isinstance(cmd, Acquire):
-            visit = cmd.visit
-            visit.on_complete = self._served
-            visit.on_expire = self._expired
-            cmd.resource.submit(visit)
-        elif cmd is BLOCK:
-            pass  # whoever handed out BLOCK resumes us explicitly
-        else:
-            raise TypeError(f"process yielded {cmd!r}; "
-                            "expected Wait, Acquire, or BLOCK")
+    def __call__(self, event: Event) -> None:
+        # The visit is its own completion callback: nothing is allocated
+        # per dispatch.
+        if self.waiter is not None:
+            self.waiter.complete(event)
 
 
 class Resource:
@@ -454,8 +347,8 @@ class Resource:
                     self._expiry_counter.inc()
                     if visit.on_outcome is not None:
                         visit.on_outcome("timeout")
-                    if visit.on_expire is not None:
-                        visit.on_expire(now)
+                    if visit.waiter is not None:
+                        visit.waiter.expire(now)
                     expired = True
                 if popped and queue and self._scheduler is None:
                     self._push_head(queue[0])
@@ -514,8 +407,7 @@ class Resource:
         # Engine-free arbitration first, then the lane's continuation
         # under its arrival-rank seq.
         self._kernel.schedule(finish, self._dispatch, priority=PRIO_DISPATCH)
-        self._kernel.schedule(finish, visit._fire_complete,
-                              seq=visit.resume_seq)
+        self._kernel.schedule(finish, visit, seq=visit.resume_seq)
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +474,10 @@ class LaneTimeline:
     waits: float = 0.0
 
 
-#: One positive lane charge: ``(lane index, start, seconds, category)``.
-LaneCharge = Tuple[int, float, float, str]
+#: A lane charge log: four atoms per positive charge, ``lane index,
+#: start, seconds, category``, in charge order.  Atoms are never tracked
+#: by the garbage collector; a tuple per charge would be.
+LaneLog = List[Union[int, float, str]]
 
 
 @dataclass
@@ -596,31 +490,146 @@ class LaneResult:
     served: List[int]
     timed_out: List[int]
     stall_seconds: List[float]           # host blocked on the inflight cap
-    #: Every positive lane charge in charge order, as flat tuples; the
-    #: serving report builds per-lane trace events from it on demand.
-    log: List[LaneCharge] = field(default_factory=list)
-    processes: List[Process] = field(default_factory=list)
+    #: Every positive lane charge (see :data:`LaneLog`); the serving
+    #: report builds per-lane trace events from it on demand.
+    log: LaneLog = field(default_factory=list)
+    #: Each lane's name, ``lane<index>`` when its spec has none.
+    names: List[str] = field(default_factory=list)
 
 
-class _LaneState:
-    """Mutable runtime of one lane (shared between hooks and process)."""
+#: The unit stream of a lane that ran dry.
+_DRY: Iterator[WorkUnit] = iter(())
 
-    __slots__ = ("index", "spec", "timeline", "outstanding", "blocked",
-                 "stall_since", "stall", "served", "timed_out", "host_free",
-                 "process")
 
-    def __init__(self, index: int, spec: TenantLane) -> None:
+class _Lane:
+    """One lane of a :class:`LaneRun`, stepping its unit stream.
+
+    The lane is its own event callback: the kernel calls it for its
+    start, after a host part or an idle unit, and after a timeout frees
+    a slot under the inflight cap.  As a visit's waiter it also hears
+    :meth:`complete` inside the completion event (a lane blocked on the
+    cap steps on right there, under the completion's seq) and
+    :meth:`expire`.  Each step pulls one unit, charges its host part and
+    either schedules the lane's next step or submits the unit's engine
+    visit.  The order of every ``schedule`` call and seq allocation is
+    that of the generator lane it replaced, which the property suite
+    keeps as the reference.
+    """
+
+    __slots__ = ("run", "index", "spec", "units", "arriving",
+                 "finish_time", "gpu_busy", "host_busy", "waits",
+                 "outstanding", "blocked", "stall_since", "stall",
+                 "pending_stall", "served", "timed_out", "host_free")
+
+    def __init__(self, run: "LaneRun", index: int, spec: TenantLane) -> None:
+        self.run = run
         self.index = index
         self.spec = spec
-        self.timeline = LaneTimeline()
+        #: ``iter(spec.units)``, taken at the lane's first step.
+        self.units: Optional[Iterator[WorkUnit]] = None
+        #: A GPU unit whose host part is running; it arrives at the
+        #: engine when the lane is next called.
+        self.arriving: Optional[WorkUnit] = None
+        self.finish_time = 0.0
+        self.gpu_busy = 0.0
+        self.host_busy = 0.0
+        self.waits = 0.0
         self.outstanding = 0
         self.blocked = False
         self.stall_since = 0.0
         self.stall = 0.0
+        #: A stall that ended; charged once the stream yields another
+        #: unit, since trailing blocks after the last unit delayed
+        #: nothing.
+        self.pending_stall: Optional[float] = None
         self.served = 0
         self.timed_out = 0
         self.host_free = 0.0
-        self.process: Optional[Process] = None
+
+    def __call__(self, event: Event) -> None:
+        unit = self.arriving
+        if unit is None:
+            self._step(event.seq)
+        else:
+            # The host part is done: arrive at the engine; this event's
+            # seq is the visit's FIFO rank.
+            self.arriving = None
+            self._submit(unit, event.seq)
+
+    def _step(self, seq: int) -> None:
+        kernel = self.run.kernel
+        units = self.units
+        if units is None:
+            units = self.units = iter(self.spec.units)
+        try:
+            unit = next(units)
+        except StopIteration:
+            self.units = _DRY
+            self.finish_time = max(self.finish_time, kernel.now)
+            if self.spec.on_exhausted is not None:
+                self.spec.on_exhausted(kernel.now)
+            return
+        if self.pending_stall is not None:
+            self.stall += self.pending_stall
+            self.pending_stall = None
+        now = kernel.now
+        done = now + unit.host_seconds
+        if unit.idle:
+            # Backoff sleep: occupies the lane's timeline without
+            # counting as host work (the tenant is waiting, not
+            # producing) and never carries an engine visit.
+            self.finish_time = max(self.finish_time, done)
+            self.host_free = done
+            self.run._record(self.index, now, unit.host_seconds, "backoff")
+            kernel.schedule(done, self)
+            return
+        self.host_busy += unit.host_seconds
+        self.finish_time = max(self.finish_time, done)
+        self.host_free = done
+        self.run._record(self.index, now, unit.host_seconds, "host")
+        if unit.gpu_seconds is None:
+            kernel.schedule(done, self)
+        elif unit.host_seconds > 0.0:
+            self.arriving = unit
+            kernel.schedule(done, self)
+        else:
+            self._submit(unit, seq)
+
+    def _submit(self, unit: WorkUnit, seq: int) -> None:
+        run = self.run
+        spec = self.spec
+        done = self.host_free
+        self.outstanding += 1
+        run.engine.submit(Visit(
+            tenant=self.index, seq=seq, ready=done,
+            gpu_seconds=unit.gpu_seconds, weight=spec.weight,
+            deadline=(None if unit.deadline is None
+                      else done + unit.deadline),
+            label=unit.label, on_outcome=unit.on_outcome, waiter=self))
+        if self.outstanding < spec.max_inflight:
+            run.kernel.schedule(run.kernel.now + 0.0, self)
+        else:
+            self.blocked = True
+            self.stall_since = done
+
+    # -- the visit waiter's hooks -------------------------------------------
+
+    def complete(self, event: Event) -> None:
+        self.outstanding -= 1
+        if self.blocked:
+            # Step on inside the completion event: same time, and the
+            # visit's pre-allocated seq keeps oracle arrival rank.
+            self.blocked = False
+            self.pending_stall = max(event.time - self.stall_since, 0.0)
+            self._step(event.seq)
+
+    def expire(self, now: float) -> None:
+        self.timed_out += 1
+        self.outstanding -= 1
+        if self.blocked:
+            self.blocked = False
+            self.pending_stall = max(now - self.stall_since, 0.0)
+            self.run.kernel.schedule(max(self.host_free, now), self)
 
 
 class LaneRun:
@@ -643,26 +652,22 @@ class LaneRun:
                  ctx_switch_cost: float, kernel: EventClock) -> None:
         self.kernel = kernel
         self.ctx_switch_cost = ctx_switch_cost
-        self._states: List[_LaneState] = []
-        self._lane_log: List[LaneCharge] = []
+        self._lanes: List[_Lane] = []
+        self._lane_log: LaneLog = []
         self._lane_names: List[str] = []
         self.engine = Resource(kernel, ctx_switch_cost, scheduler,
                                on_serve=self._on_serve)
-        for lane in lanes:
-            self._admit(lane)
-        for state in self._states:  # t=0 wakeups in lane order
-            state.process.start(0.0)
+        for spec in lanes:
+            self._admit(spec)
+        for lane in self._lanes:  # t=0 wakeups in lane order
+            kernel.schedule(0.0, lane)
 
-    # -- lane admission -----------------------------------------------------
-
-    def _admit(self, spec: TenantLane) -> _LaneState:
-        index = len(self._states)
-        state = _LaneState(index, spec)
-        self._states.append(state)
+    def _admit(self, spec: TenantLane) -> _Lane:
+        index = len(self._lanes)
+        lane = _Lane(self, index, spec)
+        self._lanes.append(lane)
         self._lane_names.append(spec.name or f"lane{index}")
-        state.process = Process(self.kernel, self._lane_process(state),
-                                name=self._lane_names[index])
-        return state
+        return lane
 
     def add_lane(self, spec: TenantLane) -> int:
         """Admit *spec* mid-run, starting at the kernel's current time.
@@ -672,16 +677,16 @@ class LaneRun:
         inside a running event begins producing after that event —
         exactly where a migrated-in session resumes.
         """
-        state = self._admit(spec)
-        state.process.start(self.kernel.now)
-        return state.index
+        lane = self._admit(spec)
+        self.kernel.schedule(self.kernel.now, lane)
+        return lane.index
 
     # -- accounting hooks ---------------------------------------------------
 
     def _record(self, tenant: int, start: float, seconds: float,
                 category: str) -> None:
         if seconds > 0.0:
-            self._lane_log.append((tenant, start, seconds, category))
+            self._lane_log.extend((tenant, start, seconds, category))
             self.kernel.charge(start, seconds, category)
             tracer = _OBS.tracer
             if tracer is not None:
@@ -692,120 +697,36 @@ class LaneRun:
 
     def _on_serve(self, visit: Visit, dispatch_at: float,
                   switched: bool) -> None:
-        state = self._states[visit.tenant]
-        state.timeline.waits += dispatch_at - visit.ready
+        lane = self._lanes[visit.tenant]
+        lane.waits += dispatch_at - visit.ready
         start = dispatch_at
         if switched:
             self._record(visit.tenant, start, self.ctx_switch_cost,
                          "ctx_switch")
             start += self.ctx_switch_cost
         finish = start + visit.gpu_seconds
-        state.timeline.gpu_busy += visit.gpu_seconds
-        state.timeline.finish_time = max(state.timeline.finish_time, finish)
+        lane.gpu_busy += visit.gpu_seconds
+        lane.finish_time = max(lane.finish_time, finish)
         self._record(visit.tenant, start, visit.gpu_seconds, "gpu")
-        state.served += 1
-
-    def _release_slot(self, state: _LaneState, now: float, outcome: str,
-                      event: Optional[Event] = None) -> None:
-        # The stall interval is handed to the resumed produce and only
-        # charged once it actually yields another unit: trailing blocks
-        # after an exhausted stream delayed nothing.
-        state.outstanding -= 1
-        if state.blocked:
-            state.blocked = False
-            stall = max(now - state.stall_since, 0.0)
-            if event is not None:
-                # Resume inside the completion event: same time, and the
-                # visit's pre-allocated seq keeps oracle arrival rank.
-                state.process.resume_now(event, (outcome, stall))
-            else:
-                state.process.resume_at(max(state.host_free, now),
-                                        (outcome, stall))
-
-    def _on_complete(self, event: Event, state: _LaneState) -> None:
-        self._release_slot(state, event.time, "served", event)
-
-    def _on_expire(self, now: float, state: _LaneState) -> None:
-        state.timed_out += 1
-        self._release_slot(state, now, "timeout")
-
-    # -- lane production ----------------------------------------------------
-
-    def _lane_process(self, state: _LaneState
-                      ) -> Generator[Union[Wait, Acquire, _Block],
-                                     object, None]:
-        kernel = self.kernel
-        spec = state.spec
-        units = iter(spec.units)
-        pending_stall: Optional[float] = None
-        while True:
-            try:
-                unit = next(units)
-            except StopIteration:
-                break
-            if pending_stall is not None:
-                state.stall += pending_stall
-                pending_stall = None
-            now = kernel.now
-            done = now + unit.host_seconds
-            if unit.idle:
-                # Backoff sleep: occupies the lane's timeline without
-                # counting as host work (the tenant is waiting, not
-                # producing) and never carries an engine visit.
-                state.timeline.finish_time = max(
-                    state.timeline.finish_time, done)
-                state.host_free = done
-                self._record(state.index, now, unit.host_seconds, "backoff")
-                yield Wait(unit.host_seconds)
-                continue
-            state.timeline.host_busy += unit.host_seconds
-            state.timeline.finish_time = max(state.timeline.finish_time, done)
-            state.host_free = done
-            self._record(state.index, now, unit.host_seconds, "host")
-            if unit.gpu_seconds is None:
-                yield Wait(unit.host_seconds)
-                continue
-            if unit.host_seconds > 0.0:
-                # Arrive at the engine when the host part finishes; the
-                # arrival event's seq is the visit's FIFO rank.
-                yield Wait(unit.host_seconds)
-            visit = Visit(
-                tenant=state.index, seq=state.process.current_seq,
-                ready=done, gpu_seconds=unit.gpu_seconds, weight=spec.weight,
-                deadline=(None if unit.deadline is None
-                          else done + unit.deadline),
-                label=unit.label, on_outcome=unit.on_outcome)
-            visit.on_complete = lambda ev, s=state: self._on_complete(ev, s)
-            visit.on_expire = lambda at, s=state: self._on_expire(at, s)
-            state.outstanding += 1
-            self.engine.submit(visit)
-            if state.outstanding < spec.max_inflight:
-                yield Wait(0.0)
-            else:
-                state.blocked = True
-                state.stall_since = done
-                resumed = yield BLOCK
-                pending_stall = resumed[1]
-        state.timeline.finish_time = max(state.timeline.finish_time,
-                                         kernel.now)
-        if spec.on_exhausted is not None:
-            spec.on_exhausted(kernel.now)
+        lane.served += 1
 
     # -- results ------------------------------------------------------------
 
     def finish(self) -> LaneResult:
         """Assemble the result after the shared kernel has drained."""
-        states = self._states
-        makespan = max((s.timeline.finish_time for s in states), default=0.0)
+        lanes = self._lanes
+        makespan = max((lane.finish_time for lane in lanes), default=0.0)
         return LaneResult(
             makespan=makespan,
-            timelines=[s.timeline for s in states],
+            timelines=[LaneTimeline(lane.finish_time, lane.gpu_busy,
+                                    lane.host_busy, lane.waits)
+                       for lane in lanes],
             context_switches=self.engine.switches,
-            served=[s.served for s in states],
-            timed_out=[s.timed_out for s in states],
-            stall_seconds=[s.stall for s in states],
+            served=[lane.served for lane in lanes],
+            timed_out=[lane.timed_out for lane in lanes],
+            stall_seconds=[lane.stall for lane in lanes],
             log=self._lane_log,
-            processes=[s.process for s in states])
+            names=self._lane_names)
 
 
 def run_lanes(lanes: Sequence[TenantLane], scheduler,
@@ -814,12 +735,12 @@ def run_lanes(lanes: Sequence[TenantLane], scheduler,
     """Run every lane to exhaustion over one shared engine.
 
     This is the kernel-native core the timing surfaces share: each
-    lane becomes a real :class:`Process` pulling its unit stream in
-    virtual time (so a serving engine's streams execute sealed requests
-    at production time), all GPU visits arbitrate through one
-    :class:`Resource` under *scheduler*, and the accounting —
-    timelines, waits, stalls, context switches, the per-lane charge log —
-    preserves the retired implementations' semantics.
+    lane pulls its unit stream in virtual time (so a serving engine's
+    streams execute sealed requests at production time), all GPU
+    visits arbitrate through one :class:`Resource` under *scheduler*,
+    and the accounting — timelines, waits, stalls, context switches,
+    the per-lane charge log — preserves the retired implementations'
+    semantics.
     """
     kernel = kernel if kernel is not None else EventClock()
     run = LaneRun(lanes, scheduler, ctx_switch_cost, kernel)

@@ -102,10 +102,19 @@ class MachineConfig:
 
 
 class Machine:
-    """One fully-assembled simulated host + GPU."""
+    """One fully-assembled simulated host + GPU.
 
-    def __init__(self, config: Optional[MachineConfig] = None) -> None:
+    *index* is the machine's place in its fleet (a standalone machine is
+    0).  Each device's fused secret derives from it and from the
+    device's own index, so no two devices of a fleet share an identity:
+    not their session keys, nor GPU-CC's attestation key and
+    certificate, which follow from the secret.
+    """
+
+    def __init__(self, config: Optional[MachineConfig] = None,
+                 index: int = 0) -> None:
         self.config = config or MachineConfig()
+        self.index = index
         self.clock = SimClock()
         self.costs = self.config.build_costs()
 
@@ -132,14 +141,17 @@ class Machine:
                 Bdf(1 + index, 0, 0), self.config.vram_size_actual,
                 clock=self.clock, costs=self.costs,
                 suite_name=self.config.suite_name,
-                device_secret=b"gtx580-device-secret-%d" % index))
+                device_secret=b"gtx580-device-secret-%d-%d" % (
+                    self.index, index)))
         self.accelerators = []
         for index in range(self.config.num_accelerators):
             self.accelerators.append(SimAccelerator(
                 Bdf(1 + len(self.gpus) + index, 0, 0),
                 self.config.accel_mem_size,
                 clock=self.clock, costs=self.costs,
-                suite_name=self.config.suite_name))
+                suite_name=self.config.suite_name,
+                device_secret=b"tensor-accel-secret-%d-%d" % (
+                    self.index, index)))
         self.gpu = self.gpus[0]
         devices = self.gpus + self.accelerators
         self.root_complex, ports = build_multi_device_topology(

@@ -5,6 +5,8 @@ with its own SGX unit, PCIe tree, GPU, and serving engine — through
 the fleet router on one shared event clock.
 """
 
+import gc
+
 import pytest
 
 from repro.backends import backend_names
@@ -14,6 +16,7 @@ from repro.errors import PlacementError
 from repro.evalkit.fleet_sweep import fleet_crosscheck, fleet_run
 from repro.fleet import Fleet, LiteProfile
 from repro.serve.queues import MIGRATED, SERVED
+from repro.sim.engine import EventClock
 from repro.system import MachineConfig
 from repro.workloads import MatrixAdd
 
@@ -174,6 +177,66 @@ class TestLiteSessions:
             profile.total_seconds())
         assert folded.gpu_seconds() == pytest.approx(
             profile.gpu_seconds())
+
+
+def _tracked() -> int:
+    gc.collect()
+    return len(gc.get_objects())
+
+
+def _lite_gc_load(sessions: int, profile: LiteProfile):
+    """Tracked objects a 4-machine FIFO fleet keeps for *sessions* lite
+    sessions: after admission, and after every engine built its lanes;
+    plus how many charge-log entries the collector tracks after the run
+    (collections held off, so none was untracked by a pass)."""
+    fleet = Fleet(machines=4, scheduler="fifo",
+                  machine_config=MachineConfig(data_inflation=8192.0))
+    before = _tracked()
+    fleet.add_lite_sessions(profile, sessions)
+    admitted = _tracked() - before
+    kernel = EventClock()
+    before = _tracked()
+    runs = [machine.engine.start(kernel, extra_lanes=machine.lite_lanes)
+            for machine in fleet.machines]
+    started = _tracked() - before
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kernel.run()
+        logs = [run.finish().log for run in runs]
+        tracked_log = sum(gc.is_tracked(atom) for log in logs
+                          for atom in log)
+    finally:
+        if enabled:
+            gc.enable()
+    assert all(logs)
+    return admitted, started, tracked_log
+
+
+class TestLiteGcLoad:
+    """The cyclic collector's load per lite session, pinned by counts
+    (they do not depend on the host, unlike wall-clock).
+
+    Every tracked object a session keeps alive lengthens each collection
+    and brings the next one closer, so a fleet's cost per session grows
+    with its population.  A session keeps its lane spec once admitted;
+    its kernel lane adds the lane itself and its t=0 wakeup (the event
+    and its heap entry).  The charge log holds only atoms.  The deltas
+    between two populations cancel fixed costs, and a warm-up run
+    creates the process-wide counters first.
+    """
+
+    def test_tracked_objects_per_session(self):
+        profile = LiteProfile.from_workload(MatrixAdd(2048)).coalesced(4)
+        _lite_gc_load(20, profile)
+        small = _lite_gc_load(100, profile)
+        large = _lite_gc_load(300, profile)
+        # Rounded: a collection untracks a few atom-only containers of
+        # its own accord, which shifts a delta by a fraction of one
+        # object per session; one more object per session is a whole.
+        assert round((large[0] - small[0]) / 200) <= 1
+        assert round((large[1] - small[1]) / 200) <= 3
+        assert small[2] == large[2] == 0
 
 
 class TestFleetSweep:

@@ -43,12 +43,23 @@ representations it retired moved here the same way:
   :func:`~repro.crypto.blob.seal_blob_chunks` (which seal into the
   frame) must produce the same bytes.
 
+The kernel's lanes became slotted state machines; the generator
+machinery they replaced moved here the same way:
+
+* :class:`Process` with :class:`Wait`, :class:`Acquire` and
+  :data:`BLOCK` — a generator driven by the kernel.
+* :class:`GeneratorLaneRun` / :func:`generator_run_lanes` — the lane
+  layer with one :class:`Process` over one generator per lane and two
+  closures per visit.  :func:`repro.sim.engine.run_lanes` must return
+  the same :class:`~repro.sim.engine.LaneResult` and process the same
+  number of kernel events.
+
 The pipelined-copy closed form keeps its event-kernel twin here:
 
 * :func:`pipelined_time_events` — the §5.2 chunked pipeline executed on
-  the discrete-event kernel.  :func:`repro.sim.pipeline.pipelined_time`
-  (the closed form the runtime charges) must equal it exactly in exact
-  arithmetic.
+  the discrete-event kernel, one :class:`Process` per chunk.
+  :func:`repro.sim.pipeline.pipelined_time` (the closed form the runtime
+  charges) must equal it exactly in exact arithmetic.
 
 These are test fixtures, not public API — do not import them from
 production code.
@@ -60,16 +71,27 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Generator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.multiuser import Segment
 from repro.crypto.blob import _HEADER, _MAGIC
 from repro.errors import EpcError, PageFault, ReproError
 from repro.hw.phys_mem import PAGE_SIZE
 from repro.sgx.epc import EpcmEntry, PageType
-from repro.sim.engine import Acquire, EventClock, Process, Resource, Wait
+from repro.obs.tracer import STATE as _OBS
+from repro.sim.engine import PRIO_NORMAL, Event, EventClock, Resource
 from repro.sim.engine import LaneTimeline as UserTimeline
-from repro.sim.engine import TenantLane, Visit
+from repro.sim.engine import LaneResult, TenantLane, Visit
 from repro.sim.trace import TraceEvent
 
 
@@ -467,6 +489,308 @@ def oracle_seal_blob_chunks(suite, nonces, chunks: Sequence[bytes],
     nonce = nonces.next()
     ciphertext, tag = suite.seal_chunks(nonce, chunks, associated_data)
     return _HEADER.pack(_MAGIC, nonce, tag, len(ciphertext)) + ciphertext
+
+
+class Wait:
+    """``yield Wait(seconds)``: suspend the process for virtual time."""
+
+    __slots__ = ("seconds",)
+
+    def __init__(self, seconds: float) -> None:
+        self.seconds = seconds
+
+
+class Acquire:
+    """``yield Acquire(resource, visit)``: submit and await the outcome.
+
+    The process suspends until the visit completes (resumed with
+    ``"served"`` inside the completion event, under the visit's
+    pre-allocated seq) or its deadline expires (resumed with
+    ``"timeout"``).
+    """
+
+    __slots__ = ("resource", "visit")
+
+    def __init__(self, resource: Resource, visit: Visit) -> None:
+        self.resource = resource
+        self.visit = visit
+
+
+class _Block:
+    """``yield BLOCK``: suspend with no scheduled resume."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "BLOCK"
+
+
+BLOCK = _Block()
+
+
+class Process:
+    """A generator driven by the kernel.
+
+    ``current_seq`` is the seq of the event the process is currently
+    executing under — the rank a visit submitted *now* competes with.
+    The retired ``repro.sim.engine.Process``; it waits on the visits it
+    acquires (``complete``/``expire``) instead of hooking two callbacks
+    on each.
+    """
+
+    __slots__ = ("_kernel", "_gen", "name", "current_seq", "alive",
+                 "finished_at", "_resume_value")
+
+    def __init__(self, kernel: EventClock,
+                 gen: Generator[Union[Wait, Acquire, _Block], object, None],
+                 name: str = "") -> None:
+        self._kernel = kernel
+        self._gen = gen
+        self.name = name
+        self.current_seq: Optional[int] = None
+        self.alive = True
+        self.finished_at: Optional[float] = None
+        self._resume_value: object = None
+
+    def start(self, at: float = 0, *, seq: Optional[int] = None) -> None:
+        self._kernel.schedule(at, self._step, seq=seq)
+
+    def resume_at(self, time: float, value: object = None, *,
+                  seq: Optional[int] = None,
+                  priority: int = PRIO_NORMAL) -> None:
+        # A generator has at most one pending resume (a second send
+        # before the first fired would already be a kernel bug), so the
+        # value rides on the process instead of a per-resume closure.
+        self._resume_value = value
+        self._kernel.schedule(time, self._step_resume,
+                              priority=priority, seq=seq)
+
+    def resume_now(self, event: Event, value: object = None) -> None:
+        """Continue inside the current event (same time, same seq)."""
+        self._step(event, value)
+
+    def _step_resume(self, event: Event) -> None:
+        value = self._resume_value
+        self._resume_value = None
+        self._step(event, value)
+
+    def complete(self, event: Event) -> None:
+        self.resume_now(event, "served")
+
+    def expire(self, now: float) -> None:
+        self.resume_at(now, "timeout")
+
+    def _step(self, event: Event, value: object = None) -> None:
+        self.current_seq = event.seq
+        try:
+            cmd = self._gen.send(value)
+        except StopIteration:
+            self.alive = False
+            self.finished_at = self._kernel.now
+            return
+        if isinstance(cmd, Wait):
+            self.resume_at(self._kernel.now + cmd.seconds)
+        elif isinstance(cmd, Acquire):
+            visit = cmd.visit
+            visit.waiter = self
+            cmd.resource.submit(visit)
+        elif cmd is BLOCK:
+            pass  # whoever handed out BLOCK resumes us explicitly
+        else:
+            raise TypeError(f"process yielded {cmd!r}; "
+                            "expected Wait, Acquire, or BLOCK")
+
+
+class _Hooks:
+    """A visit's waiter forwarding to two callbacks (the retired
+    ``on_complete``/``on_expire`` pair)."""
+
+    __slots__ = ("complete", "expire")
+
+    def __init__(self, complete: Callable[[Event], None],
+                 expire: Callable[[float], None]) -> None:
+        self.complete = complete
+        self.expire = expire
+
+
+class _LaneState:
+    """Mutable runtime of one lane (shared between hooks and process)."""
+
+    __slots__ = ("index", "spec", "timeline", "outstanding", "blocked",
+                 "stall_since", "stall", "served", "timed_out", "host_free",
+                 "process")
+
+    def __init__(self, index: int, spec: TenantLane) -> None:
+        self.index = index
+        self.spec = spec
+        self.timeline = UserTimeline()
+        self.outstanding = 0
+        self.blocked = False
+        self.stall_since = 0.0
+        self.stall = 0.0
+        self.served = 0
+        self.timed_out = 0
+        self.host_free = 0.0
+        self.process: Optional[Process] = None
+
+
+class GeneratorLaneRun:
+    """The retired ``repro.sim.engine.LaneRun``, verbatim apart from
+    naming, the waiter hookup and its tuple charge log: one
+    :class:`Process` over one generator per lane."""
+
+    def __init__(self, lanes: Sequence[TenantLane], scheduler,
+                 ctx_switch_cost: float, kernel: EventClock) -> None:
+        self.kernel = kernel
+        self.ctx_switch_cost = ctx_switch_cost
+        self._states: List[_LaneState] = []
+        self._lane_log: List[Tuple[int, float, float, str]] = []
+        self._lane_names: List[str] = []
+        self.engine = Resource(kernel, ctx_switch_cost, scheduler,
+                               on_serve=self._on_serve)
+        for lane in lanes:
+            self._admit(lane)
+        for state in self._states:  # t=0 wakeups in lane order
+            state.process.start(0.0)
+
+    def _admit(self, spec: TenantLane) -> _LaneState:
+        index = len(self._states)
+        state = _LaneState(index, spec)
+        self._states.append(state)
+        self._lane_names.append(spec.name or f"lane{index}")
+        state.process = Process(self.kernel, self._lane_process(state),
+                                name=self._lane_names[index])
+        return state
+
+    def add_lane(self, spec: TenantLane) -> int:
+        state = self._admit(spec)
+        state.process.start(self.kernel.now)
+        return state.index
+
+    def _record(self, tenant: int, start: float, seconds: float,
+                category: str) -> None:
+        if seconds > 0.0:
+            self._lane_log.append((tenant, start, seconds, category))
+            self.kernel.charge(start, seconds, category)
+            tracer = _OBS.tracer
+            if tracer is not None:
+                tracer.event(category, category, start, seconds,
+                             tenant=self._lane_names[tenant], lane=True)
+
+    def _on_serve(self, visit: Visit, dispatch_at: float,
+                  switched: bool) -> None:
+        state = self._states[visit.tenant]
+        state.timeline.waits += dispatch_at - visit.ready
+        start = dispatch_at
+        if switched:
+            self._record(visit.tenant, start, self.ctx_switch_cost,
+                         "ctx_switch")
+            start += self.ctx_switch_cost
+        finish = start + visit.gpu_seconds
+        state.timeline.gpu_busy += visit.gpu_seconds
+        state.timeline.finish_time = max(state.timeline.finish_time, finish)
+        self._record(visit.tenant, start, visit.gpu_seconds, "gpu")
+        state.served += 1
+
+    def _release_slot(self, state: _LaneState, now: float, outcome: str,
+                      event: Optional[Event] = None) -> None:
+        state.outstanding -= 1
+        if state.blocked:
+            state.blocked = False
+            stall = max(now - state.stall_since, 0.0)
+            if event is not None:
+                state.process.resume_now(event, (outcome, stall))
+            else:
+                state.process.resume_at(max(state.host_free, now),
+                                        (outcome, stall))
+
+    def _on_complete(self, event: Event, state: _LaneState) -> None:
+        self._release_slot(state, event.time, "served", event)
+
+    def _on_expire(self, now: float, state: _LaneState) -> None:
+        state.timed_out += 1
+        self._release_slot(state, now, "timeout")
+
+    def _lane_process(self, state: _LaneState
+                      ) -> Generator[Union[Wait, Acquire, _Block],
+                                     object, None]:
+        kernel = self.kernel
+        spec = state.spec
+        units = iter(spec.units)
+        pending_stall: Optional[float] = None
+        while True:
+            try:
+                unit = next(units)
+            except StopIteration:
+                break
+            if pending_stall is not None:
+                state.stall += pending_stall
+                pending_stall = None
+            now = kernel.now
+            done = now + unit.host_seconds
+            if unit.idle:
+                state.timeline.finish_time = max(
+                    state.timeline.finish_time, done)
+                state.host_free = done
+                self._record(state.index, now, unit.host_seconds, "backoff")
+                yield Wait(unit.host_seconds)
+                continue
+            state.timeline.host_busy += unit.host_seconds
+            state.timeline.finish_time = max(state.timeline.finish_time, done)
+            state.host_free = done
+            self._record(state.index, now, unit.host_seconds, "host")
+            if unit.gpu_seconds is None:
+                yield Wait(unit.host_seconds)
+                continue
+            if unit.host_seconds > 0.0:
+                yield Wait(unit.host_seconds)
+            visit = Visit(
+                tenant=state.index, seq=state.process.current_seq,
+                ready=done, gpu_seconds=unit.gpu_seconds, weight=spec.weight,
+                deadline=(None if unit.deadline is None
+                          else done + unit.deadline),
+                label=unit.label, on_outcome=unit.on_outcome)
+            visit.waiter = _Hooks(
+                lambda ev, s=state: self._on_complete(ev, s),
+                lambda at, s=state: self._on_expire(at, s))
+            state.outstanding += 1
+            self.engine.submit(visit)
+            if state.outstanding < spec.max_inflight:
+                yield Wait(0.0)
+            else:
+                state.blocked = True
+                state.stall_since = done
+                resumed = yield BLOCK
+                pending_stall = resumed[1]
+        state.timeline.finish_time = max(state.timeline.finish_time,
+                                         kernel.now)
+        if spec.on_exhausted is not None:
+            spec.on_exhausted(kernel.now)
+
+    def finish(self) -> LaneResult:
+        states = self._states
+        makespan = max((s.timeline.finish_time for s in states), default=0.0)
+        return LaneResult(
+            makespan=makespan,
+            timelines=[s.timeline for s in states],
+            context_switches=self.engine.switches,
+            served=[s.served for s in states],
+            timed_out=[s.timed_out for s in states],
+            stall_seconds=[s.stall for s in states],
+            log=self._lane_log,
+            names=self._lane_names)
+
+
+def generator_run_lanes(lanes: Sequence[TenantLane], scheduler,
+                        ctx_switch_cost: float,
+                        kernel: Optional[EventClock] = None) -> LaneResult:
+    """The retired ``run_lanes`` over :class:`GeneratorLaneRun`; its
+    ``log`` holds one ``(lane, start, seconds, category)`` tuple per
+    charge."""
+    kernel = kernel if kernel is not None else EventClock()
+    run = GeneratorLaneRun(lanes, scheduler, ctx_switch_cost, kernel)
+    kernel.run()
+    return run.finish()
 
 
 def pipelined_time_events(nbytes: float, stage_bandwidths: Sequence[float],

@@ -17,7 +17,12 @@ them:
   oracle does not model;
 * the kernel evaluation of the pipelined copy
   (:func:`tests.property.oracles.pipelined_time_events`) equals the
-  closed form bit for bit in exact (Fraction) arithmetic.
+  closed form bit for bit in exact (Fraction) arithmetic;
+* the slotted state-machine lanes of :func:`repro.sim.engine.run_lanes`
+  reproduce the generator lanes they replaced
+  (:class:`tests.property.oracles.GeneratorLaneRun`) on tie-grid lanes
+  of every unit kind: the same result, charge log, callback order and
+  kernel event count.
 """
 
 from fractions import Fraction
@@ -35,9 +40,19 @@ from repro.serve.scheduler import (
     FifoScheduler,
     RoundRobinScheduler,
 )
-from repro.sim.engine import TenantLane, WorkUnit, run_lanes
+from repro.sim.engine import (
+    EventClock,
+    LaneRun,
+    TenantLane,
+    WorkUnit,
+    run_lanes,
+)
 from repro.sim.pipeline import pipelined_time
 from tests.property.oracles import (
+    BLOCK,
+    GeneratorLaneRun,
+    Process,
+    Wait,
     oracle_multiplex,
     oracle_simulate_concurrent,
     pipelined_time_events,
@@ -233,3 +248,138 @@ class TestPipelineKernelMatchesClosedForm:
         assert pipelined_time_events(nbytes, bandwidths, chunk) == (
             pytest.approx(pipelined_time(nbytes, bandwidths, chunk),
                           rel=1e-12, abs=1e-12))
+
+
+# The lane state machine against the generator lane it replaced.  Both
+# run over the same EventClock and Resource, so on the tie grid, where
+# simultaneous arrivals, completions, expiries and resumes are the
+# common case, any difference in the order of schedule calls or seq
+# allocations shows up as a different result, charge log or callback
+# order.
+lane_unit_kinds = st.sampled_from(["idle", "host", "gpu", "gpu+deadline"])
+
+
+@st.composite
+def tie_grid_lane(draw):
+    """``(units, max_inflight, weight)`` with every unit kind drawn."""
+    units = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(lane_unit_kinds)
+        host = draw(tie_durations)
+        gpu = None if kind in ("idle", "host") else draw(tie_durations)
+        deadline = draw(tie_durations) if kind == "gpu+deadline" else None
+        units.append((kind, host, gpu, deadline))
+    return (units, draw(st.integers(min_value=1, max_value=3)),
+            draw(st.sampled_from([1.0, 2.0])))
+
+
+def build_lane_scheduler(name):
+    if name is None:
+        return None  # the Resource's native FIFO
+    if name == "fair":
+        return DeficitFairScheduler(0.75)  # a quantum on the tie grid
+    return build_scheduler(name)
+
+
+def build_lane(name, drawn, seen):
+    """A fresh TenantLane whose callbacks append to *seen*."""
+    units, inflight, weight = drawn
+    built = []
+    for index, (kind, host, gpu, deadline) in enumerate(units):
+        label = f"{name}.{index}"
+        built.append(WorkUnit(
+            host, gpu, label, deadline=deadline, idle=kind == "idle",
+            on_outcome=(None if gpu is None else
+                        lambda outcome, label=label: seen.append(
+                            (label, outcome)))))
+    return TenantLane(units=built, weight=weight, max_inflight=inflight,
+                      name=name,
+                      on_exhausted=lambda now: seen.append((name, now)))
+
+
+def run_lane_impl(run_cls, lanes, late, scheduler, cost):
+    """One kernel run of *lanes* under *run_cls*, plus the lane *late*
+    added mid-run; returns (result, events processed, callbacks)."""
+    seen = []
+    kernel = EventClock()
+    run = run_cls([build_lane(f"l{index}", drawn, seen)
+                   for index, drawn in enumerate(lanes)],
+                  build_lane_scheduler(scheduler), cost, kernel)
+    if late is not None:
+        at, drawn = late
+        kernel.schedule(at, lambda event: run.add_lane(
+            build_lane("late", drawn, seen)))
+    kernel.run()
+    return run.finish(), kernel.events_processed, seen
+
+
+class TestLanesMatchGeneratorLanes:
+    @given(lanes=st.lists(tie_grid_lane(), min_size=1, max_size=4),
+           late=st.none() | st.tuples(tie_durations, tie_grid_lane()),
+           scheduler=st.sampled_from([None, "fifo", "rr", "fair"]),
+           cost=tie_switch_costs)
+    @settings(max_examples=300, deadline=None)
+    def test_run_lanes_equals_generator_lanes(self, lanes, late, scheduler,
+                                              cost):
+        mine, events, seen = run_lane_impl(LaneRun, lanes, late, scheduler,
+                                           cost)
+        oracle, o_events, o_seen = run_lane_impl(GeneratorLaneRun, lanes,
+                                                 late, scheduler, cost)
+        assert mine.makespan == oracle.makespan
+        assert mine.timelines == oracle.timelines
+        assert mine.context_switches == oracle.context_switches
+        assert mine.served == oracle.served
+        assert mine.timed_out == oracle.timed_out
+        assert mine.stall_seconds == oracle.stall_seconds
+        assert mine.log == [atom for charge in oracle.log
+                            for atom in charge]
+        assert mine.names == oracle.names
+        assert events == o_events
+        assert seen == o_seen
+
+
+class TestProcess:
+    """The generator process the pipeline oracle and the generator lane
+    run on."""
+
+    def test_wait_chain_advances_virtual_time(self):
+        clock = EventClock()
+        times = []
+
+        def proc():
+            times.append(clock.now)
+            yield Wait(1.5)
+            times.append(clock.now)
+            yield Wait(0.5)
+            times.append(clock.now)
+
+        process = Process(clock, proc())
+        process.start(0)
+        clock.run()
+        assert times == [0, 1.5, 2.0]
+        assert not process.alive
+        assert process.finished_at == 2.0
+
+    def test_block_until_resumed(self):
+        clock = EventClock()
+        seen = []
+
+        def proc():
+            value = yield BLOCK
+            seen.append((clock.now, value))
+
+        process = Process(clock, proc())
+        process.start(0)
+        clock.schedule(4.0, lambda e: process.resume_now(e, "wake"))
+        clock.run()
+        assert seen == [(4.0, "wake")]
+
+    def test_unknown_yield_rejected(self):
+        clock = EventClock()
+
+        def proc():
+            yield "nonsense"
+
+        Process(clock, proc()).start(0)
+        with pytest.raises(TypeError):
+            clock.run()

@@ -241,8 +241,7 @@ def _drive(machines, policy, ops, mode):
         if mode == "probe":
             assert [machine.snapshot() for machine in fleet.machines] \
                 == [machine.status() for machine in fleet.machines], op
-    return outcomes, {name: placement.machine for name, placement
-                      in fleet.router.placements.items()}
+    return outcomes, dict(fleet.router.placements)
 
 
 class TestPlacementSnapshotsAreExact:

@@ -3,20 +3,17 @@
 import pytest
 
 from repro.sim.engine import (
-    BLOCK,
     EventClock,
     PRIO_DISPATCH,
     PRIO_NORMAL,
     PRIO_REDISPATCH,
-    Acquire,
-    Process,
     Resource,
     TenantLane,
     Visit,
-    Wait,
     WorkUnit,
     run_lanes,
 )
+from tests.property.oracles import Acquire, Process
 
 
 def pop_order(*entries):
@@ -83,50 +80,6 @@ class TestEventClock:
         clock.remove_listener(listener)
         clock.charge(3.0, 1.0, "after")
         assert seen == [(1.0, 2.0, "gpu")]
-
-
-class TestProcess:
-    def test_wait_chain_advances_virtual_time(self):
-        clock = EventClock()
-        times = []
-
-        def proc():
-            times.append(clock.now)
-            yield Wait(1.5)
-            times.append(clock.now)
-            yield Wait(0.5)
-            times.append(clock.now)
-
-        process = Process(clock, proc())
-        process.start(0)
-        clock.run()
-        assert times == [0, 1.5, 2.0]
-        assert not process.alive
-        assert process.finished_at == 2.0
-
-    def test_block_until_resumed(self):
-        clock = EventClock()
-        seen = []
-
-        def proc():
-            value = yield BLOCK
-            seen.append((clock.now, value))
-
-        process = Process(clock, proc())
-        process.start(0)
-        clock.schedule(4.0, lambda e: process.resume_now(e, "wake"))
-        clock.run()
-        assert seen == [(4.0, "wake")]
-
-    def test_unknown_yield_rejected(self):
-        clock = EventClock()
-
-        def proc():
-            yield "nonsense"
-
-        Process(clock, proc()).start(0)
-        with pytest.raises(TypeError):
-            clock.run()
 
 
 def acquire_once(clock, resource, tenant, gpu_seconds, log, ready=None,
@@ -207,4 +160,4 @@ class TestRunLanes:
     def test_lane_names_default_to_index(self):
         result = run_lanes([TenantLane(units=[]),
                             TenantLane(units=[], name="alice")], None, 0.0)
-        assert [p.name for p in result.processes] == ["lane0", "alice"]
+        assert result.names == ["lane0", "alice"]

@@ -262,7 +262,7 @@ class TestMultiplex:
         lanes = [TenantLane(units=[WorkUnit(0.5, 1.0)]),
                  TenantLane(units=[WorkUnit(0.5, 1.0)])]
         result = run_lanes(lanes, FifoScheduler(), 0.1)
-        kinds = {category for _, _, _, category in result.log}
+        kinds = set(result.log[3::4])
         assert kinds == {"host", "gpu", "ctx_switch"}
 
     def test_bad_scheduler_rejected(self):

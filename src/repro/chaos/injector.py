@@ -77,19 +77,19 @@ class FaultInjector:
 
         registry = obs_metrics.registry()
         for fault in faults:
-            def fire(event, fault: Fault = fault) -> None:
+            def fire(seq: int, fault: Fault = fault) -> None:
                 fault.fired = True
                 fault.apply(ctx)
                 registry.counter("chaos.faults_injected").inc()
                 registry.counter(f"chaos.fault.{fault.kind}").inc()
                 audit_log().record(
                     "chaos.injected", fault.tenant or "machine",
-                    time=event.time, ok=False, detail=fault.label,
+                    time=kernel.now, ok=False, detail=fault.label,
                     fault_kind=fault.kind)
                 tracer = _OBS.tracer
                 if tracer is not None:
                     tracer.event(f"chaos.{fault.kind}", "chaos",
-                                 event.time, 0.0, fault=fault.label,
+                                 kernel.now, 0.0, fault=fault.label,
                                  tenant=fault.tenant or "",
                                  detail=fault.detail)
 

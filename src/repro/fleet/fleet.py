@@ -65,6 +65,8 @@ class FleetMachine:
         self.weight = 1.0
         self.healthy = True
         self.draining = False
+        #: The VRAM the machine's GPU was built with.
+        self.memory_budget = machine.config.vram_size_actual
         #: The last :meth:`snapshot`; ``None`` once the fleet books this
         #: machine.
         self._snapshot: Optional[MachineStatus] = None
@@ -108,7 +110,6 @@ class FleetMachine:
     def status(self) -> MachineStatus:
         """A fresh snapshot of everything the router reads."""
         table = self.engine.table
-        in_use = sum(record.memory_in_use for record in table.tenants)
         return MachineStatus(
             index=self.index,
             name=self.name,
@@ -117,8 +118,8 @@ class FleetMachine:
             lite_sessions=len(self.lite_lanes),
             pending_seconds=self.est_seconds + self.lite_est_seconds,
             drain_seconds=self.drain_estimate(),
-            memory_committed=self.reserved_bytes + in_use,
-            memory_budget=self.machine.config.vram_size_actual,
+            memory_committed=self.reserved_bytes + table.memory_in_use(),
+            memory_budget=self.memory_budget,
             backend=self.machine.config.backend,
             weight=self.weight,
             draining=self.draining,
@@ -246,6 +247,9 @@ class Fleet:
                 FleetMachine(index, f"m{index}", machine, engine))
         self.plans: List[MigrationPlan] = []
         self._lite_count = 0
+        #: ``(registry, its placed counter)``, resolved at the first
+        #: placement under each active registry.
+        self._placed = None
 
     # -- placement ----------------------------------------------------------
 
@@ -265,14 +269,18 @@ class Fleet:
         that is bouncing sessions at the door.
         """
         registry = obs_metrics.registry()
-        policy = self.router.policy_name
         try:
             index = self.router.place(
                 spec, [machine.snapshot() for machine in self.machines])
         except Exception:
-            registry.counter(f"fleet.placement.{policy}.rejected").inc()
+            registry.counter(
+                f"fleet.placement.{self.router.policy_name}.rejected").inc()
             raise
-        registry.counter(f"fleet.placement.{policy}.placed").inc()
+        placed = self._placed
+        if placed is None or placed[0] is not registry:
+            placed = self._placed = (registry, registry.counter(
+                f"fleet.placement.{self.router.policy_name}.placed"))
+        placed[1].inc()
         chosen = self.machines[index]
         chosen.reserved_bytes += spec.memory_bytes
         if spec.lite:
@@ -403,7 +411,7 @@ class Fleet:
                 epoch=landed.session_epoch,
                 requests_moved=len(remaining))
 
-        def begin(event, client: TenantClient = client) -> None:
+        def begin(seq: int, client: TenantClient = client) -> None:
             source.draining = True
             client.on_drained = handoff
             client.request_drain()

@@ -99,6 +99,7 @@ from repro.serve.memo import RequestTimingMemo, costs_fingerprint
 from repro.serve.report import (
     ServeReport,
     TenantReport,
+    build_lite_report,
     build_tenant_report,
     lane_events,
     report_totals,
@@ -798,7 +799,7 @@ class ServeEngine:
         self._scheduler = scheduler
         self.table = SessionTable(max_tenants=max_tenants,
                                   default_quota=default_quota)
-        self._clients: List[TenantClient] = []
+        self._clients: Tuple[TenantClient, ...] = ()
         self._alloc_tokens = itertools.count(1)
         self._crypto_efficiency = crypto_efficiency
         self._fast_path = fast_path
@@ -856,15 +857,17 @@ class ServeEngine:
         self._scheduler = scheduler
 
     @property
-    def clients(self) -> List[TenantClient]:
-        return list(self._clients)
+    def clients(self) -> Tuple[TenantClient, ...]:
+        """The attached clients, in admission order: a tuple handed out
+        uncopied, which an admission replaces rather than mutates."""
+        return self._clients
 
     def add_tenant(self, name: str,
                    quota: Optional[TenantQuota] = None) -> TenantClient:
         """Admit *name* (or attach another client to an admitted tenant)."""
         record = self.table.admit(name, quota)
         client = TenantClient(name, record)
-        self._clients.append(client)
+        self._clients += (client,)
         return client
 
     def _resolve_crypto_efficiency(self) -> float:
@@ -1029,33 +1032,25 @@ class ServeEngine:
             raise RuntimeError("finish requires a started run")
         result = self._lane_run.finish()
         self._lane_run = None
+        # Nothing reads the kernel after the drain; the engine must not
+        # keep a finished run's clock alive.
+        self._kernel = None
         lane_names = self._lane_names
         gpu_busy = sum(t.gpu_busy for t in result.timelines)
         gpu_utilization = (gpu_busy / result.makespan
                            if result.makespan > 0.0 else 0.0)
         tenants: List[TenantReport] = []
+        served, timed_out = result.served, result.timed_out
+        stalls = result.stall_seconds
         for index, client in enumerate(self._lane_clients):
             timeline = result.timelines[index]
             if client is not None:
                 tenants.append(build_tenant_report(
-                    client, lane_names[index], timeline,
-                    result.stall_seconds[index]))
+                    client, lane_names[index], timeline, stalls[index]))
             else:
-                # Lite lane: no request ledger — the engine-visit
-                # accounting is the whole story.
-                tenants.append(TenantReport(
-                    name=lane_names[index],
-                    submitted=result.served[index] + result.timed_out[index],
-                    rejected_submits=0,
-                    served=result.served[index],
-                    timed_out=result.timed_out[index],
-                    denied=0, backpressured=0, failed=0,
-                    finish_time=timeline.finish_time,
-                    gpu_busy=timeline.gpu_busy,
-                    host_busy=timeline.host_busy,
-                    waits=timeline.waits,
-                    stall_seconds=result.stall_seconds[index],
-                    peak_memory=0, quota_denials=0))
+                tenants.append(build_lite_report(
+                    lane_names[index], timeline, stalls[index],
+                    served[index], timed_out[index]))
         report = ServeReport(
             scheduler=self._scheduler.name,
             makespan=result.makespan,

@@ -170,5 +170,9 @@ class SessionTable:
     def tenants(self) -> List[TenantRecord]:
         return sorted(self._by_name.values(), key=lambda r: r.tenant_id)
 
+    def memory_in_use(self) -> int:
+        """Device bytes charged to every admitted tenant together."""
+        return sum(record.memory_in_use for record in self._by_name.values())
+
     def __len__(self) -> int:
         return len(self._by_name)

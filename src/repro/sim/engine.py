@@ -15,11 +15,13 @@ Primitives
 ----------
 
 :class:`EventClock`
-    The event heap plus virtual ``now``.  Exposes the same
-    ``add_listener``/``remove_listener`` surface as
-    :class:`repro.sim.clock.SimClock`, so a charge consumer such as
-    :class:`repro.obs.tracer.SpanTracer` attaches to virtual time
-    unchanged.
+    The event heap plus virtual ``now``.  Heap entries are plain
+    ``(time, priority, seq, fn)`` tuples; a popped entry sets ``now``
+    and calls ``fn(seq)``, so a kernel step allocates nothing but its
+    tuple.  Exposes the same ``add_listener``/``remove_listener``
+    surface as :class:`repro.sim.clock.SimClock`, so a charge consumer
+    such as :class:`repro.obs.tracer.SpanTracer` attaches to virtual
+    time unchanged.
 :class:`Resource`
     An exclusive engine (the GPU execution engine).  Per-lane FIFO
     queues, a pluggable scheduler over the queue heads, a
@@ -101,34 +103,13 @@ PRIO_NORMAL = 1
 PRIO_REDISPATCH = 2
 
 
-class Event:
-    """One scheduled step, handed to its callback when it pops.
-
-    A plain slotted object rather than a dataclass: the kernel allocates
-    one per scheduled step and :class:`EventClock` recycles drained
-    entries through a freelist, so construction and reuse stay
-    allocation-free on the hot path.  The heap itself orders
-    ``(time, priority, seq, event)`` tuples, compared in C; ``seq`` is
-    unique per entry, so the event is never compared.  ``fn`` is the
-    callback the heap invokes; it is cleared when the entry is recycled.
-    """
-
-    __slots__ = ("time", "priority", "seq", "fn")
-
-    def __init__(self, time: float, priority: int, seq: int,
-                 fn: Optional[Callable[["Event"], None]] = None) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.fn = fn
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Event(time={self.time!r}, priority={self.priority!r}, "
-                f"seq={self.seq!r})")
-
-
 class EventClock:
     """Virtual time: an event heap with SimClock's listener surface.
+
+    The heap holds ``(time, priority, seq, fn)`` tuples, compared in C
+    (``seq`` is unique per entry, so ``fn`` never is).  A popped entry
+    sets ``now`` to its time and calls ``fn(seq)`` with the seq it was
+    scheduled under: the rank a continuation inside it competes with.
 
     Listeners receive ``(start, seconds, category)`` exactly as
     :class:`repro.sim.clock.SimClock` emits them, so any charge consumer
@@ -140,8 +121,7 @@ class EventClock:
 
     def __init__(self) -> None:
         self.now: float = 0
-        self._heap: List[Tuple[float, int, int, Event]] = []
-        self._free: List[Event] = []
+        self._heap: List[Tuple[float, int, int, Callable[[int], None]]] = []
         self._seq = itertools.count()
         self._listeners: List[Callable[[float, float, str], None]] = []
         self.events_processed = 0
@@ -158,43 +138,28 @@ class EventClock:
 
     # -- scheduling -----------------------------------------------------------
 
-    def schedule(self, time: float, fn: Callable[[Event], None], *,
+    def schedule(self, time: float, fn: Callable[[int], None], *,
                  priority: int = PRIO_NORMAL,
-                 seq: Optional[int] = None) -> Event:
-        """Schedule ``fn(event)`` at ``time``; returns the event.
+                 seq: Optional[int] = None) -> None:
+        """Schedule ``fn(seq)`` at ``time``.
 
         ``seq`` defaults to a fresh allocation; passing a pre-allocated
         seq is how continuations keep their arrival-order rank.  Either
         way no two heap entries share a seq.
-
-        The returned event is recycled once its callback has run; do not
-        retain it past the callback.
         """
         if seq is None:
-            seq = self.allocate_seq()
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.priority = priority
-            event.seq = seq
-            event.fn = fn
-        else:
-            event = Event(time, priority, seq, fn)
-        heapq.heappush(self._heap, (time, priority, seq, event))
-        return event
+            seq = next(self._seq)
+        heapq.heappush(self._heap, (time, priority, seq, fn))
 
     def run(self) -> float:
         """Drain the heap; returns the final virtual time."""
         heap = self._heap
-        free = self._free
+        pop = heapq.heappop
         processed = 0
         while heap:
-            event = heapq.heappop(heap)[3]
-            self.now = event.time
-            event.fn(event)
-            event.fn = None
-            free.append(event)
+            time, _, seq, fn = pop(heap)
+            self.now = time
+            fn(seq)
             processed += 1
         if processed:
             self.events_processed += processed
@@ -205,10 +170,9 @@ class EventClock:
 
     def charge(self, start: float, seconds: float, category: str) -> None:
         """Report ``seconds`` of ``category`` work starting at ``start``."""
-        if self._listeners:
-            # A copy: a listener may detach itself mid-charge.
-            for listener in list(self._listeners):
-                listener(start, seconds, category)
+        # A copy: a listener may detach itself mid-charge.
+        for listener in list(self._listeners):
+            listener(start, seconds, category)
 
     def add_listener(self,
                      listener: Callable[[float, float, str], None]) -> None:
@@ -233,15 +197,15 @@ class Visit:
     on_outcome: Optional[Callable[[str], None]] = None
     resume_seq: Optional[int] = None   # pre-allocated completion-event seq
     #: Who awaits the outcome, set by whoever submits the visit:
-    #: ``waiter.complete(event)`` runs inside the completion event (whose
+    #: ``waiter.complete(seq)`` runs inside the completion event (whose
     #: seq is ``resume_seq``), ``waiter.expire(now)`` at deadline expiry.
     waiter: Any = None
 
-    def __call__(self, event: Event) -> None:
+    def __call__(self, seq: int) -> None:
         # The visit is its own completion callback: nothing is allocated
         # per dispatch.
         if self.waiter is not None:
-            self.waiter.complete(event)
+            self.waiter.complete(seq)
 
 
 class Resource:
@@ -281,12 +245,6 @@ class Resource:
         self._switch_counter = registry.counter("engine.ctx_switches")
         self._expiry_counter = registry.counter("engine.deadline_expiries")
 
-    def queue(self, lane: int) -> Deque[Visit]:
-        queue = self._queues.get(lane)
-        if queue is None:
-            queue = self._queues[lane] = deque()
-        return queue
-
     def _push_head(self, visit: Visit) -> None:
         heapq.heappush(self._head_heap, (visit.ready, visit.seq, visit))
 
@@ -300,7 +258,9 @@ class Resource:
         """
         if visit.resume_seq is None:
             visit.resume_seq = self._kernel.allocate_seq()
-        queue = self.queue(visit.tenant)
+        queue = self._queues.get(visit.tenant)
+        if queue is None:
+            queue = self._queues[visit.tenant] = deque()
         queue.append(visit)
         if visit.deadline is not None:
             self._deadlines += 1
@@ -309,11 +269,14 @@ class Resource:
         if self.free_at <= self._kernel.now:
             self._dispatch()
 
+    def release(self, lane: int) -> None:
+        """Forget the queue of *lane*, which never submits again; the
+        other lanes keep their order in ``_queues``."""
+        self._queues.pop(lane, None)
+
     # -- dispatch -------------------------------------------------------------
 
     def _select(self, candidates: List[Visit]) -> Visit:
-        if self._scheduler is None:
-            return min(candidates, key=lambda v: (v.ready, v.seq))
         visit = self._scheduler.select(candidates, self.resident,
                                        self._kernel.now)
         if visit not in candidates:  # defensive: scheduler contract
@@ -322,7 +285,7 @@ class Resource:
                 "non-candidate visit")
         return visit
 
-    def _dispatch(self, event: Optional[Event] = None) -> None:
+    def _dispatch(self, seq: Optional[int] = None) -> None:
         now = self._kernel.now
         if self.free_at > now:
             return  # stale decision: the engine was re-dispatched already
@@ -336,7 +299,8 @@ class Resource:
         # dispatch).
         expired = False
         if self._deadlines:
-            for queue in self._queues.values():
+            # A copy: a lane told of its expiry may release its queue.
+            for queue in list(self._queues.values()):
                 popped = False
                 while (queue and queue[0].deadline is not None
                        and now > queue[0].deadline):
@@ -362,15 +326,14 @@ class Resource:
             # queue's head (served or expired since the push) are
             # stale; drop them on sight.
             heap = self._head_heap
-            visit = None
+            queues = self._queues
             while heap:
-                head = heap[0][2]
-                queue = self._queues.get(head.tenant)
-                if queue and queue[0] is head:
-                    visit = head
+                visit = heap[0][2]
+                queue = queues.get(visit.tenant)
+                if queue and queue[0] is visit:
                     break
                 heapq.heappop(heap)
-            if visit is None:
+            else:
                 return
             heapq.heappop(heap)
         else:
@@ -378,7 +341,7 @@ class Resource:
             if not candidates:
                 return
             visit = self._select(candidates)
-        queue = self._queues[visit.tenant]
+            queue = self._queues[visit.tenant]
         queue.popleft()
         if visit.deadline is not None:
             self._deadlines -= 1
@@ -546,15 +509,15 @@ class _Lane:
         self.timed_out = 0
         self.host_free = 0.0
 
-    def __call__(self, event: Event) -> None:
+    def __call__(self, seq: int) -> None:
         unit = self.arriving
         if unit is None:
-            self._step(event.seq)
+            self._step(seq)
         else:
             # The host part is done: arrive at the engine; this event's
             # seq is the visit's FIFO rank.
             self.arriving = None
-            self._submit(unit, event.seq)
+            self._submit(unit, seq)
 
     def _step(self, seq: int) -> None:
         kernel = self.run.kernel
@@ -568,6 +531,7 @@ class _Lane:
             self.finish_time = max(self.finish_time, kernel.now)
             if self.spec.on_exhausted is not None:
                 self.spec.on_exhausted(kernel.now)
+            self._release_if_drained()
             return
         if self.pending_stall is not None:
             self.stall += self.pending_stall
@@ -601,11 +565,9 @@ class _Lane:
         done = self.host_free
         self.outstanding += 1
         run.engine.submit(Visit(
-            tenant=self.index, seq=seq, ready=done,
-            gpu_seconds=unit.gpu_seconds, weight=spec.weight,
-            deadline=(None if unit.deadline is None
-                      else done + unit.deadline),
-            label=unit.label, on_outcome=unit.on_outcome, waiter=self))
+            self.index, seq, done, unit.gpu_seconds, spec.weight,
+            None if unit.deadline is None else done + unit.deadline,
+            unit.label, unit.on_outcome, None, self))
         if self.outstanding < spec.max_inflight:
             run.kernel.schedule(run.kernel.now + 0.0, self)
         else:
@@ -614,14 +576,17 @@ class _Lane:
 
     # -- the visit waiter's hooks -------------------------------------------
 
-    def complete(self, event: Event) -> None:
+    def complete(self, seq: int) -> None:
         self.outstanding -= 1
         if self.blocked:
             # Step on inside the completion event: same time, and the
             # visit's pre-allocated seq keeps oracle arrival rank.
             self.blocked = False
-            self.pending_stall = max(event.time - self.stall_since, 0.0)
-            self._step(event.seq)
+            self.pending_stall = max(self.run.kernel.now - self.stall_since,
+                                     0.0)
+            self._step(seq)
+        else:
+            self._release_if_drained()
 
     def expire(self, now: float) -> None:
         self.timed_out += 1
@@ -630,6 +595,14 @@ class _Lane:
             self.blocked = False
             self.pending_stall = max(now - self.stall_since, 0.0)
             self.run.kernel.schedule(max(self.host_free, now), self)
+        else:
+            self._release_if_drained()
+
+    def _release_if_drained(self) -> None:
+        # A dry stream never submits again: once its last visit left the
+        # engine, the engine forgets the lane's queue.
+        if not self.outstanding and self.units is _DRY:
+            self.run.engine.release(self.index)
 
 
 class LaneRun:
@@ -687,7 +660,9 @@ class LaneRun:
                 category: str) -> None:
         if seconds > 0.0:
             self._lane_log.extend((tenant, start, seconds, category))
-            self.kernel.charge(start, seconds, category)
+            # ``charge`` copies the listener list: skip it for none.
+            if self.kernel._listeners:
+                self.kernel.charge(start, seconds, category)
             tracer = _OBS.tracer
             if tracer is not None:
                 # Tenant-attributed schedule events: these are what the

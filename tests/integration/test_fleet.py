@@ -6,6 +6,7 @@ the fleet router on one shared event clock.
 """
 
 import gc
+import weakref
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.cli import main
 from repro.errors import PlacementError
 from repro.evalkit.fleet_sweep import fleet_crosscheck, fleet_run
 from repro.fleet import Fleet, LiteProfile
+from repro.obs import metrics as obs_metrics
 from repro.serve.queues import MIGRATED, SERVED
 from repro.sim.engine import EventClock
 from repro.system import MachineConfig
@@ -75,6 +77,23 @@ class TestFleetRun:
         # Both machines hold unserved backlogs, so the queue-drain
         # estimate — and with it the structured hint — is positive.
         assert excinfo.value.retry_after > 0.0
+
+    def test_placement_counts_land_in_the_active_registry(self):
+        key = "fleet.placement.least-loaded.placed"
+        profile = LiteProfile.from_workload(MatrixAdd(2048)).coalesced(4)
+        previous = obs_metrics.registry()
+        try:
+            first = obs_metrics.reset_registry()
+            fleet = _fleet(machines=2)
+            assert first.get(key) is None  # nothing placed yet
+            fleet.add_lite_session("a", profile)
+            second = obs_metrics.reset_registry()
+            fleet.add_lite_session("b", profile)
+            fleet.add_lite_session("c", profile)
+        finally:
+            obs_metrics.set_registry(previous)
+        assert first.get(key).value == 1
+        assert second.get(key).value == 2
 
 
 class TestMigration:
@@ -186,9 +205,10 @@ def _tracked() -> int:
 
 def _lite_gc_load(sessions: int, profile: LiteProfile):
     """Tracked objects a 4-machine FIFO fleet keeps for *sessions* lite
-    sessions: after admission, and after every engine built its lanes;
-    plus how many charge-log entries the collector tracks after the run
-    (collections held off, so none was untracked by a pass)."""
+    sessions: after admission and after every engine built its lanes;
+    how many charge-log entries the collector tracks right after the run
+    (collections held off until then, so no pass untracked one); and
+    what the lanes still keep once the kernel drained."""
     fleet = Fleet(machines=4, scheduler="fifo",
                   machine_config=MachineConfig(data_inflation=8192.0))
     before = _tracked()
@@ -210,7 +230,9 @@ def _lite_gc_load(sessions: int, profile: LiteProfile):
         if enabled:
             gc.enable()
     assert all(logs)
-    return admitted, started, tracked_log
+    # ``finish`` only reads the lanes, and its results are gone already.
+    drained = _tracked() - before
+    return admitted, started, tracked_log, drained
 
 
 class TestLiteGcLoad:
@@ -220,10 +242,11 @@ class TestLiteGcLoad:
     Every tracked object a session keeps alive lengthens each collection
     and brings the next one closer, so a fleet's cost per session grows
     with its population.  A session keeps its lane spec once admitted;
-    its kernel lane adds the lane itself and its t=0 wakeup (the event
-    and its heap entry).  The charge log holds only atoms.  The deltas
-    between two populations cancel fixed costs, and a warm-up run
-    creates the process-wide counters first.
+    its kernel lane adds the lane itself and its t=0 wakeup's heap
+    entry.  Once the kernel drained, only the lane is left: its heap
+    entries are gone and the engine forgot its queue.  The charge log
+    holds only atoms.  The deltas between two populations cancel fixed
+    costs, and a warm-up run creates the process-wide counters first.
     """
 
     def test_tracked_objects_per_session(self):
@@ -235,8 +258,24 @@ class TestLiteGcLoad:
         # its own accord, which shifts a delta by a fraction of one
         # object per session; one more object per session is a whole.
         assert round((large[0] - small[0]) / 200) <= 1
-        assert round((large[1] - small[1]) / 200) <= 3
+        assert round((large[1] - small[1]) / 200) <= 2
         assert small[2] == large[2] == 0
+        assert round((large[3] - small[3]) / 200) <= 1
+
+    def test_finished_run_keeps_no_kernel(self):
+        """After ``Fleet.run`` returns, nothing holds its kernel: the
+        engines drop it at ``finish``."""
+        fleet = _fleet(machines=2, scheduler="fifo")
+        submit_victim_stream(fleet.add_session("user0"), rounds=1, seed=0)
+        fleet.add_lite_sessions(
+            LiteProfile.from_workload(MatrixAdd(2048)).coalesced(4), 4)
+        kernel = EventClock()
+        alive = weakref.ref(kernel)
+        report = fleet.run(kernel)
+        del kernel
+        gc.collect()
+        assert alive() is None
+        assert len(report.merged.tenants) == 5
 
 
 class TestFleetSweep:

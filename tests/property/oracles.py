@@ -89,7 +89,7 @@ from repro.errors import EpcError, PageFault, ReproError
 from repro.hw.phys_mem import PAGE_SIZE
 from repro.sgx.epc import EpcmEntry, PageType
 from repro.obs.tracer import STATE as _OBS
-from repro.sim.engine import PRIO_NORMAL, Event, EventClock, Resource
+from repro.sim.engine import PRIO_NORMAL, EventClock, Resource
 from repro.sim.engine import LaneTimeline as UserTimeline
 from repro.sim.engine import LaneResult, TenantLane, Visit
 from repro.sim.trace import TraceEvent
@@ -565,23 +565,23 @@ class Process:
         self._kernel.schedule(time, self._step_resume,
                               priority=priority, seq=seq)
 
-    def resume_now(self, event: Event, value: object = None) -> None:
+    def resume_now(self, seq: int, value: object = None) -> None:
         """Continue inside the current event (same time, same seq)."""
-        self._step(event, value)
+        self._step(seq, value)
 
-    def _step_resume(self, event: Event) -> None:
+    def _step_resume(self, seq: int) -> None:
         value = self._resume_value
         self._resume_value = None
-        self._step(event, value)
+        self._step(seq, value)
 
-    def complete(self, event: Event) -> None:
-        self.resume_now(event, "served")
+    def complete(self, seq: int) -> None:
+        self.resume_now(seq, "served")
 
     def expire(self, now: float) -> None:
         self.resume_at(now, "timeout")
 
-    def _step(self, event: Event, value: object = None) -> None:
-        self.current_seq = event.seq
+    def _step(self, seq: int, value: object = None) -> None:
+        self.current_seq = seq
         try:
             cmd = self._gen.send(value)
         except StopIteration:
@@ -607,7 +607,7 @@ class _Hooks:
 
     __slots__ = ("complete", "expire")
 
-    def __init__(self, complete: Callable[[Event], None],
+    def __init__(self, complete: Callable[[int], None],
                  expire: Callable[[float], None]) -> None:
         self.complete = complete
         self.expire = expire
@@ -693,19 +693,19 @@ class GeneratorLaneRun:
         state.served += 1
 
     def _release_slot(self, state: _LaneState, now: float, outcome: str,
-                      event: Optional[Event] = None) -> None:
+                      seq: Optional[int] = None) -> None:
         state.outstanding -= 1
         if state.blocked:
             state.blocked = False
             stall = max(now - state.stall_since, 0.0)
-            if event is not None:
-                state.process.resume_now(event, (outcome, stall))
+            if seq is not None:
+                state.process.resume_now(seq, (outcome, stall))
             else:
                 state.process.resume_at(max(state.host_free, now),
                                         (outcome, stall))
 
-    def _on_complete(self, event: Event, state: _LaneState) -> None:
-        self._release_slot(state, event.time, "served", event)
+    def _on_complete(self, seq: int, state: _LaneState) -> None:
+        self._release_slot(state, self.kernel.now, "served", seq)
 
     def _on_expire(self, now: float, state: _LaneState) -> None:
         state.timed_out += 1
@@ -751,7 +751,7 @@ class GeneratorLaneRun:
                           else done + unit.deadline),
                 label=unit.label, on_outcome=unit.on_outcome)
             visit.waiter = _Hooks(
-                lambda ev, s=state: self._on_complete(ev, s),
+                lambda seq, s=state: self._on_complete(seq, s),
                 lambda at, s=state: self._on_expire(at, s))
             state.outstanding += 1
             self.engine.submit(visit)

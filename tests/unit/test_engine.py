@@ -50,6 +50,21 @@ class TestEventOrdering:
         assert clock.run() == 2.0
         assert order == ["dispatch", "normal", "late"]
 
+    def test_callback_gets_its_seq_at_its_time(self):
+        clock = EventClock()
+        seen = []
+
+        def record(seq):
+            seen.append((seq, clock.now))
+
+        reserved = clock.allocate_seq()
+        assert clock.schedule(2.0, record) is None          # fresh seq
+        clock.schedule(1.5, record)                          # fresh seq
+        clock.schedule(1.0, record, seq=reserved)            # pre-allocated
+        clock.run()
+        assert seen == [(reserved, 1.0), (reserved + 2, 1.5),
+                        (reserved + 1, 2.0)]
+
 
 class TestEventClock:
     def test_now_follows_events(self):

@@ -1,11 +1,12 @@
 """Observability micro-benchmarks: the cost of tracing, on and off.
 
-The tracer's contract is *zero-cost when disabled*: every instrumented
-hot site guards on one attribute load and one branch.  These benchmarks
-pin that contract in the perf gate — the disabled-tracer HIX roundtrip
-must track ``bench_simulator_perf``'s equivalent, the disabled span
-helper must stay at branch-cost, and the enabled paths must stay cheap
-enough that profiling runs remain practical.
+The tracer's contract is *zero-cost when disabled*: the ``traced``
+wrapper on every layer boundary, like the ``span`` helper, costs one
+attribute load and one branch, and computes no span attributes.  These
+benchmarks pin that contract in the perf gate — the disabled-tracer HIX
+roundtrip must track ``bench_simulator_perf``'s equivalent, the
+disabled span helper must stay at branch-cost, and the enabled paths
+must stay cheap enough that profiling runs remain practical.
 """
 
 import pytest
@@ -36,7 +37,7 @@ def _hix_machine():
 
 @pytest.mark.benchmark(group="obs")
 def test_perf_hix_roundtrip_tracer_disabled(benchmark):
-    """Full instrumented stack with no tracer: the guard-only overhead."""
+    """Full instrumented stack with no tracer: the traced wrappers' cost."""
     _machine, api, buf, payload = _hix_machine()
 
     def run():

@@ -404,6 +404,14 @@ def cmd_list(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Both loaded by ``import repro`` already, unlike ``repro.evalkit``.
+    from repro.backends import backend_names
+    from repro.serve.scheduler import SCHEDULER_NAMES
+    backend_choices = list(backend_names())
+    # What ``evalkit.harness.run_single`` runs: the unprotected Gdev
+    # baseline or a TEE backend.
+    modes = ["gdev"] + backend_choices
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="HIX (ASPLOS'19) reproduction: experiments and demos")
@@ -421,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     attacks = sub.add_parser("attacks",
                              help="execute the Section 5.5 attack matrix")
-    attacks.add_argument("--backend", choices=["hix", "gpucc", "all"],
+    attacks.add_argument("--backend", choices=backend_choices + ["all"],
                          default="hix",
                          help="TEE backend to run the secure leg on "
                          "('all' runs the matrix once per backend)")
@@ -450,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one workload")
     run.add_argument("workload")
-    run.add_argument("--mode", choices=["gdev", "hix", "gpucc"],
-                     default="hix")
+    run.add_argument("--mode", choices=modes, default="hix")
     run.add_argument("--inflation", type=float, default=DEFAULT_INFLATION)
     run.set_defaults(fn=cmd_run)
 
@@ -460,11 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
         "the sealed protocol path)")
     serve.add_argument("--users", type=int, default=4)
     serve.add_argument("--workload", default="backprop")
-    serve.add_argument("--scheduler",
-                       choices=["fifo", "round-robin", "fair"],
+    serve.add_argument("--scheduler", choices=SCHEDULER_NAMES,
                        default="fair")
     serve.add_argument("--inflation", type=float, default=DEFAULT_INFLATION)
-    serve.add_argument("--backend", choices=["hix", "gpucc"], default="hix",
+    serve.add_argument("--backend", choices=backend_choices, default="hix",
                        help="TEE backend the machine boots")
     serve.set_defaults(fn=cmd_serve)
 
@@ -480,11 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--workload", default="backprop")
     fleet.add_argument("--policy", choices=list(POLICY_NAMES),
                        default="least-loaded")
-    fleet.add_argument("--scheduler",
-                       choices=["fifo", "round-robin", "fair"],
+    fleet.add_argument("--scheduler", choices=SCHEDULER_NAMES,
                        default="fair")
     fleet.add_argument("--inflation", type=float, default=DEFAULT_INFLATION)
-    fleet.add_argument("--backend", choices=["hix", "gpucc"], default="hix",
+    fleet.add_argument("--backend", choices=backend_choices, default="hix",
                        help="TEE backend every fleet machine boots")
     fleet.add_argument("--lite", type=int, default=0, metavar="N",
                        help="additionally admit N lite (analytic-profile) "
@@ -510,11 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="'demo': one single-user run; 'serve': a "
                        "multi-tenant serving run with per-tenant tracks")
     trace.add_argument("--workload", default="backprop")
-    trace.add_argument("--mode", choices=["gdev", "hix", "gpucc"],
-                       default="hix")
+    trace.add_argument("--mode", choices=modes, default="hix")
     trace.add_argument("--users", type=int, default=2)
-    trace.add_argument("--scheduler",
-                       choices=["fifo", "round-robin", "fair"],
+    trace.add_argument("--scheduler", choices=SCHEDULER_NAMES,
                        default="fair")
     trace.add_argument("--inflation", type=float, default=DEFAULT_INFLATION)
     trace.add_argument("--out", default="benchmarks/out/profiles",
@@ -524,8 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics = sub.add_parser(
         "metrics", help="run one workload and print the metrics registry")
     metrics.add_argument("--workload", default="backprop")
-    metrics.add_argument("--mode", choices=["gdev", "hix", "gpucc"],
-                         default="hix")
+    metrics.add_argument("--mode", choices=modes, default="hix")
     metrics.add_argument("--inflation", type=float,
                          default=DEFAULT_INFLATION)
     metrics.add_argument("--json", action="store_true",
@@ -540,10 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate per-tenant SLOs (error budgets, burn rates, alerts)")
     slo.add_argument("--workload", default="backprop")
     slo.add_argument("--users", type=int, default=2)
-    slo.add_argument("--scheduler", choices=["fifo", "rr", "fair"],
+    slo.add_argument("--scheduler", choices=SCHEDULER_NAMES,
                      default="fair")
     slo.add_argument("--inflation", type=float, default=DEFAULT_INFLATION)
-    slo.add_argument("--backend", choices=["hix", "gpucc"], default="hix")
+    slo.add_argument("--backend", choices=backend_choices, default="hix")
     slo.add_argument("--window", type=float, default=1.0,
                      help="window width in virtual milliseconds")
     slo.add_argument("--availability", type=float, default=0.999,
@@ -563,8 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         "timeline plus the fault-detection verdict")
     alerts.add_argument("--campaign", default="smoke")
     alerts.add_argument("--seed", type=int, default=0)
-    alerts.add_argument("--backend", choices=["hix", "gpucc"],
-                        default=None)
+    alerts.add_argument("--backend", choices=backend_choices, default=None)
     alerts.add_argument("--audit-tail", type=int, default=40,
                         help="audit events to print")
     alerts.set_defaults(fn=cmd_alerts)
@@ -578,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--campaign", default="churn-reset",
                        help="campaign name (see --list)")
     chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--backend", choices=["hix", "gpucc"], default=None,
+    chaos.add_argument("--backend", choices=backend_choices, default=None,
                        help="override the campaign's TEE backend")
     chaos.add_argument("--list", action="store_true",
                        help="list known campaigns and exit")

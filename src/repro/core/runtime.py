@@ -58,7 +58,7 @@ from repro.errors import (
 )
 from repro.gpu.module import DevPtr, ParamValue
 from repro.obs.audit import audit_log
-from repro.obs.tracer import STATE as _OBS
+from repro.obs.tracer import traced
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.process import Process
 from repro.sgx.attestation import verify_local_report
@@ -152,42 +152,19 @@ class SealedClient:
             # The service may already be gone (e.g. graceful shutdown).
             pass
 
+    @traced("cuCtxCreate", attrs=lambda self: {"pid": self._process.pid})
     def cuCtxCreate(self) -> "SealedClient":
-        """Attested session setup and key exchange (Section 4.4.1)."""
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._audited_ctx_create()
-        with tracer.span(f"{self.name}.cuCtxCreate", self.name,
-                         pid=self._process.pid):
-            return self._audited_ctx_create()
+        """Attested session setup and key exchange (Section 4.4.1).
 
-    def _audited_ctx_create(self) -> "SealedClient":
-        """Session setup with its security evidence on the audit log:
-        the attestation verdict — including which stage failed, a
-        device cert chain or the peer's report — and the key exchange."""
+        The security evidence goes on the audit log: the attestation
+        verdict — including which stage failed, a device cert chain or
+        the peer's report — and the key exchange.
+        """
+        if self._end is not None:
+            raise DriverError("context already created")
         log = audit_log()
         subject = self._process.name
         now = self._clock.now if self._clock is not None else 0.0
-        try:
-            result = self._cuCtxCreate()
-        except AttestationError as exc:
-            cause = ("cert_chain" if isinstance(exc, CertChainError)
-                     else "report")
-            log.record(f"{self.name}.attestation", subject, time=now,
-                       ok=False, detail=str(exc), cause=cause,
-                       backend=self.name)
-            raise
-        now = self._clock.now if self._clock is not None else now
-        log.record(f"{self.name}.attestation", subject, time=now,
-                   detail=self.attestation_detail, backend=self.name)
-        log.record(f"{self.name}.key_exchange", subject, time=now,
-                   detail=self.key_exchange_detail, backend=self.name,
-                   ctx_id=self._ctx_id)
-        return result
-
-    def _cuCtxCreate(self) -> "SealedClient":
-        if self._end is not None:
-            raise DriverError("context already created")
         if self._costs is not None:
             task_init, session_setup = self._backend.session_costs(
                 self._costs)
@@ -195,11 +172,25 @@ class SealedClient:
             self._charge(session_setup, "session_setup")
         end = self._service.open_channel(
             self._process, queue_depth=self._channel_queue_depth)
-        session_key, ctx_id = self._handshake(end)
+        try:
+            session_key, ctx_id = self._handshake(end)
+        except AttestationError as exc:
+            cause = ("cert_chain" if isinstance(exc, CertChainError)
+                     else "report")
+            log.record(f"{self.name}.attestation", subject, time=now,
+                       ok=False, detail=str(exc), cause=cause,
+                       backend=self.name)
+            raise
         self._crypto = build_session_crypto(session_key, self._suite_name)
         self._ctx_id = ctx_id
         self._bulk_ad = bulk_aad(self.name, ctx_id)
         self._end = end
+        now = self._clock.now if self._clock is not None else now
+        log.record(f"{self.name}.attestation", subject, time=now,
+                   detail=self.attestation_detail, backend=self.name)
+        log.record(f"{self.name}.key_exchange", subject, time=now,
+                   detail=self.key_exchange_detail, backend=self.name,
+                   ctx_id=ctx_id)
         return self
 
     def _handshake(self, end: ChannelEnd) -> Tuple[bytes, int]:
@@ -223,17 +214,10 @@ class SealedClient:
             self._process, note.offset, note.length,
             enclave_mode=self.enclave_mode))
 
+    @traced("cuCtxDestroy", attrs=lambda self: {"ctx_id": self._ctx_id})
     def cuCtxDestroy(self) -> None:
         if self._end is None:
             return
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._cuCtxDestroy()
-        with tracer.span(f"{self.name}.cuCtxDestroy", self.name,
-                         ctx_id=self._ctx_id):
-            return self._cuCtxDestroy()
-
-    def _cuCtxDestroy(self) -> None:
         self._request({"op": protocol.OP_CTX_DESTROY})
         self._end = None
         self._crypto = None
@@ -366,6 +350,8 @@ class SealedClient:
                 self._charge(crypto, "crypto_gpu")
                 self._charge(seconds, category)
 
+    @traced("cuMemcpyHtoD", attrs=lambda self, dptr, data: {
+        "ctx_id": self._ctx_id, "bytes": _as_buffer(data).nbytes})
     def cuMemcpyHtoD(self, dptr: DevPtr, data: HostBuffer) -> None:
         """Single-copy secure host-to-device transfer (Section 4.4.2/4.4.3).
 
@@ -375,32 +361,19 @@ class SealedClient:
         opens it.  The source is sealed in place through memoryviews
         (no slice copies).
         """
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._cuMemcpyHtoD(dptr, data)
-        with tracer.span(f"{self.name}.cuMemcpyHtoD", self.name,
-                         ctx_id=self._ctx_id,
-                         bytes=_as_buffer(data).nbytes):
-            return self._cuMemcpyHtoD(dptr, data)
-
-    def _cuMemcpyHtoD(self, dptr: DevPtr, data: HostBuffer) -> None:
         self._cuMemcpyHtoDBatch([(dptr, data)])
 
+    @traced("cuMemcpyDtoH", attrs=lambda self, dptr, nbytes: {
+        "ctx_id": self._ctx_id, "bytes": nbytes})
     def cuMemcpyDtoH(self, dptr: DevPtr, nbytes: int) -> bytes:
         """Single-copy secure device-to-host transfer: a one-item
         :meth:`cuMemcpyDtoHBatch`."""
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._cuMemcpyDtoH(dptr, nbytes)
-        with tracer.span(f"{self.name}.cuMemcpyDtoH", self.name,
-                         ctx_id=self._ctx_id, bytes=nbytes):
-            return self._cuMemcpyDtoH(dptr, nbytes)
-
-    def _cuMemcpyDtoH(self, dptr: DevPtr, nbytes: int) -> bytes:
         return self._cuMemcpyDtoHBatch([(dptr, nbytes)])[0]
 
     # -- batched transfers --------------------------------------------------------------------
 
+    @traced("cuMemcpyHtoDBatch", attrs=lambda self, items: {
+        "ctx_id": self._ctx_id, "items": len(items)})
     def cuMemcpyHtoDBatch(self, items: Sequence) -> None:
         """Batched uploads: ``items`` is ``[(DevPtr, data), ...]``.
 
@@ -414,12 +387,7 @@ class SealedClient:
         timeline.  An item larger than one frame is split into
         frame-sized pieces, one frame each.
         """
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._cuMemcpyHtoDBatch(items)
-        with tracer.span(f"{self.name}.cuMemcpyHtoDBatch", self.name,
-                         ctx_id=self._ctx_id, items=len(items)):
-            return self._cuMemcpyHtoDBatch(items)
+        self._cuMemcpyHtoDBatch(items)
 
     def _cuMemcpyHtoDBatch(self, items: Sequence) -> None:
         raws = [_as_buffer(data) for _, data in items]
@@ -439,6 +407,8 @@ class SealedClient:
                            "blob_len": len(sealed)})
         self._charge_copies(sizes, paid, upload=True)
 
+    @traced("cuMemcpyDtoHBatch", attrs=lambda self, items: {
+        "ctx_id": self._ctx_id, "items": len(items)})
     def cuMemcpyDtoHBatch(self, items: Sequence) -> list:
         """Batched downloads: ``items`` is ``[(DevPtr, nbytes), ...]``.
 
@@ -449,12 +419,7 @@ class SealedClient:
         submission order).  Per-item virtual time matches the equivalent
         scalar :meth:`cuMemcpyDtoH` sequence.
         """
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._cuMemcpyDtoHBatch(items)
-        with tracer.span(f"{self.name}.cuMemcpyDtoHBatch", self.name,
-                         ctx_id=self._ctx_id, items=len(items)):
-            return self._cuMemcpyDtoHBatch(items)
+        return self._cuMemcpyDtoHBatch(items)
 
     def _cuMemcpyDtoHBatch(self, items: Sequence) -> list:
         sizes = [int(nbytes) for _, nbytes in items]
@@ -485,24 +450,17 @@ class SealedClient:
                                "kernels": list(kernel_names)})
         return HixModuleHandle(int(reply["module_id"]), kernel_names)
 
+    @traced("cuLaunchKernel", attrs=lambda self, module, kernel_name, params,
+            compute_seconds=0.0: {"ctx_id": self._ctx_id,
+                                  "kernel": kernel_name})
     def cuLaunchKernel(self, module: HixModuleHandle, kernel_name: str,
                        params: Sequence[ParamValue],
                        compute_seconds: float = 0.0) -> None:
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._cuLaunchKernel(module, kernel_name, params,
-                                        compute_seconds)
-        with tracer.span(f"{self.name}.cuLaunchKernel", self.name,
-                         ctx_id=self._ctx_id, kernel=kernel_name):
-            return self._cuLaunchKernel(module, kernel_name, params,
-                                        compute_seconds)
-
-    def _cuLaunchKernel(self, module: HixModuleHandle, kernel_name: str,
-                        params: Sequence[ParamValue],
-                        compute_seconds: float = 0.0) -> None:
         self._cuLaunchKernelBatch(
             module, [(kernel_name, params, compute_seconds)])
 
+    @traced("cuLaunchKernelBatch", attrs=lambda self, module, launches: {
+        "ctx_id": self._ctx_id, "items": len(launches)})
     def cuLaunchKernelBatch(self, module: HixModuleHandle,
                             launches: Sequence) -> None:
         """Batched launches: ``launches`` is ``[(kernel, params, secs), ...]``.
@@ -511,12 +469,7 @@ class SealedClient:
         seal + one open instead of one per launch); the service runs the
         launches in order.  Launch overhead is still charged per launch.
         """
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._cuLaunchKernelBatch(module, launches)
-        with tracer.span(f"{self.name}.cuLaunchKernelBatch", self.name,
-                         ctx_id=self._ctx_id, items=len(launches)):
-            return self._cuLaunchKernelBatch(module, launches)
+        self._cuLaunchKernelBatch(module, launches)
 
     def _cuLaunchKernelBatch(self, module: HixModuleHandle,
                              launches: Sequence) -> None:

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.crypto.nonce import NONCE_LEN, NonceSequence, ReplayGuard
 from repro.crypto.suite import AeadSuite, TAG_LEN
 from repro.errors import IntegrityError
-from repro.obs.tracer import STATE as _OBS
+from repro.obs.tracer import traced
 
 _MAGIC = 0x48534231  # "HSB1"
 _HEADER = struct.Struct(f"<I{NONCE_LEN}s{TAG_LEN}sQ")
@@ -33,6 +33,9 @@ def sealed_size(plaintext_len: int) -> int:
     return HEADER_LEN + plaintext_len
 
 
+@traced("aead.seal", "aead",
+        lambda suite, nonces, plaintext, associated_data=b"": {
+            "bytes": len(plaintext)})
 def seal_blob(suite: AeadSuite, nonces: NonceSequence, plaintext: bytes,
               associated_data: bytes = b"") -> bytearray:
     """Encrypt *plaintext* into a framed blob with a fresh nonce.
@@ -42,15 +45,6 @@ def seal_blob(suite: AeadSuite, nonces: NonceSequence, plaintext: bytes,
     writes the ciphertext straight into the frame, the one buffer the
     seal allocates.
     """
-    tracer = _OBS.tracer
-    if tracer is None:
-        return _seal_blob(suite, nonces, plaintext, associated_data)
-    with tracer.span("aead.seal", "aead", bytes=len(plaintext)):
-        return _seal_blob(suite, nonces, plaintext, associated_data)
-
-
-def _seal_blob(suite: AeadSuite, nonces: NonceSequence, plaintext: bytes,
-               associated_data: bytes = b"") -> bytearray:
     nonce = nonces.next()
     size = len(plaintext)
     frame = bytearray(HEADER_LEN + size + TAG_LEN)
@@ -71,21 +65,13 @@ def _close_frame(frame: bytearray, view: memoryview, nonce: bytes,
     return frame
 
 
+@traced("aead.seal", "aead",
+        lambda suite, nonces, chunks, associated_data=b"": {
+            "bytes": sum(len(c) for c in chunks), "chunks": len(chunks)})
 def seal_blob_chunks(suite: AeadSuite, nonces: NonceSequence,
                      chunks: Sequence[bytes],
                      associated_data: bytes = b"") -> bytearray:
     """Batch variant of :func:`seal_blob`: one frame, one AEAD call."""
-    tracer = _OBS.tracer
-    if tracer is None:
-        return _seal_blob_chunks(suite, nonces, chunks, associated_data)
-    with tracer.span("aead.seal", "aead",
-                     bytes=sum(len(c) for c in chunks), chunks=len(chunks)):
-        return _seal_blob_chunks(suite, nonces, chunks, associated_data)
-
-
-def _seal_blob_chunks(suite: AeadSuite, nonces: NonceSequence,
-                      chunks: Sequence[bytes],
-                      associated_data: bytes = b"") -> bytearray:
     nonce = nonces.next()
     size = sum(len(chunk) for chunk in chunks)
     frame = bytearray(HEADER_LEN + size + TAG_LEN)
@@ -94,6 +80,9 @@ def _seal_blob_chunks(suite: AeadSuite, nonces: NonceSequence,
     return _close_frame(frame, view, nonce, size)
 
 
+@traced("aead.open", "aead",
+        lambda suite, raw, lengths, associated_data=b"", replay_guard=None: {
+            "bytes": len(raw), "chunks": len(lengths)})
 def open_blob_chunks(suite: AeadSuite, raw: bytes, lengths: Sequence[int],
                      associated_data: bytes = b"",
                      replay_guard: Optional[ReplayGuard] = None
@@ -104,20 +93,6 @@ def open_blob_chunks(suite: AeadSuite, raw: bytes, lengths: Sequence[int],
     whole batch; *lengths* is the out-of-band chunk-length table the
     sender announced in its sealed request.
     """
-    tracer = _OBS.tracer
-    if tracer is None:
-        return _open_blob_chunks(suite, raw, lengths, associated_data,
-                                 replay_guard)
-    with tracer.span("aead.open", "aead", bytes=len(raw),
-                     chunks=len(lengths)):
-        return _open_blob_chunks(suite, raw, lengths, associated_data,
-                                 replay_guard)
-
-
-def _open_blob_chunks(suite: AeadSuite, raw: bytes, lengths: Sequence[int],
-                      associated_data: bytes = b"",
-                      replay_guard: Optional[ReplayGuard] = None
-                      ) -> List[bytes]:
     nonce, tag, ciphertext = parse_blob(raw)
     return _open_if_fresh(replay_guard, nonce, suite.open_chunks, nonce,
                           ciphertext, tag, lengths, associated_data)
@@ -156,18 +131,12 @@ def parse_blob(raw: bytes) -> Tuple[bytes, bytes, memoryview]:
     return nonce, tag, memoryview(raw)[HEADER_LEN:HEADER_LEN + ct_len]
 
 
+@traced("aead.open", "aead",
+        lambda suite, raw, associated_data=b"", replay_guard=None: {
+            "bytes": len(raw)})
 def open_blob(suite: AeadSuite, raw: bytes, associated_data: bytes = b"",
               replay_guard: Optional[ReplayGuard] = None) -> bytes:
     """Verify and decrypt a framed blob (optionally checking freshness)."""
-    tracer = _OBS.tracer
-    if tracer is None:
-        return _open_blob(suite, raw, associated_data, replay_guard)
-    with tracer.span("aead.open", "aead", bytes=len(raw)):
-        return _open_blob(suite, raw, associated_data, replay_guard)
-
-
-def _open_blob(suite: AeadSuite, raw: bytes, associated_data: bytes = b"",
-               replay_guard: Optional[ReplayGuard] = None) -> bytes:
     nonce, tag, ciphertext = parse_blob(raw)
     return _open_if_fresh(replay_guard, nonce, suite.open, nonce, ciphertext,
                           tag, associated_data)

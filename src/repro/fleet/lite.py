@@ -30,7 +30,7 @@ exactly, interleaving granularity is traded for event count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.multiuser import segments_to_units
@@ -45,6 +45,8 @@ class LiteProfile:
 
     units: List[WorkUnit]
     label: str = "lite"
+    _total: Optional[float] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     @classmethod
     def from_client(cls, client, label: str = "") -> "LiteProfile":
@@ -87,9 +89,15 @@ class LiteProfile:
     # -- derived views ------------------------------------------------------
 
     def total_seconds(self) -> float:
-        """Total virtual seconds the profile charges (host + gpu)."""
-        return sum(unit.host_seconds + (unit.gpu_seconds or 0.0)
-                   for unit in self.units)
+        """Total virtual seconds the profile charges (host + gpu).
+
+        Summed on the first call and kept: every admission of a lite
+        session reads it, and the units never change.
+        """
+        if self._total is None:
+            self._total = sum(unit.host_seconds + (unit.gpu_seconds or 0.0)
+                              for unit in self.units)
+        return self._total
 
     def gpu_seconds(self) -> float:
         return sum(unit.gpu_seconds or 0.0 for unit in self.units)

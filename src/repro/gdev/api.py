@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import DriverError
 from repro.gdev.driver import GdevContextHandle, GdevDriver, GdevModule
 from repro.gpu.module import CubinImage, DevPtr, ParamValue
-from repro.obs.tracer import STATE as _OBS
+from repro.obs.tracer import traced
 from repro.osmodel.process import Process
 
 HostBuffer = Union[bytes, bytearray, np.ndarray]
@@ -80,33 +80,27 @@ class GdevApi:
     def cuMemFree(self, dptr: DevPtr) -> None:
         self._driver.free(self.ctx, dptr.addr)
 
+    @traced("gdev.cuMemcpyHtoD", "gdev", lambda self, dptr, data: {
+        "bytes": len(_as_bytes(data))})
     def cuMemcpyHtoD(self, dptr: DevPtr, data: HostBuffer) -> None:
         payload = _as_bytes(data)
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._driver.memcpy_h2d(self.ctx, dptr.addr, payload)
-        with tracer.span("gdev.cuMemcpyHtoD", "gdev", bytes=len(payload)):
-            return self._driver.memcpy_h2d(self.ctx, dptr.addr, payload)
+        return self._driver.memcpy_h2d(self.ctx, dptr.addr, payload)
 
+    @traced("gdev.cuMemcpyDtoH", "gdev", lambda self, dptr, nbytes: {
+        "bytes": nbytes})
     def cuMemcpyDtoH(self, dptr: DevPtr, nbytes: int) -> bytes:
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._driver.memcpy_d2h(self.ctx, dptr.addr, nbytes)
-        with tracer.span("gdev.cuMemcpyDtoH", "gdev", bytes=nbytes):
-            return self._driver.memcpy_d2h(self.ctx, dptr.addr, nbytes)
+        return self._driver.memcpy_d2h(self.ctx, dptr.addr, nbytes)
 
     # -- modules / kernels -----------------------------------------------------------
 
     def cuModuleLoad(self, kernel_names: Sequence[str]) -> GdevModule:
         return self._driver.load_module(self.ctx, CubinImage(list(kernel_names)))
 
+    @traced("gdev.cuLaunchKernel", "gdev",
+            lambda self, module, kernel_name, params, compute_seconds=0.0: {
+                "kernel": kernel_name})
     def cuLaunchKernel(self, module: GdevModule, kernel_name: str,
                        params: Sequence[ParamValue],
                        compute_seconds: float = 0.0) -> None:
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._driver.launch(self.ctx, module, kernel_name, params,
-                                       compute_seconds=compute_seconds)
-        with tracer.span("gdev.cuLaunchKernel", "gdev", kernel=kernel_name):
-            return self._driver.launch(self.ctx, module, kernel_name, params,
-                                       compute_seconds=compute_seconds)
+        return self._driver.launch(self.ctx, module, kernel_name, params,
+                                   compute_seconds=compute_seconds)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.hw.phys_mem import PAGE_SIZE
-from repro.obs.tracer import STATE as _OBS
+from repro.obs.tracer import traced
 
 
 class Iommu:
@@ -49,6 +49,9 @@ class Iommu:
             return io_addr
         return ppn * PAGE_SIZE + io_addr % PAGE_SIZE
 
+    @traced("iommu.translate_range", "iommu",
+            lambda self, bdf, io_addr, length: {"bdf": bdf,
+                                                "length": length})
     def translate_range(self, bdf: str, io_addr: int,
                         length: int) -> Tuple[Tuple[int, int], ...]:
         """Translate a range into (paddr, chunk_len) pieces.
@@ -58,15 +61,6 @@ class Iommu:
         one piece so the DMA engine moves whole extents per host access.
         The identity/unmapped fast path skips per-page work entirely.
         """
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._translate_range(bdf, io_addr, length)
-        with tracer.span("iommu.translate_range", "iommu", bdf=bdf,
-                         length=length):
-            return self._translate_range(bdf, io_addr, length)
-
-    def _translate_range(self, bdf: str, io_addr: int,
-                         length: int) -> Tuple[Tuple[int, int], ...]:
         if length < 0:
             raise ValueError("negative length")
         if not length:

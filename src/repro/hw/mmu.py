@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import AccessDenied, PageFault
 from repro.hw.phys_mem import PAGE_SIZE
-from repro.obs.tracer import STATE as _OBS
+from repro.obs.tracer import traced
 
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 _PAGE_MASK = PAGE_SIZE - 1
@@ -272,6 +272,9 @@ class Mmu:
         self._check_permissions(entry, ctx, vaddr, access)
         return entry
 
+    @traced("mmu.translate_range", "mmu",
+            lambda self, page_table, ctx, vaddr, length, access: {
+                "length": length, "access": access.name})
     def translate_range(self, page_table: PageTable, ctx: AccessContext,
                         vaddr: int, length: int,
                         access: AccessType) -> List[Tuple[int, int]]:
@@ -284,18 +287,6 @@ class Mmu:
         neighbours are merged into single runs so callers can move whole
         extents with one backing-store access.
         """
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._translate_range(page_table, ctx, vaddr, length,
-                                         access)
-        with tracer.span("mmu.translate_range", "mmu", length=length,
-                         access=access.name):
-            return self._translate_range(page_table, ctx, vaddr, length,
-                                         access)
-
-    def _translate_range(self, page_table: PageTable, ctx: AccessContext,
-                         vaddr: int, length: int,
-                         access: AccessType) -> List[Tuple[int, int]]:
         if length < 0:
             raise ValueError("negative length")
         runs: List[Tuple[int, int]] = []

@@ -25,6 +25,7 @@ Design points:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 __all__ = [
@@ -158,11 +159,12 @@ class Histogram:
         self.max: Optional[float] = None
 
     def observe(self, value: float) -> None:
-        index = 0
-        for bound in self.buckets:
-            if value <= bound:
-                break
-            index += 1
+        """File *value* under the first bound >= it; NaN, which no bound
+        is >=, goes to the overflow bucket."""
+        if value != value:  # NaN
+            index = len(self.buckets)
+        else:
+            index = bisect_left(self.buckets, value)
         self.counts[index] += 1
         self.sum += value
         self.count += 1

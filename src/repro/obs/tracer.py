@@ -17,22 +17,27 @@ Tenant / session / request identity travels as span *attributes*;
 charge inherits the tenant of the request span it happened under.
 
 Tracing is **off by default** and zero-cost when off: the process-wide
-state is one attribute on :data:`STATE`, instrumentation sites guard on
-``STATE.tracer is None`` (one load + one branch), and the convenience
-:func:`span` helper returns the shared no-op :data:`NULL_SPAN` context
-manager without allocating.  Enabling the tracer never touches any
-clock's arithmetic, so simulated-time results are bit-identical with
-tracing on or off (pinned by ``tests/unit/test_obs.py``).
+state is one attribute on :data:`STATE`.  Layer boundaries carry the
+:func:`traced` decorator, whose wrapper reads that attribute and, with
+no tracer installed, calls straight through (one load + one branch,
+no span attributes computed); a region inside a function uses the
+:func:`span` helper, which returns the shared no-op :data:`NULL_SPAN`
+context manager without allocating; and an event at explicit virtual
+times reads the attribute itself and calls :meth:`SpanTracer.event`.
+Enabling the tracer never touches any clock's arithmetic, so
+simulated-time results are bit-identical with tracing on or off
+(pinned by ``tests/unit/test_obs.py``).
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Callable, Dict, Iterator, List, Optional
 
 __all__ = [
     "Span", "SpanTracer", "NULL_SPAN", "STATE",
-    "tracer", "set_tracer", "enable", "disable", "span",
+    "tracer", "set_tracer", "enable", "disable", "span", "traced",
 ]
 
 
@@ -215,7 +220,8 @@ class SpanTracer:
 
 
 class _State:
-    """Process-wide tracer slot; hot sites read ``STATE.tracer`` directly."""
+    """Process-wide tracer slot; :func:`traced` wrappers and the
+    explicit-time event sites read ``STATE.tracer`` directly."""
 
     __slots__ = ("tracer",)
 
@@ -262,3 +268,35 @@ def span(name: str, category: str = "span", **attrs):
     if active is None:
         return NULL_SPAN
     return active.span(name, category, **attrs)
+
+
+def traced(name: str, category: Optional[str] = None,
+           attrs: Optional[Callable[..., Dict[str, object]]] = None):
+    """Decorate a layer boundary so that each call runs inside a span.
+
+    While a tracer is installed, a call opens the span *name* in
+    *category*, with the attributes ``attrs(*args, **kwargs)`` computes
+    from the call's arguments (none without *attrs*), and closes it when
+    the call returns or raises.  With no tracer the wrapper calls
+    straight through: one attribute load and one branch, and *attrs*
+    never runs.
+
+    A method of a TEE backend's runtime leaves out *category*: its span
+    is named ``<self.name>.<name>`` in the category ``self.name``
+    (``hix.cuMemcpyHtoD``, ``gpucc.cuCtxCreate``).
+    """
+    def wrap(fn):
+        @functools.wraps(fn)
+        def inner(*args, **kwargs):
+            active = STATE.tracer
+            if active is None:
+                return fn(*args, **kwargs)
+            span_name, span_category = name, category
+            if span_category is None:
+                span_category = args[0].name
+                span_name = f"{span_category}.{name}"
+            values = attrs(*args, **kwargs) if attrs is not None else {}
+            with active.span(span_name, span_category, **values):
+                return fn(*args, **kwargs)
+        return inner
+    return wrap

@@ -17,7 +17,7 @@ import logging
 from typing import List, Optional, Set, Tuple
 
 from repro.errors import UnsupportedRequest
-from repro.obs.tracer import STATE as _OBS
+from repro.obs.tracer import traced
 from repro.pcie.device import Bdf, PcieFunction
 from repro.pcie.port import RootPort
 from repro.pcie.tlp import Tlp, TlpKind
@@ -150,16 +150,10 @@ class RootComplex:
 
     # -- memory transactions ----------------------------------------------------
 
+    @traced("pcie.route", "pcie", lambda self, tlp: {
+        "kind": tlp.kind.name, "requester": tlp.requester})
     def route(self, tlp: Tlp) -> bytes:
         """Route a TLP from the CPU side into the fabric."""
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._route(tlp)
-        with tracer.span("pcie.route", "pcie", kind=tlp.kind.name,
-                         requester=tlp.requester):
-            return self._route(tlp)
-
-    def _route(self, tlp: Tlp) -> bytes:
         if tlp.kind is TlpKind.CFG_READ:
             assert tlp.target_bdf is not None and tlp.register_offset is not None
             value = self.config_read(Bdf.parse(tlp.target_bdf),

@@ -276,14 +276,19 @@ class Resource:
 
     # -- dispatch -------------------------------------------------------------
 
-    def _select(self, candidates: List[Visit]) -> Visit:
+    def _select(self, candidates: List[Visit]
+                ) -> Tuple[Visit, Deque[Visit]]:
+        """The scheduler's pick and its lane's queue.  The pick must be
+        a queue head itself, not an equal copy: an O(1) identity check,
+        however many lanes are backlogged."""
         visit = self._scheduler.select(candidates, self.resident,
                                        self._kernel.now)
-        if visit not in candidates:  # defensive: scheduler contract
+        queue = self._queues.get(getattr(visit, "tenant", None))
+        if not queue or queue[0] is not visit:  # scheduler contract
             raise ValueError(
                 f"scheduler {self._scheduler!r} returned a "
                 "non-candidate visit")
-        return visit
+        return visit, queue
 
     def _dispatch(self, seq: Optional[int] = None) -> None:
         now = self._kernel.now
@@ -340,8 +345,7 @@ class Resource:
             candidates = [q[0] for q in self._queues.values() if q]
             if not candidates:
                 return
-            visit = self._select(candidates)
-            queue = self._queues[visit.tenant]
+            visit, queue = self._select(candidates)
         queue.popleft()
         if visit.deadline is not None:
             self._deadlines -= 1

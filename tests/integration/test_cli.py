@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.serve.scheduler import SCHEDULER_NAMES
 
 
 class TestCli:
@@ -120,3 +121,13 @@ class TestCliObservability:
                      "--inflation", "2048", "--json"]) == 0
         snapshot = json.loads(capsys.readouterr().out)
         assert "fastpath.dma_bytes_read" in snapshot
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+@pytest.mark.parametrize("command", [["serve"], ["fleet"], ["trace", "demo"],
+                                     ["slo"]],
+                         ids=["serve", "fleet", "trace", "slo"])
+def test_every_scheduler_option_takes_every_scheduler_name(command,
+                                                           scheduler):
+    args = build_parser().parse_args(command + ["--scheduler", scheduler])
+    assert args.scheduler == scheduler

@@ -188,6 +188,19 @@ class TestLiteSessions:
                 assert events
                 assert merged[f"m{i}/{name}"] == events
 
+    def test_admissions_sum_the_profile_once(self):
+        class CountedUnits(list):
+            passes = 0
+
+            def __iter__(self):
+                self.passes += 1
+                return super().__iter__()
+
+        units = CountedUnits(LiteProfile.from_workload(MatrixAdd(2048)).units)
+        fleet = _fleet(machines=2)
+        fleet.add_lite_sessions(LiteProfile(units=units), 100)
+        assert units.passes <= 1
+
     def test_coalesced_profile_preserves_totals(self):
         profile = LiteProfile.from_workload(MatrixAdd(2048))
         folded = profile.coalesced(4)

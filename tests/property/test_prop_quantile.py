@@ -11,7 +11,7 @@ suite fuzzes observation sets against exact quantiles to pin both.
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -34,19 +34,52 @@ def exact_quantile(observations, q):
     return ordered[rank - 1]
 
 
-def owning_bucket(value, bounds, lo, hi):
-    """The closed interval the estimator may interpolate within for a
-    value in this bucket (open edges pinched by observed min/max)."""
+def linear_bucket(value, bounds):
+    """Reference filing: the first bound >= *value*, else the overflow
+    bucket (NaN, which compares false with every bound, included)."""
     index = 0
     for bound in bounds:
         if value <= bound:
             break
         index += 1
+    return index
+
+
+def owning_bucket(value, bounds, lo, hi):
+    """The closed interval the estimator may interpolate within for a
+    value in this bucket (open edges pinched by observed min/max)."""
+    index = linear_bucket(value, bounds)
     lower = bounds[index - 1] if index > 0 else 0.0
     upper = bounds[index] if index < len(bounds) else hi
     lower = max(lower, lo)
     upper = max(min(upper, hi), lower)
     return lower, upper
+
+
+@st.composite
+def bounds_and_values(draw):
+    """Strictly increasing bounds, and values that include the bounds
+    themselves, infinities and NaN."""
+    bounds = sorted(set(draw(st.lists(
+        st.floats(allow_nan=False), min_size=1, max_size=12))))
+    values = draw(st.lists(
+        st.one_of(st.floats(), st.sampled_from(bounds)), max_size=60))
+    return tuple(bounds), values
+
+
+class TestHistogramFiling:
+    @given(case=bounds_and_values())
+    @example(case=((-1.0, 0.0, 2.0), [math.nan, math.inf, -math.inf, -0.0,
+                                      2.0, 2.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_observe_files_like_the_linear_scan(self, case):
+        bounds, values = case
+        histogram = Histogram("t", buckets=bounds)
+        expected = [0] * (len(bounds) + 1)
+        for value in values:
+            histogram.observe(value)
+            expected[linear_bucket(value, bounds)] += 1
+        assert histogram.counts == expected
 
 
 class TestBucketQuantile:

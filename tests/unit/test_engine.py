@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel primitives."""
 
+import dataclasses
+
 import pytest
 
 from repro.sim.engine import (
@@ -150,6 +152,19 @@ class TestResource:
 
         clock = EventClock()
         engine = Resource(clock, scheduler=RogueScheduler())
+        acquire_once(clock, engine, 0, 1.0, []).start(0)
+        with pytest.raises(ValueError, match="non-candidate"):
+            clock.run()
+
+    def test_equal_copy_of_a_candidate_rejected(self):
+        """The pick must be a queue head itself, found by identity: a
+        copy equal field by field is not a candidate."""
+        class CopyingScheduler:
+            def select(self, candidates, resident, now):
+                return dataclasses.replace(candidates[0])
+
+        clock = EventClock()
+        engine = Resource(clock, scheduler=CopyingScheduler())
         acquire_once(clock, engine, 0, 1.0, []).start(0)
         with pytest.raises(ValueError, match="non-candidate"):
             clock.run()

@@ -380,3 +380,205 @@ class TestInstrumentation:
         rebuilt = export.chrome_to_spans(payload)
         assert _shape(rebuilt) == _shape(artifact.spans)
         assert "serve.requests_served" in payload["metrics"]
+
+
+# -- every traced boundary ----------------------------------------------------
+#
+# Each case builds a fresh stack and returns a zero-argument callable that
+# makes exactly one call of the boundary, in the form a real caller uses
+# (keyword arguments included), so that a ``traced`` attribute function
+# whose signature drifted from its boundary's fails here.
+
+_ELRANGE = 0x4000_0000
+_KERNEL = "builtin.vector_scale"
+_SGX_STEPS = ("ecreate", "eadd", "eextend", "einit", "eenter", "eexit",
+              "ereport", "egcreate", "egadd", "egdestroy")
+
+
+def _machine(backend="hix"):
+    from repro.system import Machine, MachineConfig
+    return Machine(MachineConfig(backend=backend))
+
+
+def _sgx_call(instruction):
+    """Run the enclave lifecycle up to *instruction*; return that step."""
+    from repro.hw.phys_mem import PAGE_SIZE
+    machine = _machine()
+    sgx = machine.sgx
+    bar0 = machine.gpu.config.bars[0].address
+    enclave = []
+    steps = {
+        "ecreate": lambda: enclave.append(
+            sgx.ecreate(_ELRANGE, 4 * PAGE_SIZE).enclave_id),
+        "eadd": lambda: sgx.eadd(enclave[0], _ELRANGE),
+        "eextend": lambda: sgx.eextend(enclave[0], _ELRANGE, bytes(256)),
+        "einit": lambda: sgx.einit(enclave[0]),
+        "eenter": lambda: sgx.eenter(enclave[0], asid=1),
+        "eexit": lambda: sgx.eexit(1),
+        "ereport": lambda: sgx.ereport(enclave[0], bytes(32), bytes(64)),
+        "egcreate": lambda: sgx.egcreate(enclave[0], machine.gpu.bdf),
+        "egadd": lambda: sgx.egadd(enclave[0], _ELRANGE + 16 * PAGE_SIZE,
+                                   bar0, npages=1),
+        "egdestroy": lambda: sgx.egdestroy(enclave[0]),
+    }
+    for step in _SGX_STEPS[:_SGX_STEPS.index(instruction)]:
+        steps[step]()
+    return steps[instruction]
+
+
+def _route_call():
+    from repro.pcie.tlp import Tlp
+    machine = _machine()
+    bar0 = machine.gpu.config.bars[0].address
+    return lambda: machine.root_complex.route(Tlp.mem_read(bar0, 4))
+
+
+def _mmu_call():
+    from repro.hw.mmu import (AccessContext, AccessType, Mmu, PageFlags,
+                              PageTable)
+    from repro.hw.phys_mem import PAGE_SIZE
+    table = PageTable(asid=1)
+    table.map_range(_ELRANGE, 0x10_0000, 4 * PAGE_SIZE,
+                    PageFlags.PRESENT | PageFlags.USER)
+    return lambda: Mmu().translate_range(
+        table, AccessContext(asid=1), _ELRANGE, 2 * PAGE_SIZE,
+        access=AccessType.READ)
+
+
+def _iommu_call():
+    from repro.hw.iommu import Iommu
+    return lambda: Iommu().translate_range("01:00.0", 0x1000, length=64)
+
+
+def _dma_call(method):
+    from repro.hw.address_map import AddressMap
+    from repro.hw.dma import DmaEngine
+    from repro.hw.iommu import Iommu
+    from repro.hw.phys_mem import PAGE_SIZE, PhysicalMemory
+    memory = PhysicalMemory(4 * PAGE_SIZE)
+    address_map = AddressMap()
+    address_map.add_window("dram", 0, memory.size, memory.read, memory.write)
+    dma = DmaEngine(address_map, Iommu())
+    if method == "read_host":
+        return lambda: dma.read_host("01:00.0", 0x100, 64)
+    return lambda: dma.write_host("01:00.0", 0x100, bytearray(64))
+
+
+def _blob_call(function):
+    from repro.crypto import blob
+    from repro.crypto.nonce import NonceSequence, ReplayGuard
+    from repro.crypto.suite import KEY_LEN, make_suite
+    suite = make_suite("fast-auth", bytes(KEY_LEN))
+    nonces = NonceSequence(1)
+    frame = blob.seal_blob(suite, nonces, bytes(64))
+    frames = blob.seal_blob_chunks(suite, nonces, [bytes(16), bytes(48)],
+                                   associated_data=b"ad")
+    return {
+        "seal_blob": lambda: blob.seal_blob(suite, nonces, bytes(64),
+                                            associated_data=b"ad"),
+        "seal_blob_chunks": lambda: blob.seal_blob_chunks(
+            suite, nonces, [bytes(16), bytes(48)]),
+        "open_blob": lambda: blob.open_blob(suite, frame,
+                                            replay_guard=ReplayGuard(1)),
+        "open_blob_chunks": lambda: blob.open_blob_chunks(
+            suite, frames, [16, 48], associated_data=b"ad"),
+    }[function]
+
+
+def _gdev_call(method):
+    machine = _machine()
+    api = machine.gdev_session(machine.make_gdev(), "t")
+    api.cuCtxCreate()
+    buf = api.cuMemAlloc(256)
+    module = api.cuModuleLoad([_KERNEL])
+    return {
+        "cuMemcpyHtoD": lambda: api.cuMemcpyHtoD(buf, bytes(256)),
+        "cuMemcpyDtoH": lambda: api.cuMemcpyDtoH(buf, 256),
+        "cuLaunchKernel": lambda: api.cuLaunchKernel(
+            module, _KERNEL, [buf, 64, 3], compute_seconds=1e-6),
+    }[method]
+
+
+def _sealed_call(backend, method):
+    machine = _machine(backend)
+    client = machine.secure_session(machine.boot_secure(), "t")
+    if method == "cuCtxCreate":
+        return client.cuCtxCreate
+    client.cuCtxCreate()
+    buf = client.cuMemAlloc(256)
+    module = client.cuModuleLoad([_KERNEL])
+    return {
+        "cuCtxDestroy": client.cuCtxDestroy,
+        "cuMemcpyHtoD": lambda: client.cuMemcpyHtoD(buf, bytes(256)),
+        "cuMemcpyDtoH": lambda: client.cuMemcpyDtoH(buf, 256),
+        "cuMemcpyHtoDBatch": lambda: client.cuMemcpyHtoDBatch(
+            [(buf, bytes(128)), (buf, bytes(64))]),
+        "cuMemcpyDtoHBatch": lambda: client.cuMemcpyDtoHBatch([(buf, 256)]),
+        "cuLaunchKernel": lambda: client.cuLaunchKernel(
+            module, _KERNEL, [buf, 64, 3], compute_seconds=1e-6),
+        "cuLaunchKernelBatch": lambda: client.cuLaunchKernelBatch(
+            module, [(_KERNEL, [buf, 64, 3], 0.0)]),
+    }[method]
+
+
+_SEALED_ATTRS = {
+    "cuCtxCreate": ["pid"],
+    "cuCtxDestroy": ["ctx_id"],
+    "cuMemcpyHtoD": ["ctx_id", "bytes"],
+    "cuMemcpyDtoH": ["ctx_id", "bytes"],
+    "cuMemcpyHtoDBatch": ["ctx_id", "items"],
+    "cuMemcpyDtoHBatch": ["ctx_id", "items"],
+    "cuLaunchKernel": ["ctx_id", "kernel"],
+    "cuLaunchKernelBatch": ["ctx_id", "items"],
+}
+
+#: (case id, span name, attribute keys, prepare -> one call)
+_BOUNDARIES = (
+    [(f"sgx.{step}", f"sgx.{step}", [], lambda step=step: _sgx_call(step))
+     for step in _SGX_STEPS]
+    + [
+        ("route", "pcie.route", ["kind", "requester"], _route_call),
+        ("mmu", "mmu.translate_range", ["length", "access"], _mmu_call),
+        ("iommu", "iommu.translate_range", ["bdf", "length"], _iommu_call),
+        ("read_host", "dma.read_host", ["bdf", "bytes"],
+         lambda: _dma_call("read_host")),
+        ("write_host", "dma.write_host", ["bdf", "bytes"],
+         lambda: _dma_call("write_host")),
+    ]
+    + [(function, name, keys, lambda function=function: _blob_call(function))
+       for function, name, keys in [
+           ("seal_blob", "aead.seal", ["bytes"]),
+           ("seal_blob_chunks", "aead.seal", ["bytes", "chunks"]),
+           ("open_blob", "aead.open", ["bytes"]),
+           ("open_blob_chunks", "aead.open", ["bytes", "chunks"])]]
+    + [(f"gdev.{method}", f"gdev.{method}", keys,
+        lambda method=method: _gdev_call(method))
+       for method, keys in [("cuMemcpyHtoD", ["bytes"]),
+                            ("cuMemcpyDtoH", ["bytes"]),
+                            ("cuLaunchKernel", ["kernel"])]]
+    + [(f"{backend}.{method}", f"{backend}.{method}", keys,
+        lambda backend=backend, method=method: _sealed_call(backend, method))
+       for backend in ("hix", "gpucc")
+       for method, keys in _SEALED_ATTRS.items()]
+)
+
+
+class TestTracedBoundaries:
+    @pytest.mark.parametrize("name,keys,prepare",
+                             [case[1:] for case in _BOUNDARIES],
+                             ids=[case[0] for case in _BOUNDARIES])
+    def test_one_span_per_call_and_none_untraced(self, name, keys,
+                                                 prepare):
+        traced_call, untraced_call = prepare(), prepare()
+        tracer = SpanTracer()
+        obs.set_tracer(tracer)
+        try:
+            traced_call()
+        finally:
+            obs.set_tracer(None)
+        untraced_call()
+        spans = [span for span in tracer.spans() if span.name == name]
+        assert len(spans) == 1
+        # Every boundary's category is its span name's prefix.
+        assert spans[0].category == name.partition(".")[0]
+        assert list(spans[0].attrs) == keys

@@ -1,7 +1,7 @@
 """Perf-regression gate over the simulator micro-benchmarks.
 
 Runs the micro-benchmark suites in :data:`BENCH_FILES` (via
-pytest-benchmark), compares each benchmark's best (minimum) time
+pytest-benchmark, one process per file), compares each benchmark's best (minimum) time
 against the recorded baseline in
 ``benchmarks/baselines/simulator_perf.json``, and reports any that
 exceed the tolerance band.
@@ -61,25 +61,34 @@ DEFAULT_TOLERANCE = 0.50
 
 
 def run_benchmarks() -> Dict[str, float]:
-    """Run the micro-benchmark suite; return {name: best_seconds}."""
+    """Run the micro-benchmark suite; return {name: best_seconds}.
+
+    Each file runs in its own pytest process, one after another: in one
+    shared process, what earlier suites leave on the heap slows later
+    ones (a suite read up to 1.9x its time alone), so a report could
+    not tell a regression from interference.
+    """
+    env = dict(os.environ)
+    src = str(REPO_ROOT / "src")
+    env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
+                         if env.get("PYTHONPATH") else src)
+    results: Dict[str, float] = {}
     with tempfile.TemporaryDirectory() as tmp:
-        json_path = Path(tmp) / "bench.json"
-        env = dict(os.environ)
-        src = str(REPO_ROOT / "src")
-        env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
-                             if env.get("PYTHONPATH") else src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest",
-             *(str(path) for path in BENCH_FILES), "-q",
-             "--benchmark-only", f"--benchmark-json={json_path}"],
-            cwd=REPO_ROOT, env=env,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-        if proc.returncode != 0:
-            sys.stdout.write(proc.stdout)
-            raise SystemExit(f"benchmark run failed (exit {proc.returncode})")
-        payload = json.loads(json_path.read_text())
-    return {bench["name"]: bench["stats"]["min"]
-            for bench in payload["benchmarks"]}
+        for path in BENCH_FILES:
+            json_path = Path(tmp) / f"{path.stem}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", str(path), "-q",
+                 "--benchmark-only", f"--benchmark-json={json_path}"],
+                cwd=REPO_ROOT, env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+            if proc.returncode != 0:
+                sys.stdout.write(proc.stdout)
+                raise SystemExit(f"benchmark run of {path.name} failed "
+                                 f"(exit {proc.returncode})")
+            payload = json.loads(json_path.read_text())
+            results.update((bench["name"], bench["stats"]["min"])
+                           for bench in payload["benchmarks"])
+    return results
 
 
 def load_baseline() -> Dict[str, float]:

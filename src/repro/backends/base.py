@@ -119,11 +119,12 @@ def get_backend(name: str) -> TeeBackend:
     try:
         return _REGISTRY[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(_REGISTRY)
         raise ValueError(
             f"unknown TEE backend {name!r}; known backends: {known}"
         ) from None
 
 
 def backend_names() -> Tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
+    """Registered backends in registration order (hix, gpucc): report order."""
+    return tuple(_REGISTRY)

@@ -21,8 +21,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-DEFAULT_INFLATION = 256.0
-
 
 def _workload_by_name(name: str):
     from repro.workloads import MatrixAdd, MatrixMul, rodinia_workloads
@@ -68,11 +66,12 @@ def cmd_figures(args) -> int:
 
 
 def cmd_attacks(args) -> int:
+    from repro.backends import backend_names
     from repro.evalkit.security import (
         render_attack_matrix,
         run_attack_matrix,
     )
-    backends = ["hix", "gpucc"] if args.backend == "all" else [args.backend]
+    backends = backend_names() if args.backend == "all" else [args.backend]
     ok = True
     for index, backend in enumerate(backends):
         if index:
@@ -404,13 +403,11 @@ def cmd_list(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # Both loaded by ``import repro`` already, unlike ``repro.evalkit``.
+    # Light: the harness loads no other evalkit module.
     from repro.backends import backend_names
+    from repro.evalkit.harness import DEFAULT_INFLATION, MODES
     from repro.serve.scheduler import SCHEDULER_NAMES
     backend_choices = list(backend_names())
-    # What ``evalkit.harness.run_single`` runs: the unprotected Gdev
-    # baseline or a TEE backend.
-    modes = ["gdev"] + backend_choices
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -458,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one workload")
     run.add_argument("workload")
-    run.add_argument("--mode", choices=modes, default="hix")
+    run.add_argument("--mode", choices=MODES, default="hix")
     run.add_argument("--inflation", type=float, default=DEFAULT_INFLATION)
     run.set_defaults(fn=cmd_run)
 
@@ -515,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="'demo': one single-user run; 'serve': a "
                        "multi-tenant serving run with per-tenant tracks")
     trace.add_argument("--workload", default="backprop")
-    trace.add_argument("--mode", choices=modes, default="hix")
+    trace.add_argument("--mode", choices=MODES, default="hix")
     trace.add_argument("--users", type=int, default=2)
     trace.add_argument("--scheduler", choices=SCHEDULER_NAMES,
                        default="fair")
@@ -527,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics = sub.add_parser(
         "metrics", help="run one workload and print the metrics registry")
     metrics.add_argument("--workload", default="backprop")
-    metrics.add_argument("--mode", choices=modes, default="hix")
+    metrics.add_argument("--mode", choices=MODES, default="hix")
     metrics.add_argument("--inflation", type=float,
                          default=DEFAULT_INFLATION)
     metrics.add_argument("--json", action="store_true",

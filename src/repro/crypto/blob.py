@@ -82,8 +82,9 @@ def seal_blob_chunks(suite: AeadSuite, nonces: NonceSequence,
 
 @traced("aead.open", "aead",
         lambda suite, raw, lengths, associated_data=b"", replay_guard=None: {
-            "bytes": len(raw), "chunks": len(lengths)})
-def open_blob_chunks(suite: AeadSuite, raw: bytes, lengths: Sequence[int],
+            "bytes": (sum(map(len, raw)) if isinstance(raw, list)
+                      else len(raw)), "chunks": len(lengths)})
+def open_blob_chunks(suite: AeadSuite, raw, lengths: Sequence[int],
                      associated_data: bytes = b"",
                      replay_guard: Optional[ReplayGuard] = None
                      ) -> List[bytes]:
@@ -91,11 +92,21 @@ def open_blob_chunks(suite: AeadSuite, raw: bytes, lengths: Sequence[int],
 
     One replay check, one tag verification, one decryption pass for the
     whole batch; *lengths* is the out-of-band chunk-length table the
-    sender announced in its sealed request.
+    sender announced in its sealed request.  *raw* may be a list of
+    byte buffers that join into the frame (views of where it is staged):
+    they are copied once, the tag is moved behind the ciphertext, and
+    that copy is opened in place (``sealed=``) after the same checks.
     """
-    nonce, tag, ciphertext = parse_blob(raw)
+    if isinstance(raw, list):  # one copy, with room for the tag after it
+        frame = bytearray().join([*raw, bytes(TAG_LEN)])
+        nonce, tag, ciphertext = parse_blob(memoryview(frame)[:-TAG_LEN])
+        end = HEADER_LEN + len(ciphertext)
+        frame[end:end + TAG_LEN] = tag
+        sealed = memoryview(frame)[HEADER_LEN:end + TAG_LEN]
+    else:
+        (nonce, tag, ciphertext), sealed = parse_blob(raw), None
     return _open_if_fresh(replay_guard, nonce, suite.open_chunks, nonce,
-                          ciphertext, tag, lengths, associated_data)
+                          ciphertext, tag, lengths, associated_data, sealed)
 
 
 def _open_if_fresh(replay_guard: Optional[ReplayGuard], nonce: bytes,

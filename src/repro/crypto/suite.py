@@ -107,8 +107,12 @@ class AeadSuite(ABC):
 
     @abstractmethod
     def open(self, nonce: bytes, ciphertext: bytes, tag: bytes,
-             associated_data: bytes = b"") -> bytes:
-        """Verify and decrypt; raise :class:`IntegrityError` on tampering."""
+             associated_data: bytes = b"", sealed=None) -> bytes:
+        """Verify and decrypt; raise :class:`IntegrityError` on tampering.
+
+        *sealed*, a writable ``ciphertext || tag`` buffer, is decrypted
+        in place (as :meth:`seal` fills *out*) and its plaintext returned.
+        """
 
     # -- batched chunk interface ------------------------------------------
 
@@ -140,13 +144,14 @@ class AeadSuite(ABC):
 
     def open_chunks(self, nonce: bytes, ciphertext: bytes, tag: bytes,
                     lengths: Sequence[int],
-                    associated_data: bytes = b"") -> List[bytes]:
+                    associated_data: bytes = b"",
+                    sealed=None) -> List[bytes]:
         """Verify once, decrypt once, split into the original chunks.
 
         A single chunk is the plaintext itself; several are views of it.
-        Neither is a copy.
+        Neither is a copy.  *sealed* is as for :meth:`open`.
         """
-        plaintext = self.open(nonce, ciphertext, tag, associated_data)
+        plaintext = self.open(nonce, ciphertext, tag, associated_data, sealed)
         if len(plaintext) != sum(lengths):
             raise IntegrityError(
                 f"batched plaintext is {len(plaintext)} bytes but the "
@@ -190,12 +195,16 @@ class OcbAesSuite(AeadSuite):
             sealed[len(ciphertext):] = tag
         return _split(sealed) if out is None else None
 
-    def open(self, nonce, ciphertext, tag, associated_data=b""):
+    def open(self, nonce, ciphertext, tag, associated_data=b"", sealed=None):
         if (self._hw is not None and 12 <= len(nonce) <= 15
                 and len(tag) == TAG_LEN):
             return _open_into(self._hw, "OCB", nonce, ciphertext, tag,
-                              associated_data)
-        return self._ocb.decrypt(nonce, ciphertext, tag, associated_data)
+                              associated_data, sealed)
+        plaintext = self._ocb.decrypt(nonce, ciphertext, tag, associated_data)
+        if sealed is None:
+            return plaintext
+        sealed[:len(plaintext)] = plaintext
+        return memoryview(sealed)[:len(plaintext)]
 
 
 class FastAuthSuite(AeadSuite):
@@ -344,15 +353,16 @@ class FastAuthSuite(AeadSuite):
             view[size:] = self._tag(nonce, view[:size], associated_data)
         return _split(sealed) if out is None else None
 
-    def open(self, nonce, ciphertext, tag, associated_data=b""):
+    def open(self, nonce, ciphertext, tag, associated_data=b"", sealed=None):
         if (self._hw is not None and len(nonce) == NONCE_LEN
                 and len(tag) == TAG_LEN):
             return _open_into(self._hw, "fast-auth", nonce, ciphertext, tag,
-                              associated_data)
+                              associated_data, sealed)
         expected = self._tag(nonce, ciphertext, associated_data)
         if not hmac.compare_digest(expected, tag):
             raise IntegrityError("fast-auth tag verification failed")
-        plaintext = bytearray(len(ciphertext))
+        plaintext = (bytearray(len(ciphertext)) if sealed is None
+                     else memoryview(sealed)[:len(ciphertext)])
         self._xor_stream(nonce, ciphertext, plaintext)
         return plaintext
 
@@ -363,23 +373,24 @@ def _split(sealed: bytearray) -> Tuple[bytes, bytes]:
 
 
 def _open_into(engine, name: str, nonce, ciphertext, tag,
-               associated_data) -> bytearray:
+               associated_data, sealed=None):
     """Open with an AES-NI engine in one buffer.
 
-    ``ciphertext || tag`` is assembled once and the plaintext is
-    decrypted over its ciphertext bytes, so the buffer the tag was
-    checked in is the one returned.  A failed check discards it.
+    ``ciphertext || tag`` is *sealed* or is assembled once, and the
+    plaintext is decrypted over its ciphertext bytes, so the buffer the
+    tag was checked in is the one returned.  A failed check discards it.
     """
     size = len(ciphertext)
-    data = bytearray().join((ciphertext, tag))
+    data = bytearray().join((ciphertext, tag)) if sealed is None else sealed
     view = memoryview(data)
     try:
         engine.decrypt_into(bytes(nonce), data, bytes(associated_data),
                             view[:size])
     except _InvalidTag:
         raise IntegrityError(f"{name} tag verification failed") from None
-    finally:
-        view.release()
+    if sealed is not None:
+        return view[:size]
+    view.release()
     del data[size:]
     return data
 

@@ -11,29 +11,26 @@
   benchmark harness and EXPERIMENTS.md generation.
 """
 
-from repro.evalkit.harness import RunResult, run_multiuser, run_single
-from repro.evalkit.report import render_series, render_table
-from repro.evalkit.serve_sweep import (
-    CrosscheckResult,
-    fair_crosscheck,
-    serve_figure,
-    serve_run,
-)
-from repro.evalkit.sweeps import SweepResult, sweep_cost_parameter
-from repro.evalkit.validation import ValidationReport, validate_reproduction
+import importlib
 
-__all__ = [
-    "run_single",
-    "run_multiuser",
-    "RunResult",
-    "serve_run",
-    "serve_figure",
-    "fair_crosscheck",
-    "CrosscheckResult",
-    "render_table",
-    "render_series",
-    "sweep_cost_parameter",
-    "SweepResult",
-    "validate_reproduction",
-    "ValidationReport",
-]
+#: Public name -> the evalkit module defining it.  Names load on first
+#: use (PEP 562), so importing one evalkit module loads no other.
+_EXPORTS = {name: module for module, names in (
+    ("harness", ("run_single", "run_multiuser", "RunResult")),
+    ("serve_sweep", ("serve_run", "serve_figure", "fair_crosscheck",
+                     "CrosscheckResult")),
+    ("report", ("render_table", "render_series")),
+    ("sweeps", ("sweep_cost_parameter", "SweepResult")),
+    ("validation", ("validate_reproduction", "ValidationReport")),
+) for name in names}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.backends import backend_names
 from repro.evalkit.figures import FigureData
 from repro.evalkit.harness import (
     DEFAULT_INFLATION,
@@ -35,9 +36,6 @@ from repro.evalkit.security import (
 from repro.evalkit.serve_sweep import serve_figure
 from repro.sim.costs import CostModel
 from repro.workloads.base import Workload
-
-DEFAULT_BACKENDS: Tuple[str, ...] = ("hix", "gpucc")
-
 
 def _verdict_class(verdict: str) -> str:
     """Collapse ``BLOCKED (reason)`` to its class for tabular alignment."""
@@ -126,7 +124,7 @@ def compare_backends(workload: Workload,
                      users: Sequence[int] = (1, 2, 4),
                      inflation: float = DEFAULT_INFLATION,
                      costs: Optional[CostModel] = None,
-                     backends: Sequence[str] = DEFAULT_BACKENDS,
+                     backends: Optional[Sequence[str]] = None,
                      scheduler: str = "fair",
                      with_serve: bool = True,
                      with_attacks: bool = True) -> BackendComparison:
@@ -135,8 +133,9 @@ def compare_backends(workload: Workload,
     Single-user runs are functional (the workload really executes on a
     fresh machine per backend); the serving sweep and attack matrix are
     optional because they dominate the runtime for large user counts.
+    *backends* defaults to every registered backend.
     """
-    backends = tuple(backends)
+    backends = backend_names() if backends is None else tuple(backends)
     costs = costs or CostModel()
     single = {GDEV: run_single(workload, GDEV, inflation)}
     for backend in backends:

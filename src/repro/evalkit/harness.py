@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.backends import get_backend
+from repro.backends import backend_names, get_backend
 from repro.core.multiuser import Segment, simulate_concurrent
 from repro.sim.costs import CostModel
 from repro.sim.pipeline import pipelined_time
@@ -31,8 +31,8 @@ DEFAULT_INFLATION = 256.0
 
 GDEV = "gdev"
 HIX = "hix"
-GPUCC = "gpucc"
-MODES = (GDEV, HIX, GPUCC)
+#: The unprotected Gdev baseline, then every TEE backend.
+MODES = (GDEV,) + backend_names()
 
 
 @dataclass

@@ -36,7 +36,7 @@ from repro.gpu.commands import Command, CommandOpcode, decode_commands
 from repro.gpu.context import GpuContext
 from repro.gpu.kernels import KernelRegistry, global_registry
 from repro.gpu.module import CubinImage, unpack_params
-from repro.hw.phys_mem import PhysicalMemory
+from repro.hw.phys_mem import PhysicalMemory, byte_view
 from repro.pcie.config_space import Bar, CLASS_DISPLAY_VGA
 from repro.pcie.device import Bdf, PcieFunction
 
@@ -162,9 +162,10 @@ class SimGpu(PcieFunction):
     def _bar0_write(self, offset: int, data: bytes) -> None:
         if offset >= regs.FIFO_OFFSET:
             start = offset - regs.FIFO_OFFSET
-            if start + len(data) > regs.FIFO_SIZE:
+            view = byte_view(data)
+            if start + view.nbytes > regs.FIFO_SIZE:
                 raise UnsupportedRequest("FIFO write overruns the window")
-            self._fifo[start:start + len(data)] = data
+            memoryview(self._fifo)[start:start + view.nbytes] = view
             return
         value = int.from_bytes(data[:8], "little")
         if offset == regs.REG_RESET:
@@ -281,9 +282,7 @@ class SimGpu(PcieFunction):
                          in ctx.page_table.translate_range(gpu_va, nbytes)])
 
     def write_ctx(self, ctx: GpuContext, gpu_va: int, data) -> None:
-        view = memoryview(data)
-        if view.ndim != 1 or view.format not in ("B", "b", "c"):
-            view = view.cast("B")
+        view = byte_view(data)
         offset = 0
         for vram_pa, chunk in ctx.page_table.translate_range(gpu_va,
                                                              view.nbytes):
@@ -314,12 +313,14 @@ class SimGpu(PcieFunction):
         freshness check, one authentication and one decryption pass
         serve the whole transfer, then chunk *i* is written at
         ``gpu_vas[i]``.  Tag and replay failures raise before anything
-        is written.
+        is written.  The frame is read as VRAM views, copied once by the open.
         """
         crypto = self._session(ctx)
-        chunks = open_blob_chunks(crypto.bulk_suite,
-                                  self.read_ctx(ctx, src_va, src_len),
-                                  lengths, associated_data=self._bulk_aad(ctx),
+        frame = [piece for vram_pa, chunk
+                 in ctx.page_table.translate_range(src_va, src_len)
+                 for piece in self.vram.views(vram_pa, chunk)]
+        chunks = open_blob_chunks(crypto.bulk_suite, frame, lengths,
+                                  associated_data=self._bulk_aad(ctx),
                                   replay_guard=crypto.bulk_h2d_guard)
         for gpu_va, chunk in zip(gpu_vas, chunks):
             self.write_ctx(ctx, gpu_va, chunk)

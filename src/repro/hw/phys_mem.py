@@ -8,7 +8,8 @@ Fast path: storage is bucketed in 64 KiB *extents* (16 architectural
 pages), so a page-spanning access costs one or two Python-level slice
 operations instead of one per 4 KiB page.  The common case — an access
 that stays inside one extent — avoids all intermediate allocations,
-a multi-extent read copies each extent's piece once into its result, and
+a multi-extent read copies each extent's piece once into its result, a
+write copies each byte once through a memoryview of its extent, and
 :meth:`PhysicalMemory.read_into` / :meth:`PhysicalMemory.views` give
 callers zero-copy scatter-gather access.  ``zero()`` really drops
 fully-covered resident extents instead of materializing zeroes through
@@ -34,6 +35,16 @@ _EXTENT_SIZE = 64 * 1024
 _ZERO_EXTENT = bytes(_EXTENT_SIZE)
 
 Buffer = Union[bytes, bytearray, memoryview]
+
+
+def byte_view(data: Buffer) -> memoryview:
+    """A flat ``"B"`` view of any C-contiguous buffer: what a memoryview
+    slice assignment, which copies once, accepts (a ``bytearray`` slice
+    copies any other source into a temporary first)."""
+    view = memoryview(data)
+    if view.format != "B" or view.ndim != 1:
+        view = view.cast("B")
+    return view
 
 
 class PhysicalMemory:
@@ -123,14 +134,12 @@ class PhysicalMemory:
 
     def write(self, paddr: int, data: Buffer) -> None:
         """Write *data* (any buffer-protocol object) starting at *paddr*."""
-        view = memoryview(data)
-        if view.ndim != 1 or view.format not in ("B", "b", "c"):
-            view = view.cast("B")
+        view = byte_view(data)
         self._check(paddr, view.nbytes)
         index, offset = divmod(paddr, _EXTENT_SIZE)
         if offset + view.nbytes <= _EXTENT_SIZE:
             if view.nbytes:
-                self._extent(index)[offset:offset + view.nbytes] = view
+                memoryview(self._extent(index))[offset:offset + view.nbytes] = view
             return
         addr = paddr
         while view.nbytes:
@@ -138,7 +147,7 @@ class PhysicalMemory:
             chunk = _EXTENT_SIZE - offset
             if chunk > view.nbytes:
                 chunk = view.nbytes
-            self._extent(index)[offset:offset + chunk] = view[:chunk]
+            memoryview(self._extent(index))[offset:offset + chunk] = view[:chunk]
             addr += chunk
             view = view[chunk:]
 
@@ -164,7 +173,8 @@ class PhysicalMemory:
             else:
                 extent = self._extents.get(index)
                 if extent is not None:
-                    extent[offset:offset + chunk] = bytes(chunk)
+                    memoryview(extent)[offset:offset + chunk] = \
+                        memoryview(_ZERO_EXTENT)[:chunk]
             addr += chunk
             remaining -= chunk
 

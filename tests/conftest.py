@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.system import Machine, MachineConfig
@@ -41,3 +43,17 @@ def hix_app(hix_machine):
         app.cuCtxDestroy()
     except Exception:
         pass
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(call)``: the peak of what ``call()`` allocates, in
+    bytes, as :mod:`tracemalloc` traces it."""
+    def measure(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return measure

@@ -19,6 +19,7 @@ import pytest
 
 from repro.backends import backend_names
 from repro.crypto.blob import open_blob_chunks, seal_blob_chunks
+from repro.crypto import suite as aead
 from repro.crypto.nonce import NonceSequence
 from repro.crypto.suite import FastAuthSuite
 from repro.errors import IntegrityError
@@ -139,6 +140,46 @@ class TestBatchFunctionalEquivalence:
         secure_app.cuMemcpyHtoDBatch([])
         assert secure_app.cuMemcpyDtoHBatch([]) == []
         assert secure_machine.clock.now == before
+
+
+MB = 1 << 20
+
+
+@pytest.mark.skipif(aead._AESGCM is None,
+                    reason="pins the AES-NI engine: cryptography's AESGCM is "
+                           "unavailable or disabled by REPRO_NO_HW_AEAD")
+class TestSealedHopCopyBudget:
+    """Peak traced allocation of one 1 MiB transfer after a warm-up.
+
+    An upload holds the sealed frame, the DMA staging copy and the one
+    ``ciphertext || tag`` buffer the device opens in place (3.95 MiB
+    before the device opened straight from VRAM views and writes
+    stopped copying their source first).  A download right after an
+    upload may peak no higher than before (2.07 MiB).
+    """
+
+    PAYLOAD = bytes(range(241)) * (MB // 241) + bytes(MB % 241)
+
+    def _warm(self, app):
+        ptr = app.cuMemAlloc(MB)
+        app.cuMemcpyHtoD(ptr, self.PAYLOAD)
+        assert app.cuMemcpyDtoH(ptr, MB) == self.PAYLOAD
+        return ptr
+
+    def test_upload(self, secure_app, traced_peak):
+        ptr = self._warm(secure_app)
+        peak = traced_peak(lambda: secure_app.cuMemcpyHtoD(ptr, self.PAYLOAD))
+        assert secure_app.cuMemcpyDtoH(ptr, MB) == self.PAYLOAD
+        assert peak <= 3 * MB
+
+    def test_download(self, secure_app, traced_peak):
+        ptr = self._warm(secure_app)
+        secure_app.cuMemcpyHtoD(ptr, self.PAYLOAD)
+        got = []
+        peak = traced_peak(
+            lambda: got.append(secure_app.cuMemcpyDtoH(ptr, MB)))
+        assert got == [self.PAYLOAD]
+        assert peak <= 2.07 * MB
 
 
 class TestBatchChargeParity:

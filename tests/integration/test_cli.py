@@ -1,8 +1,14 @@
 """Integration tests for the command-line interface."""
 
+import subprocess
+import sys
+from types import SimpleNamespace
+
 import pytest
 
+from repro.backends import base as backend_registry
 from repro.cli import build_parser, main
+from repro.evalkit import security
 from repro.serve.scheduler import SCHEDULER_NAMES
 
 
@@ -50,6 +56,27 @@ class TestCli:
         assert main(["attacks"]) == 0
         out = capsys.readouterr().out
         assert "attack-surface analysis" in out
+
+    def test_attacks_all_runs_every_registered_backend(self, monkeypatch,
+                                                      capsys):
+        monkeypatch.setitem(backend_registry._REGISTRY, "third",
+                            backend_registry.get_backend("hix"))
+        monkeypatch.setattr(security, "run_attack_matrix", lambda backend: [
+            SimpleNamespace(backend=backend, defended=True)])
+        monkeypatch.setattr(security, "render_attack_matrix",
+                            lambda results: f"matrix {results[0].backend}")
+        assert main(["attacks", "--backend", "all"]) == 0
+        assert capsys.readouterr().out.split("\n") == [
+            "matrix hix", "", "matrix gpucc", "", "matrix third", ""]
+
+    def test_harness_import_loads_no_other_evalkit_module(self):
+        heavy = ("figures", "security", "validation", "sweeps", "serve_sweep")
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.evalkit.harness; print(*sorted("
+             f"m for m in {heavy!r} if 'repro.evalkit.' + m in sys.modules))"],
+            check=True, capture_output=True, text=True).stdout
+        assert loaded.split() == []
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -16,17 +16,29 @@ and pin the new ones:
   :func:`~repro.crypto.blob.seal_blob_chunks` (sealed into the frame) vs
   the concatenating builders — byte-identical frames for both suites,
   one and several chunks, 0 bytes to more than one 64 KiB extent.
+* :func:`repro.crypto.blob.open_blob_chunks` on a frame given as pieces
+  (how the device reads a frame staged in VRAM) vs the same frame
+  joined — the same chunks, or the same error (type and message), and
+  the same replay-guard state, for intact, bit-flipped, truncated,
+  magic-broken, replayed and mis-tabled frames split anywhere, on the
+  AES-NI engine and on the pure-Python fallbacks.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.crypto.blob import seal_blob, seal_blob_chunks
-from repro.crypto.nonce import NonceSequence
+from repro.crypto import suite as aead
+from repro.crypto.blob import (
+    HEADER_LEN,
+    open_blob_chunks,
+    seal_blob,
+    seal_blob_chunks,
+)
+from repro.crypto.nonce import NonceSequence, ReplayGuard
 from repro.crypto.suite import FastAuthSuite, OcbAesSuite
-from repro.errors import PageFault
+from repro.errors import CryptoError, PageFault
 from repro.gpu.context import GPU_PAGE_SIZE, GpuPageTable
 from tests.property.oracles import (
     OracleGpuPageTable,
@@ -132,3 +144,97 @@ class TestFramesMatchConcatenatingBuilder:
                              ids=["empty", "one-extent-plus", "straddling"])
     def test_frames_beyond_one_extent(self, suite_cls, sizes):
         _assert_frames_match(suite_cls, _chunks(sizes, len(sizes)))
+
+
+@pytest.fixture(params=["aes-ni", "python"])
+def engine(request, monkeypatch):
+    """Build suites on one engine: AES-NI through ``cryptography``, or
+    the pure-Python fallbacks."""
+    if request.param == "python":
+        monkeypatch.setattr(aead, "_AESGCM", None)
+        monkeypatch.setattr(aead, "_AESOCB3", None)
+    elif aead._AESGCM is None:
+        pytest.skip("the AES-NI engine is unavailable or disabled by "
+                    "REPRO_NO_HW_AEAD")
+    return request.param
+
+
+DAMAGES = ("none", "flip", "truncate", "magic", "replay", "lengths")
+CHANNEL = 9
+
+
+@st.composite
+def split_frames(draw, max_chunk=600):
+    """(chunk sizes, seed, damage, where, cuts): *where* places the
+    damage and *cuts* split the frame, header cuts and empty pieces
+    included."""
+    sizes = draw(st.lists(st.integers(0, max_chunk), min_size=1,
+                          max_size=4))
+    frame_len = HEADER_LEN + sum(sizes)
+    cuts = draw(st.lists(st.one_of(st.integers(0, frame_len),
+                                   st.integers(1, HEADER_LEN - 1)),
+                         max_size=6))
+    return (sizes, draw(st.integers(0, 1 << 16)),
+            draw(st.sampled_from(DAMAGES)),
+            draw(st.integers(0, frame_len - 1)), cuts)
+
+
+def _opened(suite, raw, lengths, guard):
+    try:
+        return ("ok", [bytes(chunk) for chunk in open_blob_chunks(
+            suite, raw, lengths, b"bulk", guard)])
+    except CryptoError as exc:
+        return ("err", type(exc), str(exc))
+
+
+def _assert_pieces_open_like_frame(suite_cls, sizes, seed, damage, where,
+                                   cuts):
+    suite = suite_cls(bytes(range(16)))
+    chunks = _chunks(sizes, seed)
+    lengths = list(sizes)
+    frame = seal_blob_chunks(suite, NonceSequence(CHANNEL), chunks, b"bulk")
+    if damage == "flip":
+        frame[where] ^= 1 << (where % 8)
+    elif damage == "truncate":
+        del frame[where:]
+    elif damage == "magic":
+        frame[where % 4] ^= 0xFF
+    elif damage == "lengths":
+        lengths[-1] += 1
+    joined_guard, pieces_guard = ReplayGuard(CHANNEL), ReplayGuard(CHANNEL)
+    if damage == "replay":
+        seen = NonceSequence(CHANNEL).next()
+        joined_guard.check(seen)
+        pieces_guard.check(seen)
+    raw = bytes(frame)
+    view = memoryview(raw)
+    bounds = [0] + sorted(min(cut, len(raw)) for cut in cuts) + [len(raw)]
+    pieces = [view[start:end] for start, end in zip(bounds, bounds[1:])]
+    joined = _opened(suite, raw, lengths, joined_guard)
+    assert _opened(suite, pieces, lengths, pieces_guard) == joined
+    assert vars(pieces_guard) == vars(joined_guard)
+    assert (joined[0] == "ok") == (damage == "none")
+    if damage == "none":
+        assert joined[1] == chunks
+
+
+piece_settings = settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestPiecewiseOpenMatchesJoinedFrame:
+    @pytest.mark.parametrize("suite_cls", SUITES)
+    @given(case=split_frames())
+    @piece_settings
+    def test_same_chunks_or_same_error(self, engine, suite_cls, case):
+        _assert_pieces_open_like_frame(suite_cls, *case)
+
+    @pytest.mark.parametrize("damage", ["none", "flip"])
+    @pytest.mark.parametrize("sizes", [[64 * 1024 + 40], [3, 64 * 1024, 1000]],
+                             ids=["one-extent-plus", "straddling"])
+    def test_frames_beyond_one_extent(self, engine, sizes, damage):
+        frame_len = HEADER_LEN + sum(sizes)
+        _assert_pieces_open_like_frame(
+            FastAuthSuite, sizes, len(sizes), damage, frame_len // 2,
+            [17, 17, 4096, 64 * 1024 + 3])

@@ -12,7 +12,7 @@ from repro.gpu.commands import CommandOpcode, encode_command
 from repro.gpu.context import GpuPageTable
 from repro.gpu.device import DEVICE_GTX580, SimGpu
 from repro.gpu.module import CubinImage, DevPtr, pack_params
-from repro.errors import BusError, PageFault
+from repro.errors import BusError, IntegrityError, PageFault
 from repro.hw.address_map import AddressMap
 from repro.hw.dma import DmaEngine
 from repro.hw.iommu import Iommu
@@ -121,6 +121,12 @@ class TestDeviceBasics:
         assert not gpu.contexts
         assert gpu.vram.read(0, 4) == bytes(4)
         assert gpu.reset_count == 1
+
+    @pytest.mark.parametrize("fmt", ["B", "b", "c"])
+    def test_fifo_window_takes_any_byte_buffer(self, gpu, fmt):
+        gpu.bar_write(0, regs.FIFO_OFFSET + 8,
+                      memoryview(b"command!").cast(fmt))
+        assert gpu.bar_read(0, regs.FIFO_OFFSET + 8, 8) == b"command!"
 
     def test_fault_surfaces_in_status(self, gpu):
         batch = encode_command(CommandOpcode.MAP, 99, (0, 0, 4096))
@@ -314,6 +320,41 @@ class TestGpuCrypto:
             CommandOpcode.LAUNCH, 1,
             (0x30000, len(cubin), 0, 0x38000, len(params), 0)))
         assert gpu.read_ctx(ctx, 0x40000, 16) == b"secret payload!!"
+
+    def test_open_scatter_reads_a_frame_split_across_vram_runs(self, gpu):
+        """The staged frame is read as VRAM views: a header straddling
+        two discontiguous runs opens, a flipped byte fails the tag with
+        nothing written and the replay guard unmoved, and the intact
+        frame then opens."""
+        _exec(gpu,
+              encode_command(CommandOpcode.CTX_CREATE, 1),
+              encode_command(CommandOpcode.MAP, 1, (0x20000, 0x100000, 4096)),
+              encode_command(CommandOpcode.MAP, 1, (0x21000, 0x300000,
+                                                    0x20000)),
+              encode_command(CommandOpcode.MAP, 1, (0x40000, 0x500000,
+                                                    0x20000)))
+        ctx = gpu.contexts[1]
+        ctx.crypto = build_session_crypto(b"\x42" * 32, "fast-auth")
+        payload = bytes(range(256)) * 300
+        frame = seal_blob(ctx.crypto.bulk_suite, ctx.crypto.bulk_h2d_nonces,
+                          payload, bulk_aad("hix", 1))
+        src = 0x21000 - 20  # header halves land in different runs
+        gpu.write_ctx(ctx, src, frame)
+        lengths = [1000, len(payload) - 1000]
+        dsts = [0x40000, 0x48000]
+        guard = ctx.crypto.bulk_h2d_guard
+        state = vars(guard).copy()
+
+        gpu.write_ctx(ctx, src + 5000, bytes([frame[5000] ^ 1]))
+        with pytest.raises(IntegrityError, match="tag verification failed"):
+            gpu.open_scatter(ctx, src, len(frame), dsts, lengths)
+        assert vars(guard) == state
+        assert gpu.read_ctx(ctx, 0x40000, 0x10000) == bytes(0x10000)
+
+        gpu.write_ctx(ctx, src + 5000, frame[5000:5001])
+        gpu.open_scatter(ctx, src, len(frame), dsts, lengths)
+        assert gpu.read_ctx(ctx, dsts[0], lengths[0]) == payload[:1000]
+        assert gpu.read_ctx(ctx, dsts[1], lengths[1]) == payload[1000:]
 
     def test_crypto_kernel_without_key_faults(self, gpu):
         _exec(gpu,

@@ -1,5 +1,7 @@
 """Unit tests for the sparse physical memory model."""
 
+from array import array
+
 import pytest
 
 from repro.errors import BusError
@@ -130,3 +132,54 @@ class TestFastPath:
         data = np.arange(256, dtype=np.int32)
         mem.write(64, data)
         assert mem.read(64, data.nbytes) == data.tobytes()
+
+
+PAYLOAD = bytes(range(251)) * (MB // 251) + bytes(MB % 251)
+
+
+def _source(kind: str, data: bytes):
+    """*data* as one of the buffer kinds callers hand to ``write``."""
+    if kind == "bytes":
+        return data
+    if kind == "bytearray":
+        return bytearray(data)
+    if kind == "memoryview":
+        return memoryview(data)
+    if kind in ("b", "c"):
+        return memoryview(data).cast(kind)
+    words = array("I")
+    words.frombytes(data)
+    return words
+
+
+class TestOneCopyWrites:
+    """A write copies each byte once, straight into its extents: no
+    temporary as large as the source or as one extent.  Before writes
+    went through a memoryview of the extent, a ``bytearray`` slice
+    assignment copied every non-``bytearray`` piece first (a 1 MiB
+    write peaked at 66,185 traced bytes)."""
+
+    @pytest.mark.parametrize("kind", ["bytes", "bytearray", "memoryview",
+                                      "b", "c", "array-I"])
+    @pytest.mark.parametrize("paddr,size", [(0, MB), (100, MB), (100, 4096)],
+                             ids=["aligned", "straddling", "one-extent"])
+    def test_write_reads_back_without_a_temporary(self, traced_peak, kind,
+                                                  paddr, size):
+        mem = PhysicalMemory(4 * MB)
+        mem.write(0, bytes(2 * MB))  # every extent written is resident
+        data = PAYLOAD[:size]
+        source = _source(kind, data)
+        peak = traced_peak(lambda: mem.write(paddr, source))
+        assert mem.read(paddr, size) == data
+        assert mem.read(0, paddr) == bytes(paddr)
+        assert peak < 4096
+
+    def test_partial_extent_zero_allocates_nothing_extent_sized(
+            self, traced_peak):
+        mem = PhysicalMemory(4 * MB)
+        mem.write(0, b"\xAA" * MB)
+        peak = traced_peak(lambda: mem.zero(100, 60 * 1024))
+        assert mem.read(0, 100) == b"\xAA" * 100
+        assert mem.read(100, 60 * 1024) == bytes(60 * 1024)
+        assert mem.read(100 + 60 * 1024, 100) == b"\xAA" * 100
+        assert peak < 4096

@@ -22,4 +22,4 @@ def test_attack_matrix(benchmark, publish):
     assert len(results) >= 10
     for result in results:
         assert result.baseline.startswith(SUCCEEDS), result.name
-        assert not result.hix.startswith(SUCCEEDS), result.name
+        assert not result.secure.startswith(SUCCEEDS), result.name

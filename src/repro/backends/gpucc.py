@@ -311,14 +311,17 @@ class GpuCcApi(SealedClient):
         k_att = verify_device_cert(ack["cert"])
         c_bytes = bytes.fromhex(ack["dh_c"])
         ctx_id = int(ack["ctx_id"])
-        fw_hash = verify_attestation_report(k_att, ack["report"],
-                                            c_bytes, a_bytes, ctx_id)
+        self._check_firmware(verify_attestation_report(
+            k_att, ack["report"], c_bytes, a_bytes, ctx_id))
+        session_key = derive_key(dh_u.raise_value(dh_bytes_to_int(c_bytes)))
+        return session_key, ctx_id
+
+    def _check_firmware(self, fw_hash: bytes) -> None:
+        """The signed firmware measurement must be the vendor's value."""
         if fw_hash != self._expected_fw_hash:
             raise AttestationError(
                 "GPU firmware measurement does not match the "
                 "vendor-published hash (device BIOS was modified)")
-        session_key = derive_key(dh_u.raise_value(dh_bytes_to_int(c_bytes)))
-        return session_key, ctx_id
 
 
 # ---------------------------------------------------------------------------

@@ -121,10 +121,7 @@ class GpuEnclaveService(SealedService):
         if not is_valid_rom(rom):
             raise AttestationError("GPU expansion ROM is structurally invalid")
         self.bios_measurement = bios_hash(rom)
-        if self.bios_measurement != self._expected_bios_hash:
-            raise AttestationError(
-                "GPU BIOS failed measurement: device firmware was modified "
-                "before GPU-enclave initialization")
+        self._check_bios()
         # Reset the GPU to purge any pre-existing (potentially malicious)
         # state, then rebuild driver bookkeeping over the clean device.
         self.driver.channel.reg_write(REG_RESET, RESET_MAGIC)
@@ -136,6 +133,13 @@ class GpuEnclaveService(SealedService):
             len(self._sgx.hix.tgmr_entries),
             self._root_complex.lockdown_active_for(str(self._gpu.bdf)))
         return self
+
+    def _check_bios(self) -> None:
+        """The BIOS measurement: the ROM must hash to the vendor's value."""
+        if self.bios_measurement != self._expected_bios_hash:
+            raise AttestationError(
+                "GPU BIOS failed measurement: device firmware was modified "
+                "before GPU-enclave initialization")
 
     @property
     def measurement(self) -> bytes:

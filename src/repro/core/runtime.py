@@ -57,6 +57,7 @@ from repro.errors import (
     RequestRejected,
 )
 from repro.gpu.module import DevPtr, ParamValue
+from repro.hw.phys_mem import byte_view
 from repro.obs.audit import audit_log
 from repro.obs.tracer import traced
 from repro.osmodel.kernel import Kernel
@@ -76,14 +77,9 @@ def _as_buffer(data: HostBuffer) -> memoryview:
     place; only non-contiguous arrays pay a copy.  The view is always
     unsigned bytes, so it can be copied into a frame by slice assignment.
     """
-    if isinstance(data, np.ndarray):
-        if not data.flags.c_contiguous:
-            data = np.ascontiguousarray(data)
-        return memoryview(data).cast("B")
-    view = memoryview(data)
-    if view.format != "B" or view.ndim != 1:
-        view = view.cast("B")
-    return view
+    if isinstance(data, np.ndarray) and not data.flags.c_contiguous:
+        data = np.ascontiguousarray(data)
+    return byte_view(data)
 
 
 class HixModuleHandle:

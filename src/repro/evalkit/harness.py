@@ -118,11 +118,15 @@ def run_single(workload: Workload, mode: str,
 # Multi-user (Figures 8/9)
 # ---------------------------------------------------------------------------
 
-def _compute_segments(workload: Workload, costs: CostModel, mode: str,
-                      max_segments: int = 48) -> List[Segment]:
+#: Caps on the gpu segments of a compute phase and of a transfer's crypto.
+_COMPUTE_SEGMENTS, _CRYPTO_SEGMENTS = 48, 24
+
+
+def _compute_segments(workload: Workload, costs: CostModel,
+                      mode: str) -> List[Segment]:
     """The compute phase as interleavable gpu segments + launch gaps."""
     launches = max(workload.n_launches, 1)
-    groups = min(launches, max_segments)
+    groups = min(launches, _COMPUTE_SEGMENTS)
     per_group_compute = workload.compute_seconds / groups
     per_group_overhead = (launches / groups) * costs.launch_overhead(mode)
     segments: List[Segment] = []
@@ -132,8 +136,8 @@ def _compute_segments(workload: Workload, costs: CostModel, mode: str,
     return segments
 
 
-def _crypto_kernel_segments(nbytes: float, costs: CostModel, mode: str,
-                            max_segments: int = 24) -> List[Segment]:
+def _crypto_kernel_segments(nbytes: float, costs: CostModel,
+                            mode: str) -> List[Segment]:
     """Device-side crypto for a bulk transfer, chunk by chunk.
 
     The backend's device AEAD (HIX: SM kernels; GPU-CC: the on-die
@@ -149,7 +153,7 @@ def _crypto_kernel_segments(nbytes: float, costs: CostModel, mode: str,
     bandwidth *= backend.multiuser_efficiency(costs)
     chunk = costs.pipeline_chunk_bytes
     chunks = max(int(-(-nbytes // chunk)), 1)
-    groups = min(chunks, max_segments)
+    groups = min(chunks, _CRYPTO_SEGMENTS)
     per_group_bytes = nbytes / groups
     segments = []
     for _ in range(groups):

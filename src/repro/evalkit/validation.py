@@ -109,5 +109,5 @@ def validate_reproduction(inflation: float = 256.0,
     report.add("attack classes defended", "all (6 classes)",
                f"{defended}/{len(attacks)} attacks",
                all(a.baseline.startswith(SUCCEEDS)
-                   and not a.hix.startswith(SUCCEEDS) for a in attacks))
+                   and not a.secure.startswith(SUCCEEDS) for a in attacks))
     return report

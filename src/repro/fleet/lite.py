@@ -79,10 +79,8 @@ class LiteProfile:
         # sweeps, and this module is imported by repro.fleet's own
         # __init__ — a module-level import would tie the two packages'
         # import orders together for no benefit.
-        from repro.evalkit.harness import GDEV, HIX, user_segments
-        costs = costs or CostModel()
-        mode_name = {"hix": HIX, "gdev": GDEV}.get(mode, mode)
-        segments = user_segments(workload, costs, mode_name)
+        from repro.evalkit.harness import user_segments
+        segments = user_segments(workload, costs or CostModel(), mode)
         return cls(units=segments_to_units(segments),
                    label=label or f"lite:{workload.name}")
 

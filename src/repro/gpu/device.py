@@ -121,10 +121,7 @@ class SimGpu(PcieFunction):
         if bar_index == 0:
             return self._bar0_read(offset, length)
         if bar_index == 1:
-            if self.cc_mode:
-                raise UnsupportedRequest(
-                    "CC firewall: VRAM aperture (BAR1) is disabled in "
-                    "confidential-computing mode")
+            self._check_firewall()
             return self.vram.read(self._aperture_base + offset, length)
         raise UnsupportedRequest(f"GPU has no BAR{bar_index}")
 
@@ -133,13 +130,17 @@ class SimGpu(PcieFunction):
             self._bar0_write(offset, data)
             return
         if bar_index == 1:
-            if self.cc_mode:
-                raise UnsupportedRequest(
-                    "CC firewall: VRAM aperture (BAR1) is disabled in "
-                    "confidential-computing mode")
+            self._check_firewall()
             self.vram.write(self._aperture_base + offset, data)
             return
         raise UnsupportedRequest(f"GPU has no BAR{bar_index}")
+
+    def _check_firewall(self) -> None:
+        """The CC firewall refuses every host access to the BAR1 aperture."""
+        if self.cc_mode:
+            raise UnsupportedRequest(
+                "CC firewall: VRAM aperture (BAR1) is disabled in "
+                "confidential-computing mode")
 
     def enable_cc(self) -> None:
         """Enter confidential-computing mode (GPU-CC backend boot)."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro.hw.address_map import AddressMap
 from repro.hw.iommu import Iommu
+from repro.hw.phys_mem import byte_view
 from repro.obs.tracer import traced
 
 
@@ -55,9 +56,7 @@ class DmaEngine:
                 "bdf": bdf, "bytes": memoryview(data).nbytes})
     def write_host(self, bdf: str, io_addr: int, data) -> None:
         """Device-initiated write to host memory (DMA write)."""
-        view = memoryview(data)
-        if view.ndim != 1 or view.format not in ("B", "b", "c"):
-            view = view.cast("B")
+        view = byte_view(data)
         offset = 0
         for paddr, chunk in self._iommu.translate_range(bdf, io_addr,
                                                         view.nbytes):

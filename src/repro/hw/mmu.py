@@ -23,7 +23,7 @@ from itertools import repeat
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import AccessDenied, PageFault
-from repro.hw.phys_mem import PAGE_SIZE
+from repro.hw.phys_mem import PAGE_SIZE, byte_view
 from repro.obs.tracer import traced
 
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
@@ -448,9 +448,7 @@ class Mmu:
         *data* may be any buffer-protocol object; runs are written
         through memoryview slices, so nothing is copied on the way down.
         """
-        view = memoryview(data)
-        if view.ndim != 1 or view.format not in ("B", "b", "c"):
-            view = view.cast("B")
+        view = byte_view(data)
         runs = self.translate_range(page_table, ctx, vaddr, view.nbytes,
                                     AccessType.WRITE)
         if len(runs) == 1:

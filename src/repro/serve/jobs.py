@@ -33,6 +33,8 @@ from repro.sim.costs import CostModel
 from repro.workloads.base import Workload
 
 _MIN_BUFFER = 4096
+#: Caps on a stream's upload/download chunks and on its launch groups.
+_MAX_COPY_CHUNKS, _MAX_LAUNCH_GROUPS = 8, 8
 
 
 def _chunk_count(modeled_bytes: float, chunk_bytes: int, cap: int) -> int:
@@ -44,8 +46,6 @@ def _chunk_count(modeled_bytes: float, chunk_bytes: int, cap: int) -> int:
 
 def submit_workload(client: TenantClient, workload: Workload,
                     inflation: float, costs: CostModel,
-                    max_copy_chunks: int = 8,
-                    max_launch_groups: int = 8,
                     seed: Optional[int] = None,
                     backend: str = "hix") -> List[ServeRequest]:
     """Queue *workload* on *client* as a stream of serving requests.
@@ -53,14 +53,14 @@ def submit_workload(client: TenantClient, workload: Workload,
     Returns the submitted requests (setup, uploads, launches, downloads,
     cleanup, in order).  Raises :class:`BackpressureError` if the
     tenant's queue cannot hold the stream — size ``max_queue_depth``
-    accordingly or lower the chunk caps.
+    accordingly.
     """
     real_h2d = int(workload.modeled_h2d / inflation)
     real_d2h = int(workload.modeled_d2h / inflation)
     h2d_chunks = _chunk_count(workload.modeled_h2d,
-                              costs.pipeline_chunk_bytes, max_copy_chunks)
+                              costs.pipeline_chunk_bytes, _MAX_COPY_CHUNKS)
     d2h_chunks = _chunk_count(workload.modeled_d2h,
-                              costs.pipeline_chunk_bytes, max_copy_chunks)
+                              costs.pipeline_chunk_bytes, _MAX_COPY_CHUNKS)
     h2d_per_chunk = (-(-real_h2d // h2d_chunks) if h2d_chunks else 0)
     d2h_per_chunk = (-(-real_d2h // d2h_chunks) if d2h_chunks else 0)
     # One reusable device buffer sized for the largest chunk; word-align
@@ -69,7 +69,7 @@ def submit_workload(client: TenantClient, workload: Workload,
     buffer_bytes += (-buffer_bytes) % 4
 
     launches = max(workload.n_launches, 0)
-    groups = min(launches, max_launch_groups) if launches else 0
+    groups = min(launches, _MAX_LAUNCH_GROUPS) if launches else 0
     per_group_compute = (workload.compute_seconds / groups) if groups else 0.0
     elided_per_group = 0.0
     if groups:

@@ -134,15 +134,11 @@ class HixExtension:
                      root_complex: RootComplex, epc_paddr: int) -> GecsEntry:
         """EGCREATE back-end: bind *bdf* to *enclave_id*, engage lockdown."""
         key = str(bdf)
-        if key in self._gecs:
-            raise GpuAlreadyOwned(
-                f"GPU {key} already registered to enclave "
-                f"{self._gecs[key].enclave_id}; cleared only by cold boot")
+        self._check_unowned(key)
         device = root_complex.find_function(bdf)
         if device is None:
             raise NotAGpu(f"no PCIe function at {key}")
-        if not device.is_physical:
-            raise NotAGpu(f"{key} is not real hardware (emulated device)")
+        self._check_physical(key, device)
         if device.config.class_code not in PROTECTABLE_CLASSES:
             raise NotAGpu(f"{key} is not a protectable accelerator "
                           f"(class {device.config.class_code:#08x})")
@@ -153,6 +149,18 @@ class HixExtension:
                           locked_path=locked_path)
         self._gecs[key] = entry
         return entry
+
+    def _check_unowned(self, key: str) -> None:
+        """Termination protection: a GPU stays bound, even to a killed enclave."""
+        if key in self._gecs:
+            raise GpuAlreadyOwned(
+                f"GPU {key} already registered to enclave "
+                f"{self._gecs[key].enclave_id}; cleared only by cold boot")
+
+    def _check_physical(self, key: str, device) -> None:
+        """The root complex vouches that *device* is real hardware."""
+        if not device.is_physical:
+            raise NotAGpu(f"{key} is not real hardware (emulated device)")
 
     def gecs_for_enclave(self, enclave_id: int) -> Optional[GecsEntry]:
         for entry in self._gecs.values():

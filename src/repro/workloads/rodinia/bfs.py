@@ -8,8 +8,6 @@ edges, masks), 3.81 MB DtoH (the int32 distance array, 4 B x 1e6).
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from repro.workloads.base import MB, Workload
 from repro.workloads.calibration import RODINIA_COMPUTE_SECONDS
@@ -90,6 +88,8 @@ class Bfs(Workload):
         result = np.frombuffer(api.cuMemcpyDtoH(d_dist, dist.nbytes),
                                dtype=np.int32)
 
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import shortest_path
         graph = csr_matrix(
             (np.ones(n_edges, dtype=np.int8), edges[:n_edges], offsets),
             shape=(n, n))

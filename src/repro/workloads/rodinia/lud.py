@@ -16,7 +16,6 @@ Table 5: 16 MB each way (the float32 matrix in, packed factors out).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from repro.workloads.base import MB, Workload
 from repro.workloads.calibration import RODINIA_COMPUTE_SECONDS
@@ -46,6 +45,7 @@ def _lud_diagonal(dev, ctx, params) -> None:
 @registry.kernel("rodinia.lud_perimeter")
 def _lud_perimeter(dev, ctx, params) -> None:
     """Row/column panel solves against the diagonal factors: (a, n, k0, bs)."""
+    from scipy.linalg import solve_triangular
     a_ptr, n, k0, bs = params
     a = _read_matrix(dev, ctx, a_ptr, n)
     end = min(k0 + bs, n)

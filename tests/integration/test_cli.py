@@ -74,9 +74,10 @@ class TestCli:
         loaded = subprocess.run(
             [sys.executable, "-c",
              "import sys, repro.evalkit.harness; print(*sorted("
-             f"m for m in {heavy!r} if 'repro.evalkit.' + m in sys.modules))"],
+             f"m for m in {heavy!r} if 'repro.evalkit.' + m in sys.modules),"
+             " 'scipy' in sys.modules)"],
             check=True, capture_output=True, text=True).stdout
-        assert loaded.split() == []
+        assert loaded.split() == ["False"]
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -99,7 +99,7 @@ class TestHixBitIdenticalToPreRefactor:
         golden = goldens["attack_matrix"]
         results = run_attack_matrix(backend)
         captured = [{"attack_id": r.attack_id, "name": r.name,
-                     "baseline": r.baseline, "hix": r.hix,
+                     "baseline": r.baseline, "hix": r.secure,
                      "defended": r.defended} for r in results]
         assert captured == golden
 

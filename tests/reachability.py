@@ -17,6 +17,11 @@ points are:
 * the CLI subcommands the workflow does not run (``EXTRA_COMMANDS``);
 * every script in ``examples/``.
 
+With ``--production`` the three pytest entry points are skipped and
+``perfbench/run.py --all --seconds 0.5 --trace 1`` runs instead, so the
+report lists the code that no production entry point runs: what only
+the tests reach, if anything does.
+
 Subprocesses are traced too: ``tests/reachability_site`` goes first on
 ``PYTHONPATH``, and its ``sitecustomize`` installs the tracer in every
 interpreter the run starts.  The report is a measurement, not a gate:
@@ -26,6 +31,7 @@ run takes about five minutes on a 2-vCPU machine.
 
 from __future__ import annotations
 
+import argparse
 import dis
 import inspect
 import json
@@ -98,20 +104,28 @@ def subcommands() -> Set[str]:
     return set(action.choices)
 
 
-def entry_points(workdir: pathlib.Path) -> List[Tuple[List[str], dict]]:
-    """``(argv, subprocess keyword arguments)`` for every entry point."""
+def entry_points(workdir: pathlib.Path,
+                 production: bool = False) -> List[Tuple[List[str], dict]]:
+    """``(argv, subprocess keyword arguments)`` for every entry point;
+    *production* swaps the pytest runs for one traced perfbench pass."""
     site = str(SITE)
     with_src = {"PYTHONPATH": os.pathsep.join([site, str(SRC)])}
-    runs = [
-        (["-m", "pytest", "-q", "-p", "no:cacheprovider"],
-         {"cwd": ROOT, "env": with_src}),
-        # CI runs the benchmark's self-tests without src on the path.
-        (["-m", "pytest", "perfbench", "-q", "-p", "no:cacheprovider"],
-         {"cwd": ROOT, "env": {"PYTHONPATH": site}}),
-        (["-m", "pytest", "benchmarks", "--benchmark-disable", "-q",
-          "-p", "no:cacheprovider"],
-         {"cwd": ROOT, "env": with_src}),
-    ]
+    if production:
+        # perfbench puts its checkout's src on the path itself.
+        runs = [([str(ROOT / "perfbench" / "run.py"), "--all", "--seconds",
+                  "0.5", "--trace", "1"],
+                 {"cwd": ROOT, "env": {"PYTHONPATH": site}})]
+    else:
+        runs = [
+            (["-m", "pytest", "-q", "-p", "no:cacheprovider"],
+             {"cwd": ROOT, "env": with_src}),
+            # CI runs the benchmark's self-tests without src on the path.
+            (["-m", "pytest", "perfbench", "-q", "-p", "no:cacheprovider"],
+             {"cwd": ROOT, "env": {"PYTHONPATH": site}}),
+            (["-m", "pytest", "benchmarks", "--benchmark-disable", "-q",
+              "-p", "no:cacheprovider"],
+             {"cwd": ROOT, "env": with_src}),
+        ]
     for command in workflow_repro_commands() + EXTRA_COMMANDS:
         runs.append((["-m", "repro", *shlex.split(command)],
                      {"cwd": workdir, "env": with_src}))
@@ -120,7 +134,7 @@ def entry_points(workdir: pathlib.Path) -> List[Tuple[List[str], dict]]:
     return runs
 
 
-def run_traced(out: pathlib.Path) -> List[str]:
+def run_traced(out: pathlib.Path, production: bool = False) -> List[str]:
     """Run every entry point with the tracer on; return the failures."""
     covered = {shlex.split(command)[0]
                for command in workflow_repro_commands() + EXTRA_COMMANDS}
@@ -128,7 +142,7 @@ def run_traced(out: pathlib.Path) -> List[str]:
         print(f"warning: no entry point runs `repro {name}`")
     failures = []
     with tempfile.TemporaryDirectory() as workdir:
-        for argv, kwargs in entry_points(pathlib.Path(workdir)):
+        for argv, kwargs in entry_points(pathlib.Path(workdir), production):
             env = dict(os.environ, REACH_OUT=str(out),
                        REACH_ROOT=str(PACKAGE), **kwargs.pop("env"))
             label = " ".join(argv)
@@ -175,7 +189,7 @@ def _ranges(lines: List[int]) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
 
 
-def report(merged: Dict[str, dict]) -> None:
+def report(merged: Dict[str, dict], by: str = "") -> None:
     total_lines = total_missed = total_functions = total_unentered = 0
     for path in sorted(PACKAGE.rglob("*.py")):
         seen = merged.get(str(path), {"lines": set(), "entered": set()})
@@ -199,21 +213,25 @@ def report(merged: Dict[str, dict]) -> None:
         if not (missed or unentered):
             continue
         print(f"{path.relative_to(ROOT)}: {len(missed)} of "
-              f"{len(executable)} lines never run"
+              f"{len(executable)} lines never run{by}"
               + (f": {_ranges(missed)}" if missed else ""))
         for line, name in unentered:
-            print(f"    never entered: {name} (line {line})")
+            print(f"    never entered{by}: {name} (line {line})")
     print(f"\nsrc/repro: {total_missed} of {total_lines} executable lines "
-          f"never run; {total_unentered} of {total_functions} functions "
-          f"never entered")
+          f"never run{by}; {total_unentered} of {total_functions} functions "
+          f"never entered{by}")
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--production", action="store_true",
+                        help="skip the pytest entry points, run perfbench")
+    production = parser.parse_args(argv).production
     with tempfile.TemporaryDirectory() as out:
-        failures = run_traced(pathlib.Path(out))
+        failures = run_traced(pathlib.Path(out), production)
         merged = merge(pathlib.Path(out))
     print()
-    report(merged)
+    report(merged, " by a production entry point" if production else "")
     for label in failures:
         print(f"entry point failed: python {label}")
     return 1 if failures else 0

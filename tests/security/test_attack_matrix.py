@@ -4,15 +4,16 @@ Every attack must genuinely *succeed* against the Gdev baseline and be
 defended by every TEE backend — both halves are asserted, so a
 regression that silently weakens the baseline model (making attacks
 "fail" for the wrong reason) is caught too.  Each backend's verdict
-must also match its declared expectation class (BLOCKED vs DETECTED vs
-TOLERATED), pinning the *threat-model shape*, not just "defended".
+must also be the one its row of :data:`~repro.evalkit.security.STOPPERS`
+gives (BLOCKED vs DETECTED vs TOLERATED, and the reason), pinning the
+*threat-model shape*, not just "defended".
 """
 
 import pytest
 
 from repro.evalkit import security
 
-BACKENDS = sorted(security.EXPECTED_VERDICTS)
+BACKENDS = sorted(security.BACKEND_LABELS)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -30,15 +31,26 @@ def test_attack_succeeds_on_baseline_and_is_defended(attack, backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_verdict_classes_match_expectations(backend):
-    expected = security.EXPECTED_VERDICTS[backend]
-    for result in security.run_attack_matrix(backend):
-        assert result.name in expected, (
-            f"no expected verdict declared for {result.name!r} "
-            f"under {backend}")
-        prefix = expected[result.name]
-        assert result.secure.startswith(prefix), (
-            f"{result.name} under {backend}: expected class "
-            f"{prefix!r}, got {result.secure!r}")
+    results = security.run_attack_matrix(backend)
+    assert {(r.name, backend) for r in results} == {
+        key for key in security.STOPPERS if key[1] == backend}
+    for result in results:
+        stopper = security.STOPPERS[result.name, backend]
+        assert result.secure == stopper.text, (
+            f"{result.name} under {backend}: expected {stopper.text!r}, "
+            f"got {result.secure!r}")
+
+
+def test_stopper_table_is_well_formed():
+    """A TOLERATED row names no mechanism; every other row names one
+    that :data:`~repro.evalkit.security.MECHANISMS` knows."""
+    for key, stopper in security.STOPPERS.items():
+        assert stopper.verdict in (security.BLOCKED, security.DETECTED,
+                                   security.TOLERATED), key
+        if stopper.verdict == security.TOLERATED:
+            assert stopper.mechanism is None, key
+        else:
+            assert stopper.mechanism in security.MECHANISMS, key
 
 
 def test_matrix_covers_every_figure10_class():

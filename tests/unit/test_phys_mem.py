@@ -5,7 +5,11 @@ from array import array
 import pytest
 
 from repro.errors import BusError
+from repro.hw.address_map import AddressMap
+from repro.hw.dma import DmaEngine
+from repro.hw.iommu import Iommu
 from repro.hw.phys_mem import PAGE_SIZE, PhysicalMemory
+from repro.system import Machine, MachineConfig
 
 
 class TestPhysicalMemory:
@@ -152,26 +156,59 @@ def _source(kind: str, data: bytes):
     return words
 
 
+def _memory(writer: str):
+    """``(write, read)`` by offset into 4 MiB of memory, its first 2 MiB
+    resident, through *writer*: ``PhysicalMemory.write``, a process's
+    ``Kernel.cpu_write`` or a device's ``DmaEngine.write_host``."""
+    if writer == "cpu_write":
+        kernel = Machine(MachineConfig()).kernel
+        process = kernel.create_process("writer")
+        base = kernel.alloc_pages(process, 4 * MB // PAGE_SIZE,
+                                  contiguous=True)
+
+        def write(offset, data):
+            kernel.cpu_write(process, base + offset, data)
+
+        def read(offset, nbytes):
+            return kernel.cpu_read(process, base + offset, nbytes)
+    else:
+        mem = PhysicalMemory(4 * MB)
+        write, read = mem.write, mem.read
+        if writer == "write_host":
+            address_map = AddressMap()
+            address_map.add_window("dram", 0, mem.size, mem.read, mem.write)
+            dma = DmaEngine(address_map, Iommu())
+
+            def write(offset, data):
+                dma.write_host("01:00.0", offset, data)
+    write(0, bytes(2 * MB))
+    return write, read
+
+
 class TestOneCopyWrites:
     """A write copies each byte once, straight into its extents: no
     temporary as large as the source or as one extent.  Before writes
     went through a memoryview of the extent, a ``bytearray`` slice
     assignment copied every non-``bytearray`` piece first (a 1 MiB
-    write peaked at 66,185 traced bytes)."""
+    write peaked at 66,185 traced bytes).  The CPU and DMA write paths
+    cast the signed and char sources too."""
 
-    @pytest.mark.parametrize("kind", ["bytes", "bytearray", "memoryview",
-                                      "b", "c", "array-I"])
+    @pytest.mark.parametrize("writer,kind", [
+        *(pytest.param("write", kind, id=kind) for kind in (
+            "bytes", "bytearray", "memoryview", "b", "c", "array-I")),
+        *(pytest.param(writer, kind, id=f"{writer}-{kind}")
+          for writer in ("cpu_write", "write_host")
+          for kind in ("b", "c", "array-I"))])
     @pytest.mark.parametrize("paddr,size", [(0, MB), (100, MB), (100, 4096)],
                              ids=["aligned", "straddling", "one-extent"])
-    def test_write_reads_back_without_a_temporary(self, traced_peak, kind,
-                                                  paddr, size):
-        mem = PhysicalMemory(4 * MB)
-        mem.write(0, bytes(2 * MB))  # every extent written is resident
+    def test_write_reads_back_without_a_temporary(self, traced_peak, writer,
+                                                  kind, paddr, size):
+        write, read = _memory(writer)
         data = PAYLOAD[:size]
         source = _source(kind, data)
-        peak = traced_peak(lambda: mem.write(paddr, source))
-        assert mem.read(paddr, size) == data
-        assert mem.read(0, paddr) == bytes(paddr)
+        peak = traced_peak(lambda: write(paddr, source))
+        assert read(paddr, size) == data
+        assert read(0, paddr) == bytes(paddr)
         assert peak < 4096
 
     def test_partial_extent_zero_allocates_nothing_extent_sized(
